@@ -10,7 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DiscreteQuadrature, KernelSpec, gram, kernel_fn, psi_kernel
+from .kernels import DiscreteQuadrature, KernelSpec, cross_gram, gram
+# Unused here: the per-pair kernels stay importable from this module because
+# the benchmark's traced run (bench/layers.py) wraps them by this name.
+from .kernels import kernel_fn, psi_kernel  # noqa: F401
 
 __all__ = [
     "CollocationModel",
@@ -108,9 +111,20 @@ def sigma_n(spec: KernelSpec, f_values, quad: DiscreteQuadrature, x) -> float:
     f_values = np.asarray(f_values, dtype=float)
     if len(f_values) != len(quad.nodes):
         raise ValueError("f values must align with quadrature nodes")
-    k = kernel_fn(spec)
-    kx = np.array([k(x, z) for z in quad.nodes])
-    return float(np.sum(quad.weights * f_values * kx))
+    return float(cross_gram(spec, [x], quad.nodes)[0] @ (quad.weights * f_values))
+
+
+def _normal_equations(spec: KernelSpec, nodes, f_values, quad: DiscreteQuadrature):
+    """Psi matrix and right-hand side of the theoretical normal equations.
+
+    With K_q[j, z] = K(y_j, z) over the quadrature nodes z,
+        Psi = K_q diag(w f0) K_q'   and   rhs = K_q (w f f0),
+    that is Psi[j, l] = psi_kernel(y_j, y_l) and rhs[j] = sigma_n(f f0, y_j).
+    """
+    Kq = cross_gram(spec, nodes, quad.nodes)
+    wf0 = quad.weights * quad.density_f0
+    P = (Kq * wf0) @ Kq.T
+    return 0.5 * (P + P.T), Kq @ (wf0 * f_values)
 
 
 def fit_theoretical(spec: KernelSpec, nodes, f_values, quad: DiscreteQuadrature) -> CollocationModel:
@@ -123,11 +137,7 @@ def fit_theoretical(spec: KernelSpec, nodes, f_values, quad: DiscreteQuadrature)
     if len(f_values) != len(quad.nodes):
         raise ValueError("f values must align with quadrature nodes")
     M = len(nodes)
-    P = np.empty((M, M))
-    for j in range(M):
-        for l in range(j, M):
-            P[j, l] = P[l, j] = psi_kernel(spec, quad, nodes[l], nodes[j])
-    rhs = np.array([sigma_n(spec, f_values * quad.density_f0, quad, y) for y in nodes])
+    P, rhs = _normal_equations(spec, nodes, f_values, quad)
     cond = np.linalg.cond(P)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ValueError(f"normal-equation matrix condition {cond:.2e} exceeds {COND_LIMIT:.0e}")
@@ -138,8 +148,7 @@ def fit_theoretical(spec: KernelSpec, nodes, f_values, quad: DiscreteQuadrature)
 
 
 def evaluate(model: CollocationModel, x) -> float:
-    k = kernel_fn(model.spec)
-    return float(sum(a * k(x, y) for a, y in zip(model.coeffs, model.nodes)))
+    return float(cross_gram(model.spec, [x], model.nodes)[0] @ model.coeffs)
 
 
 def error_profile(model: CollocationModel, truth, probes, metric=euclidean_metric) -> ErrorProfile:
@@ -149,7 +158,7 @@ def error_profile(model: CollocationModel, truth, probes, metric=euclidean_metri
     if len(probes) == 0:
         raise ValueError("no probes")
     delta = np.array([min(metric(x, y) for y in model.nodes) for x in probes])
-    vals = np.array([evaluate(model, x) for x in probes])
+    vals = cross_gram(model.spec, probes, model.nodes) @ model.coeffs
     err = np.abs(vals - truth)
     order = np.argsort(delta, kind="stable")
     return ErrorProfile(

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .kernels import canonicalize_signs
+
 __all__ = [
     "Spectrogram",
     "SubspaceFeature",
@@ -149,36 +151,46 @@ def normalize(spec: Spectrogram, mode: str) -> Spectrogram:
     return replace(spec, data=out, state="unit_normalized")
 
 
-def _canonicalize(U: np.ndarray) -> np.ndarray:
-    idx = np.argmax(np.abs(U), axis=0)
-    signs = np.sign(U[idx, np.arange(U.shape[1])])
-    signs[signs == 0] = 1.0
-    return U * signs
-
-
 def svd_features(spec: Spectrogram, r: int) -> SubspaceFeature:
     """Top-r left singular vectors (sign-canonicalized) and singular values."""
     rows, cols = spec.data.shape
     if r < 1 or r > min(rows, cols):
         raise ValueError(f"r={r} out of range for {rows}x{cols} spectrogram")
     U, S, _ = np.linalg.svd(spec.data, full_matrices=False)
-    return SubspaceFeature(U=_canonicalize(U[:, :r]), S=S[:r].copy())
+    return SubspaceFeature(U=canonicalize_signs(U[:, :r]), S=S[:r].copy())
 
 
 def fit_pca(train_matrix: np.ndarray, r: int) -> PcaBasis:
-    """Top-r principal directions of the row-sample matrix, via SVD of the
-    centered data (no covariance assembly)."""
+    """Top-r principal directions of the M x D row-sample matrix.
+
+    Eigendecomposition (`eigh`) of the smaller centred Gram: Xc Xc' (M x M)
+    when M <= D, whose eigenvectors u give the directions Xc' u normalised,
+    else Xc' Xc (D x D), whose eigenvectors are the directions. The
+    eigenvalues are the squared singular values of Xc.
+
+    The data count as rank-deficient, and are refused, when the r-th
+    eigenvalue is at most n * eps * (largest eigenvalue), with n the Gram
+    size and eps the float64 machine epsilon: below that an eigenvalue
+    cannot be told from round-off in the Gram and its eigendecomposition.
+    """
     X = np.asarray(train_matrix, dtype=float)
     M, D = X.shape
     if r < 1 or r > min(M, D):
         raise ValueError(f"r={r} out of range for {M}x{D} data")
     mean = X.mean(axis=0)
     Xc = X - mean
-    U, S, Vt = np.linalg.svd(Xc, full_matrices=False)
-    if S[r - 1] <= 1e-12 * max(S[0], 1.0):
+    sample_gram = M <= D
+    G = Xc @ Xc.T if sample_gram else Xc.T @ Xc
+    eigvals, eigvecs = np.linalg.eigh(G)
+    eigvals, eigvecs = eigvals[::-1][:r], eigvecs[:, ::-1][:, :r]
+    if eigvals[-1] <= len(G) * np.finfo(float).eps * eigvals[0]:
         raise ValueError(f"data rank below r={r}; lower r")
-    explained = S[:r] ** 2 / max(M - 1, 1)
-    return PcaBasis(mean=mean, components=_canonicalize(Vt[:r].T), explained=explained)
+    components = eigvecs
+    if sample_gram:
+        components = Xc.T @ eigvecs
+        components /= np.linalg.norm(components, axis=0)
+    explained = eigvals / max(M - 1, 1)
+    return PcaBasis(mean=mean, components=canonicalize_signs(components), explained=explained)
 
 
 def pca_project(basis: PcaBasis, x: np.ndarray) -> np.ndarray:
@@ -240,4 +252,4 @@ def grassmann_embed(model: ArmaModel, m: int) -> GrassmannPoint:
     Q, R = np.linalg.qr(stacked)
     if np.min(np.abs(np.diag(R))) <= 1e-10 * max(np.max(np.abs(np.diag(R))), 1.0):
         raise ValueError("observability stack is rank deficient")
-    return GrassmannPoint(basis=_canonicalize(Q))
+    return GrassmannPoint(basis=canonicalize_signs(Q))

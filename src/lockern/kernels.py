@@ -2,8 +2,13 @@
 
 Implements the Grassmann projection-distance kernel, the Laplace and Gaussian
 kernels on (U, Sigma) SVD features, the plain Euclidean RBF, the localized
-Hermite kernel on flat vectors, Gram assembly, and the derived second-order
-kernel Psi used by the theoretical least-squares normal equations.
+Hermite kernel on flat vectors, batched kernel matrices (`cross_gram`, `gram`),
+and the derived second-order kernel Psi used by the theoretical least-squares
+normal equations.
+
+`cross_gram` is the one path that computes kernel values in bulk. The scalar
+per-pair functions (`grassmann_kernel`, ..., `kernel_fn`, `psi_kernel`) are
+kept as the reference the batched path is tested against.
 """
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ __all__ = [
     "euclidean_rbf",
     "localized_distance_kernel",
     "kernel_fn",
+    "cross_gram",
     "gram",
     "psi_kernel",
 ]
@@ -111,8 +117,10 @@ def canonicalize_signs(U: np.ndarray) -> np.ndarray:
 
 
 def _check_orthonormal(U: np.ndarray, tol: float = 1e-8) -> None:
-    r = U.shape[1]
-    err = np.linalg.norm(U.T @ U - np.eye(r))
+    """Raise unless every basis in U (one n x r basis, or a stack of them
+    along the first axis) has orthonormal columns to Frobenius error tol."""
+    r = U.shape[-1]
+    err = np.max(np.linalg.norm(np.swapaxes(U, -1, -2) @ U - np.eye(r), axis=(-2, -1)))
     if err > tol:
         raise ValueError(f"columns not orthonormal (||U'U - I|| = {err:.2e})")
 
@@ -185,27 +193,115 @@ def kernel_fn(spec: KernelSpec):
     return lambda a, b: localized_distance_kernel(loc, a, b)
 
 
-def gram(spec: KernelSpec, points: Sequence, point_ids=None) -> GramMatrix:
-    """Symmetric Gram matrix; each off-diagonal entry computed once."""
-    M = len(points)
-    if M == 0:
+# Floats in the largest temporary of one row block (512 KiB): the
+# (rows, Mb, dim) differences or the (rows*r, Mb*r) basis overlaps. Larger
+# blocks run no faster and raise the peak resident memory.
+_BLOCK_ELEMS = 1 << 16
+
+
+def _row_blocks(n_rows: int, row_elems: int):
+    step = max(1, _BLOCK_ELEMS // max(row_elems, 1))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
+
+def _stack(values) -> np.ndarray:
+    """Stack same-shape feature arrays along a new first axis."""
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    if not arrays:
         raise ValueError("no points")
-    if spec.kind == "localized":
-        # Flat-vector case vectorizes through the pairwise distance matrix.
-        X = np.asarray([np.asarray(p, float).ravel() for p in points])
-        sq = np.sum(X * X, axis=1)
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * X @ X.T, 0.0)
-        dist = np.sqrt(d2)
-        dist = 0.5 * (dist + dist.T)
-        K = eval_localized(spec.localized, spec.params["gamma"] * dist)
-        K = 0.5 * (K + K.T)
-    else:
-        k = kernel_fn(spec)
-        K = np.empty((M, M))
-        for i in range(M):
-            for j in range(i, M):
-                K[i, j] = K[j, i] = k(points[i], points[j])
-    ids = list(point_ids) if point_ids is not None else list(range(M))
+    if any(a.shape != arrays[0].shape for a in arrays):
+        raise ValueError("feature shape mismatch")
+    return np.stack(arrays)
+
+
+def _stacked_features(spec: KernelSpec, points: Sequence) -> tuple:
+    """The points' features as stacked float arrays, each point validated
+    once: transposed bases U' (Grassmann), U and S (SVD kernels), or flat
+    vectors."""
+    if spec.kind == "grassmann":
+        Ut = _stack([np.transpose(pt.U) for pt in points])
+        _check_orthonormal(np.swapaxes(Ut, 1, 2))
+        return (Ut,)
+    if spec.kind in ("laplace_svd", "gaussian_svd"):
+        return _stack([pt.U for pt in points]), _stack([pt.S for pt in points])
+    return (_stack([np.ravel(pt) for pt in points]),)
+
+
+def _sq_dists(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of XA and XB.
+
+    Direct differences, not |x|^2 + |y|^2 - 2x'y, so coincident points get
+    exactly 0 and near ones keep their relative precision.
+    """
+    out = np.empty((len(XA), len(XB)))
+    for rows in _row_blocks(len(XA), XB.size):
+        diff = XA[rows, None, :] - XB[None, :, :]
+        out[rows] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out
+
+
+def _projection_overlaps(UtA: np.ndarray, UtB: np.ndarray) -> np.ndarray:
+    """||UA[i]' UB[j]||_F^2 from stacks of transposed bases, (M, r, n).
+
+    This is <UA[i] UA[i]', UB[j] UB[j]'>, the projector inner product of the
+    Grassmann projection kernel. One matmul per row block forms all the
+    r x r products UA[i]' UB[j] of the block at once.
+    """
+    Mb, r, n = UtB.shape
+    B = UtB.reshape(Mb * r, n)
+    out = np.empty((len(UtA), Mb))
+    for rows in _row_blocks(len(UtA), Mb * r * r):
+        C = UtA[rows].reshape(-1, n) @ B.T
+        np.square(C, out=C)
+        out[rows] = C.reshape(-1, r, Mb, r).sum(axis=(1, 3))
+    return out
+
+
+def _kernel_matrix(spec: KernelSpec, FA: tuple, FB: tuple) -> np.ndarray:
+    """K[i, j] = k(A[i], B[j]) from the stacked features of A and B."""
+    if any(a.shape[1:] != b.shape[1:] for a, b in zip(FA, FB)):
+        raise ValueError("feature shape mismatch")
+    p = spec.params
+    if spec.kind == "grassmann":
+        (UtA,), (UtB,) = FA, FB
+        d = UtA.shape[1] - _projection_overlaps(UtA, UtB)
+        # clamp round-off so identical subspaces yield exactly 1
+        return np.exp(-p["gamma"] * np.where(d < 1e-12, 0.0, d))
+    if spec.kind in ("laplace_svd", "gaussian_svd"):
+        (UA, SA), (UB, SB) = FA, FB
+        dU = _sq_dists(UA.reshape(len(UA), -1), UB.reshape(len(UB), -1))
+        dS = _sq_dists(SA, SB)
+        if spec.kind == "laplace_svd":
+            return np.exp(-p["alpha"] * np.sqrt(dU) - p["beta"] * np.sqrt(dS))
+        return np.exp(-p["alpha"] * dU - p["beta"] * dS)
+    (XA,), (XB,) = FA, FB
+    d2 = _sq_dists(XA, XB)
+    if spec.kind == "euclidean_rbf":
+        return np.exp(-p["gamma"] * d2)
+    loc = spec.localized
+    return eval_localized(loc, loc.gamma * np.sqrt(d2))
+
+
+def cross_gram(spec: KernelSpec, A: Sequence, B: Sequence) -> np.ndarray:
+    """Kernel matrix K[i, j] = k(A[i], B[j]) over two feature sequences.
+
+    Features are what `kernel_fn(spec)` takes: objects with `U` (Grassmann),
+    `U` and `S` (SVD kernels), or flat vectors. Raises ValueError on an empty
+    sequence, on features of unequal shape, and on a non-orthonormal
+    Grassmann basis.
+    """
+    return _kernel_matrix(spec, _stacked_features(spec, A), _stacked_features(spec, B))
+
+
+def gram(spec: KernelSpec, points: Sequence, point_ids=None) -> GramMatrix:
+    """Symmetric Gram matrix: cross_gram of the points with themselves
+    (features stacked and validated once), symmetrised so K[i, j] == K[j, i]
+    exactly."""
+    features = _stacked_features(spec, points)
+    K = _kernel_matrix(spec, features, features)
+    K = 0.5 * (K + K.T)
+    ids = list(point_ids) if point_ids is not None else list(range(len(points)))
     return GramMatrix(entries=K, spec=spec, point_ids=ids)
 
 

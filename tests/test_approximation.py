@@ -6,6 +6,7 @@ from scipy.spatial.distance import pdist
 
 from lockern.approximation import (
     CollocationModel,
+    _normal_equations,
     dominance_diagnostic,
     error_profile,
     euclidean_metric,
@@ -15,7 +16,7 @@ from lockern.approximation import (
     minimal_separation,
     sigma_n,
 )
-from lockern.kernels import DiscreteQuadrature, KernelSpec
+from lockern.kernels import DiscreteQuadrature, KernelSpec, kernel_fn, psi_kernel
 
 
 def circle_nodes(M):
@@ -171,6 +172,28 @@ class TestFitTheoretical:
         rhs = sigma_n(spec, f * quad.density_f0, quad, node)
         psi = psi_kernel(spec, quad, node, node)
         assert model.coeffs[0] == pytest.approx(rhs / psi, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KernelSpec("localized", {"N": 8.0, "q": 1, "gamma": 1.0}),
+            KernelSpec("euclidean_rbf", {"gamma": 0.7}),
+        ],
+    )
+    def test_normal_equations_match_pairwise_oracle(self, spec):
+        rng = np.random.default_rng(4)
+        quad, f = circle_quadrature(30)
+        quad = DiscreteQuadrature(
+            nodes=quad.nodes, weights=quad.weights, density_f0=rng.uniform(0.5, 2.0, 30)
+        )
+        nodes, _ = circle_nodes(7)
+        P, rhs = _normal_equations(spec, nodes, f, quad)
+        expect_P = np.array([[psi_kernel(spec, quad, a, b) for b in nodes] for a in nodes])
+        np.testing.assert_allclose(P, expect_P, rtol=1e-12, atol=1e-12)
+        k = kernel_fn(spec)
+        wff0 = quad.weights * f * quad.density_f0
+        expect_rhs = [sum(c * k(y, z) for c, z in zip(wff0, quad.nodes)) for y in nodes]
+        np.testing.assert_allclose(rhs, expect_rhs, rtol=1e-12, atol=1e-12)
 
     def test_zero_function(self):
         quad, _ = circle_quadrature(60)

@@ -185,6 +185,11 @@ class TestRunExperiment:
 
     def test_method_names(self):
         assert ExperimentConfig(feature="pca", classifier="knn").method_name() == "PCA KNN"
+        # the default localized kernel has N=4, so degree 2*floor(N^2/2) = 16
+        assert ExperimentConfig().method_name() == "PCA LocSVM16"
+        assert (
+            ExperimentConfig(kernel_params={"N": 8.0}).method_name() == "PCA LocSVM64"
+        )
         assert (
             ExperimentConfig(kernel_params={"N": 4.0}).method_name() == "PCA LocSVM16"
         )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import subspace_angles
 
 from lockern.features import (
     ArmaModel,
@@ -214,11 +215,33 @@ class TestPca:
         d_proj = np.linalg.norm(projected[0] - projected[1])
         assert d_proj == pytest.approx(d_orig, rel=1e-10)
 
+    @pytest.mark.parametrize("M,D", [(40, 120), (120, 40)])
+    def test_svd_oracle(self, M, D):
+        # M <= D goes through the M x M sample Gram, M > D through the D x D one
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((M, D)) * np.linspace(3.0, 0.5, D) + rng.standard_normal(D)
+        r = 6
+        basis = fit_pca(X, r)
+        Xc = X - X.mean(axis=0)
+        _, S, Vt = np.linalg.svd(Xc, full_matrices=False)
+        assert np.max(subspace_angles(basis.components, Vt[:r].T)) < 1e-8
+        np.testing.assert_allclose(basis.components.T @ basis.components, np.eye(r), atol=1e-12)
+        np.testing.assert_allclose(basis.explained, S[:r] ** 2 / (M - 1), rtol=1e-10)
+
     def test_rank_deficient_refused(self):
         X = np.zeros((10, 4))
         X[:, 0] = np.arange(10.0)
         with pytest.raises(ValueError):
             fit_pca(X, 2)
+
+    @pytest.mark.parametrize("M,D", [(10, 4), (6, 30)])
+    def test_rank_two_data_refused_at_r3(self, M, D):
+        X = np.zeros((M, D))
+        X[:, 0] = np.arange(float(M))
+        X[:, 1] = 0.5 * np.arange(float(M)) ** 2
+        with pytest.raises(ValueError):
+            fit_pca(X, 3)
+        fit_pca(X, 2)
 
     def test_project_length_mismatch(self):
         basis = fit_pca(np.random.default_rng(0).standard_normal((10, 4)), 2)

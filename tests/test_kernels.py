@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lockern import kernels
 from lockern.features import SubspaceFeature
 from lockern.hermite import build_localized_kernel
 from lockern.kernels import (
     DiscreteQuadrature,
     KernelSpec,
     canonicalize_signs,
+    cross_gram,
     euclidean_rbf,
     gaussian_svd_kernel,
     gram,
@@ -173,6 +175,90 @@ class TestGram:
         g = gram(KernelSpec("grassmann", {"gamma": 0.2}), feats)
         np.testing.assert_allclose(np.diag(g.entries), 1.0, atol=1e-12)
         np.testing.assert_allclose(g.entries, g.entries.T)
+
+
+def random_subspace_features(count, rng, p=6, r=2):
+    return [
+        SubspaceFeature(U=random_orthonormal(p, r, rng), S=rng.uniform(1.0, 5.0, r))
+        for _ in range(count)
+    ]
+
+
+CROSS_GRAM_SPECS = {
+    "grassmann": KernelSpec("grassmann", {"gamma": 0.3}),
+    "laplace_svd": KernelSpec("laplace_svd", {"alpha": 0.4, "beta": 0.2}),
+    "gaussian_svd": KernelSpec("gaussian_svd", {"alpha": 0.4, "beta": 0.2}),
+    "euclidean_rbf": KernelSpec("euclidean_rbf", {"gamma": 0.3}),
+    "localized": KernelSpec("localized", {"N": 4.0, "q": 2, "gamma": 0.8}),
+}
+
+
+def cross_gram_points(kind, count, rng):
+    if kind in ("grassmann", "laplace_svd", "gaussian_svd"):
+        return random_subspace_features(count, rng)
+    return [rng.standard_normal(4) for _ in range(count)]
+
+
+class TestCrossGram:
+    @pytest.mark.parametrize("block_elems", [None, 64])
+    @pytest.mark.parametrize("kind", list(CROSS_GRAM_SPECS))
+    def test_matches_pairwise_oracle(self, kind, block_elems, monkeypatch):
+        # block_elems=64 splits the 7 rows of A into several row blocks
+        if block_elems is not None:
+            monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block_elems)
+        rng = np.random.default_rng(31)
+        spec = CROSS_GRAM_SPECS[kind]
+        A = cross_gram_points(kind, 7, rng)
+        B = cross_gram_points(kind, 5, rng) + A[:1]
+        k = kernel_fn(spec)
+        expect = np.array([[k(a, b) for b in B] for a in A])
+        K = cross_gram(spec, A, B)
+        assert K.shape == (7, 6)
+        np.testing.assert_allclose(K, expect, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", list(CROSS_GRAM_SPECS))
+    def test_gram_is_symmetrised_cross_gram(self, kind):
+        rng = np.random.default_rng(32)
+        spec = CROSS_GRAM_SPECS[kind]
+        pts = cross_gram_points(kind, 9, rng)
+        G = gram(spec, pts).entries
+        np.testing.assert_array_equal(G, G.T)
+        np.testing.assert_allclose(G, cross_gram(spec, pts, pts), rtol=1e-14, atol=1e-14)
+
+    def test_rejects_non_orthonormal_basis(self):
+        rng = np.random.default_rng(33)
+        spec = CROSS_GRAM_SPECS["grassmann"]
+        good = random_subspace_features(3, rng)
+        bad = [SubspaceFeature(U=np.ones((6, 2)), S=np.ones(2))]
+        with pytest.raises(ValueError, match="orthonormal"):
+            cross_gram(spec, good + bad, good)
+        with pytest.raises(ValueError, match="orthonormal"):
+            cross_gram(spec, good, bad)
+
+    @pytest.mark.parametrize("kind", list(CROSS_GRAM_SPECS))
+    def test_rejects_mismatched_shapes(self, kind):
+        rng = np.random.default_rng(34)
+        spec = CROSS_GRAM_SPECS[kind]
+        if kind in ("euclidean_rbf", "localized"):
+            A, wide = [rng.standard_normal(4)], [rng.standard_normal(5)]
+        else:
+            A = random_subspace_features(2, rng)
+            wide = random_subspace_features(1, rng, p=7)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            cross_gram(spec, A, wide)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            cross_gram(spec, A + wide, A)
+
+    def test_rejects_mismatched_singular_values(self):
+        rng = np.random.default_rng(35)
+        A = random_subspace_features(2, rng)
+        B = [SubspaceFeature(U=A[0].U, S=np.ones(3))]
+        with pytest.raises(ValueError, match="shape mismatch"):
+            cross_gram(CROSS_GRAM_SPECS["laplace_svd"], A, B)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            cross_gram(KernelSpec("euclidean_rbf"), [np.zeros(2)], [])
 
 
 class TestKernelSpec:
