@@ -56,14 +56,15 @@ def label_indicators(labels, classes=None):
     return list(classes), signs
 
 
-def svm_train_binary(gram: GramMatrix | np.ndarray, labels, C: float = 1.0) -> SvmModel:
-    """Solve the soft-margin dual on a precomputed Gram matrix.
+def _gram_entries(gram: GramMatrix | np.ndarray):
+    """(entries, spec) of a GramMatrix or a plain square array."""
+    if isinstance(gram, GramMatrix):
+        return gram.entries, gram.spec
+    return np.asarray(gram, dtype=float), None
 
-    Greedy maximal-KKT-violating-pair updates until the violation gap drops
-    below KKT_TOL or the pair-update cap is hit; deterministic (no RNG).
-    """
-    K = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
-    spec = gram.spec if isinstance(gram, GramMatrix) else None
+
+def _check_problem(K: np.ndarray, labels, C: float) -> np.ndarray:
+    """Validated +-1 targets of one binary problem on the Gram K."""
     y = np.asarray(labels, dtype=float)
     M = len(y)
     if K.shape != (M, M):
@@ -74,21 +75,43 @@ def svm_train_binary(gram: GramMatrix | np.ndarray, labels, C: float = 1.0) -> S
         raise ValueError("need at least one sample of each class")
     if C <= 0:
         raise ValueError("C must be positive")
+    return y
 
+
+def _warn_if_indefinite(K: np.ndarray) -> None:
     eigmin = np.linalg.eigvalsh(K)[0]
-    if eigmin < -1e-3 * np.trace(K) / M:
+    if eigmin < -1e-3 * np.trace(K) / len(K):
         warnings.warn(f"Gram matrix is noticeably indefinite (min eig {eigmin:.3e})")
 
+
+def svm_train_binary(gram: GramMatrix | np.ndarray, labels, C: float = 1.0) -> SvmModel:
+    """Solve the soft-margin dual on a precomputed Gram matrix.
+
+    Greedy maximal-KKT-violating-pair updates until the violation gap drops
+    below KKT_TOL or the pair-update cap is hit; deterministic (no RNG).
+    Warns when the Gram matrix is noticeably indefinite.
+    """
+    K, spec = _gram_entries(gram)
+    y = _check_problem(K, labels, C)
+    _warn_if_indefinite(K)
+    return _smo(K, spec, y, C)
+
+
+def _smo(K: np.ndarray, spec: KernelSpec | None, y: np.ndarray, C: float) -> SvmModel:
+    """The dual solve of svm_train_binary on validated inputs."""
+    M = len(y)
     alpha = np.zeros(M)
     grad = -np.ones(M)  # gradient of the dual objective 1/2 a'Qa - 1'a
     Q = K * np.outer(y, y)
     tau = 1e-12
+    pos, neg = y > 0, y < 0
     for _ in range(MAX_PAIR_UPDATES):
         yg = -y * grad
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
-        i = int(np.flatnonzero(up)[np.argmax(yg[up])])
-        j = int(np.flatnonzero(low)[np.argmin(yg[low])])
+        up = (pos & (alpha < C)) | (neg & (alpha > 0))
+        low = (pos & (alpha > 0)) | (neg & (alpha < C))
+        # first extremum over the masked set, as an argmax over that subset gives
+        i = int(np.argmax(np.where(up, yg, -np.inf)))
+        j = int(np.argmin(np.where(low, yg, np.inf)))
         if yg[i] - yg[j] < KKT_TOL:
             break
         # curvature along the feasible pair direction (da_i, da_j) = (y_i, -y_j)t
@@ -104,8 +127,8 @@ def svm_train_binary(gram: GramMatrix | np.ndarray, labels, C: float = 1.0) -> S
         alpha[j] -= y[j] * step
         grad += step * (Q[:, i] * y[i] - Q[:, j] * y[j]) * 1.0
     yg = -y * grad
-    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-    low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+    up = (pos & (alpha < C)) | (neg & (alpha > 0))
+    low = (pos & (alpha > 0)) | (neg & (alpha < C))
     hi = np.max(yg[up]) if up.any() else 0.0
     lo = np.min(yg[low]) if low.any() else 0.0
     bias = (hi + lo) / 2.0  # yg equals the bias at free support vectors
@@ -133,7 +156,10 @@ def one_vs_rest_train(gram: GramMatrix | np.ndarray, labels, C: float = 1.0) -> 
     classes, signs = label_indicators(labels)
     if len(classes) < 2:
         raise ValueError("need at least two classes")
-    models = [svm_train_binary(gram, y, C) for y in signs]
+    K, spec = _gram_entries(gram)
+    targets = [_check_problem(K, y, C) for y in signs]
+    _warn_if_indefinite(K)  # once per Gram, not once per class
+    models = [_smo(K, spec, y, C) for y in targets]
     return MulticlassModel(models=models, classes=classes)
 
 

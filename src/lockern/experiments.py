@@ -86,6 +86,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One result line. The two times cover per-fold work only:
+    `train_time_s` the fold's features (for PCA: basis fit, projection of
+    both folds, scaling) and, for the SVM, Gram and SMO; `test_time_s` the
+    test cross-Gram and prediction. Per-sample work (preprocessing, and SVD
+    features) runs once per call, before the folds, and is in neither."""
+
     method: str
     r: int
     accuracy_mean: float  # percent
@@ -222,24 +228,39 @@ def _stratified_split(labels, train_ratio: float, rng):
     return np.array(sorted(train_idx)), np.array(sorted(test_idx))
 
 
-def _extract_features(config: ExperimentConfig, train_specs, test_specs, target_frames: int):
-    """Fit-on-train feature extraction; returns per-sample feature lists."""
-    if config.feature == "pca":
-        train_mat = np.stack([zero_pad_vectorize(s, target_frames) for s in train_specs])
-        basis = fit_pca(train_mat, config.r)
-        train_f = [pca_project(basis, v) for v in train_mat]
-        test_f = [pca_project(basis, zero_pad_vectorize(s, target_frames)) for s in test_specs]
-        # put typical nearest-neighbor distances at the scale the localized
-        # kernel's bump expects; the scale derives from the training fold only
-        scale = _nn_scale(train_f)
-        train_f = [v * scale for v in train_f]
-        test_f = [v * scale for v in test_f]
-        return train_f, test_f
+def _sample_features(config: ExperimentConfig, samples, indices) -> dict:
+    """Per-sample work, done once per call: sample index -> the preprocessed
+    Spectrogram for PCA features (the basis is fit per fold), or its
+    `svd_features` for SVD features."""
+    if config.feature not in ("pca", "svd"):
+        raise ValueError(f"unknown feature kind {config.feature!r}")
+    out = {}
+    for i in indices:
+        spec = _preprocess(samples[i], config.preprocessing)
+        out[i] = svd_features(spec, config.r) if config.feature == "svd" else spec
+    return out
+
+
+def _fold_features(config: ExperimentConfig, per_sample: dict, train_idx, test_idx,
+                   target_frames: int):
+    """Per-fold features from the per-sample results: SVD features as they
+    are; PCA fit on the training fold only. Returns (train, test) lists."""
+    train = [per_sample[i] for i in train_idx]
+    test = [per_sample[i] for i in test_idx]
     if config.feature == "svd":
-        train_f = [svd_features(s, config.r) for s in train_specs]
-        test_f = [svd_features(s, config.r) for s in test_specs]
-        return train_f, test_f
-    raise ValueError(f"unknown feature kind {config.feature!r}")
+        return train, test
+    # pad within the fold: padded vectors of every sample at once would
+    # raise peak memory
+    train_mat = np.stack([zero_pad_vectorize(s, target_frames) for s in train])
+    basis = fit_pca(train_mat, config.r)
+    train_f = [pca_project(basis, v) for v in train_mat]
+    test_f = [pca_project(basis, zero_pad_vectorize(s, target_frames)) for s in test]
+    # put typical nearest-neighbor distances at the scale the localized
+    # kernel's bump expects; the scale derives from the training fold only
+    scale = _nn_scale(train_f)
+    train_f = [v * scale for v in train_f]
+    test_f = [v * scale for v in test_f]
+    return train_f, test_f
 
 
 def _nn_scale(features) -> float:
@@ -264,27 +285,27 @@ def _kernel_spec(config: ExperimentConfig) -> KernelSpec:
 
 
 def _run_single_trial(config: ExperimentConfig, dataset: SyntheticGestureSet,
-                      trial: int, train_pool=None):
+                      per_sample: dict, trial: int, pool):
     rng = np.random.default_rng(config.seed + trial)
     labels = [s.label for s in dataset.samples]
-    pool = np.arange(len(dataset.samples)) if train_pool is None else np.asarray(train_pool)
     train_idx, test_idx = _stratified_split(np.asarray(labels)[pool], config.train_ratio, rng)
     train_idx, test_idx = pool[train_idx], pool[test_idx]
-    return _fit_and_score(config, dataset, train_idx, test_idx)
+    return _fit_and_score(config, dataset, per_sample, train_idx, test_idx)
 
 
-def _fit_and_score(config: ExperimentConfig, dataset: SyntheticGestureSet, train_idx, test_idx):
+def _fit_and_score(config: ExperimentConfig, dataset: SyntheticGestureSet, per_sample: dict,
+                   train_idx, test_idx):
+    """Per-fold work on the per-sample results of `_sample_features`.
+    Returns (accuracy %, train seconds, test seconds)."""
     samples = dataset.samples
     target_frames = max(s.data.shape[1] for s in samples)
-    train_specs = [_preprocess(samples[i], config.preprocessing) for i in train_idx]
-    test_specs = [_preprocess(samples[i], config.preprocessing) for i in test_idx]
     train_labels = [samples[i].label for i in train_idx]
     test_labels = [samples[i].label for i in test_idx]
     if len(set(train_labels)) < dataset.classes:
         raise ValueError("a class is missing from the training fold")
 
     t0 = time.perf_counter()
-    train_f, test_f = _extract_features(config, train_specs, test_specs, target_frames)
+    train_f, test_f = _fold_features(config, per_sample, train_idx, test_idx, target_frames)
 
     if config.classifier == "svm":
         spec = _kernel_spec(config)
@@ -315,9 +336,11 @@ def run_experiment(config: ExperimentConfig, dataset: SyntheticGestureSet,
     splits (one row)."""
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
+    pool = np.arange(len(dataset.samples)) if train_pool is None else np.asarray(train_pool)
+    per_sample = _sample_features(config, dataset.samples, pool)
     accs, t_train, t_test = [], 0.0, 0.0
     for trial in range(config.trials):
-        acc, tt, te = _run_single_trial(config, dataset, trial, train_pool=train_pool)
+        acc, tt, te = _run_single_trial(config, dataset, per_sample, trial, pool)
         accs.append(acc)
         t_train += tt
         t_test += te
@@ -368,17 +391,20 @@ def sweep_train_fraction(config: ExperimentConfig, dataset: SyntheticGestureSet,
 
 def holdout_subject(config: ExperimentConfig, dataset: SyntheticGestureSet) -> ResultTable:
     """Train on all subjects but one, test on the held-out subject; one row
-    per fold. Features are refit per fold."""
+    per fold. Each sample is preprocessed (and, for SVD features, decomposed)
+    once per call; only the PCA basis and its scale are refit per fold."""
     if len(dataset.subjects) < 2:
         raise ValueError("need at least two subjects")
+    per_sample = _sample_features(config, dataset.samples, range(len(dataset.samples)))
+    method = config.method_name()
     rows = []
     for subject in dataset.subjects:
         train_idx = np.array([i for i, s in enumerate(dataset.samples) if s.subject != subject])
         test_idx = np.array([i for i, s in enumerate(dataset.samples) if s.subject == subject])
-        acc, tt, te = _fit_and_score(config, dataset, train_idx, test_idx)
+        acc, tt, te = _fit_and_score(config, dataset, per_sample, train_idx, test_idx)
         rows.append(
             ResultRow(
-                method=f"{config.method_name()} holdout={subject}",
+                method=f"{method} holdout={subject}",
                 r=config.r,
                 accuracy_mean=acc,
                 accuracy_var=0.0,

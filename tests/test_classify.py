@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from lockern.classify import (
+    KKT_TOL,
+    MAX_PAIR_UPDATES,
     SvmModel,
     MulticlassModel,
     dump_model,
@@ -27,6 +31,42 @@ def blobs(n_per, seed, spread=0.3, gap=4.0):
     X = np.vstack([a, b])
     y = np.array([-1.0] * n_per + [1.0] * n_per)
     return X, y
+
+
+def smo_oracle(K, y, C):
+    """Reference SMO with the selection step as first written: the extremum
+    over the index subset picked with flatnonzero and fancy indexing."""
+    M = len(y)
+    alpha = np.zeros(M)
+    grad = -np.ones(M)
+    Q = K * np.outer(y, y)
+    tau = 1e-12
+    for _ in range(MAX_PAIR_UPDATES):
+        yg = -y * grad
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+        i = int(np.flatnonzero(up)[np.argmax(yg[up])])
+        j = int(np.flatnonzero(low)[np.argmin(yg[low])])
+        if yg[i] - yg[j] < KKT_TOL:
+            break
+        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if eta <= 0:
+            eta = tau
+        step = (yg[i] - yg[j]) / eta
+        max_i = C - alpha[i] if y[i] > 0 else alpha[i]
+        max_j = alpha[j] if y[j] > 0 else C - alpha[j]
+        step = min(step, max_i, max_j)
+        alpha[i] += y[i] * step
+        alpha[j] -= y[j] * step
+        grad += step * (Q[:, i] * y[i] - Q[:, j] * y[j]) * 1.0
+    yg = -y * grad
+    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+    low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+    hi = np.max(yg[up]) if up.any() else 0.0
+    lo = np.min(yg[low]) if low.any() else 0.0
+    bias = (hi + lo) / 2.0
+    sv = np.flatnonzero(alpha > 1e-12)
+    return alpha[sv] * y[sv], sv, float(bias)
 
 
 class TestLabelIndicators:
@@ -116,6 +156,31 @@ class TestSvmBinary:
         with pytest.warns(UserWarning, match="indefinite"):
             svm_train_binary(K, [1.0, -1.0], C=1.0)
 
+    @pytest.mark.parametrize("case", ["rbf_overlap", "rbf_small_C", "localized", "linear"])
+    def test_matches_selection_oracle(self, case):
+        # the masked argmax/argmin selection must reproduce every iterate, so
+        # the results are compared for exact equality
+        rng = np.random.default_rng(11)
+        if case.startswith("rbf"):
+            X, y = blobs(20, seed=5, spread=1.5, gap=2.0)
+            K = gram(KernelSpec("euclidean_rbf", {"gamma": 0.5}), list(X)).entries
+        elif case == "localized":
+            X = rng.normal(size=(40, 3))
+            y = np.where(X[:, 0] + 0.5 * rng.normal(size=40) > 0, 1.0, -1.0)
+            K = gram(KernelSpec("localized", {"N": 4.0, "q": 3}), list(0.5 * X)).entries
+        else:
+            X = rng.normal(size=(30, 4))
+            y = np.where(rng.uniform(size=30) < 0.4, 1.0, -1.0)
+            K = X @ X.T
+        C = 0.05 if case == "rbf_small_C" else 1.0
+        coeffs, ids, bias = smo_oracle(K, y, C)
+        model = svm_train_binary(K, y, C=C)
+        np.testing.assert_array_equal(model.support_ids, ids)
+        np.testing.assert_array_equal(model.support_coeffs, coeffs)
+        assert model.bias == bias
+        if case == "rbf_small_C":
+            assert np.any(np.abs(model.support_coeffs) == C)  # the box binds
+
     def test_predict_row_length_checked(self):
         model = SvmModel(
             support_coeffs=np.array([0.5, -0.5]),
@@ -159,6 +224,20 @@ class TestOneVsRest:
         )
         mc = MulticlassModel(models=[same, same], classes=[3, 7])
         assert one_vs_rest_predict(mc, np.array([0.5])) == 3
+
+    def test_indefinite_gram_warns_once(self):
+        # one Gram shared by every class: checked once, not once per class
+        rng = np.random.default_rng(6)
+        A = rng.normal(size=(12, 12))
+        K = (A + A.T) / 2.0 + 0.1 * np.eye(12)
+        assert np.linalg.eigvalsh(K)[0] < -1e-3 * np.trace(K) / 12
+        y = np.repeat([0, 1, 2, 3], 3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mc = one_vs_rest_train(K, y, C=1.0)
+        assert len(mc.models) == 4
+        assert len(caught) == 1
+        assert "indefinite" in str(caught[0].message)
 
     def test_single_class_rejected(self):
         g = gram(KernelSpec("euclidean_rbf"), [np.zeros(2), np.ones(2)])

@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from lockern import experiments
 from lockern.experiments import (
     ExperimentConfig,
     gen_circle,
@@ -11,8 +13,9 @@ from lockern.experiments import (
     run_experiment,
     sweep_dimension,
     sweep_train_fraction,
-    _extract_features,
+    _fold_features,
     _preprocess,
+    _sample_features,
     _stratified_split,
 )
 
@@ -135,23 +138,59 @@ class TestFeatureExtraction:
         ds = small_gestures
         config = ExperimentConfig(r=5)
         target = max(s.data.shape[1] for s in ds.samples)
-        train = [_preprocess(s, "binary") for s in ds.samples[:40]]
-        test_a = [_preprocess(s, "binary") for s in ds.samples[40:44]]
-        test_b = [_preprocess(s, "binary") for s in ds.samples[60:70]]
-        fa, _ = _extract_features(config, train, test_a, target)
-        fb, _ = _extract_features(config, train, test_b, target)
+        per_sample = _sample_features(config, ds.samples, range(70))
+        train = range(40)
+        fa, _ = _fold_features(config, per_sample, train, range(40, 44), target)
+        fb, _ = _fold_features(config, per_sample, train, range(60, 70), target)
         for va, vb in zip(fa, fb):
             np.testing.assert_array_equal(va, vb)
 
     def test_svd_feature_shape(self, small_gestures):
         config = ExperimentConfig(feature="svd", r=4)
-        specs = [_preprocess(s, "binary") for s in small_gestures.samples[:6]]
-        train_f, test_f = _extract_features(config, specs[:4], specs[4:], 100)
+        per_sample = _sample_features(config, small_gestures.samples, range(6))
+        train_f, test_f = _fold_features(config, per_sample, range(4), range(4, 6), 100)
         assert all(f.U.shape == (64, 4) and f.S.shape == (4,) for f in train_f + test_f)
 
     def test_unknown_feature(self):
         with pytest.raises(ValueError):
-            _extract_features(ExperimentConfig(feature="wavelet"), [], [], 10)
+            _sample_features(ExperimentConfig(feature="wavelet"), [], [])
+
+
+def _record_calls(monkeypatch, name):
+    """List of the first argument of each call to the `experiments` module
+    attribute `name`; holding them keeps their ids distinct."""
+    args = []
+    fn = getattr(experiments, name)
+
+    def recorded(arg, *rest, **kwargs):
+        args.append(arg)
+        return fn(arg, *rest, **kwargs)
+
+    monkeypatch.setattr(experiments, name, recorded)
+    return args
+
+
+def _once_each(args, objects) -> bool:
+    return Counter(map(id, args)) == Counter(map(id, objects))
+
+
+class TestPerSampleWorkOnce:
+    def test_holdout_preprocesses_and_decomposes_each_sample_once(
+            self, small_gestures, monkeypatch):
+        preprocessed = _record_calls(monkeypatch, "log_threshold")
+        decomposed = _record_calls(monkeypatch, "svd_features")
+        config = ExperimentConfig(feature="svd", r=3, kernel_kind="grassmann")
+        holdout_subject(config, small_gestures)
+        assert _once_each(preprocessed, small_gestures.samples)
+        # svd_features sees the preprocessed copies: one call per copy
+        assert len(decomposed) == len(small_gestures.samples)
+        assert len(set(map(id, decomposed))) == len(decomposed)
+
+    def test_trials_preprocess_each_sample_once(self, small_gestures, monkeypatch):
+        preprocessed = _record_calls(monkeypatch, "log_threshold")
+        config = ExperimentConfig(classifier="knn", knn_k=1, r=6, trials=3, seed=42)
+        run_experiment(config, small_gestures)
+        assert _once_each(preprocessed, small_gestures.samples)
 
 
 class TestRunExperiment:
