@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DiscreteQuadrature, KernelSpec, cross_gram, gram
+from .kernels import DiscreteQuadrature, KernelSpec, _sq_dists, _stack, cross_gram, gram
 # Unused here: the per-pair kernels stay importable from this module because
 # the benchmark's traced run (bench/layers.py) wraps them by this name.
 from .kernels import kernel_fn, psi_kernel  # noqa: F401
@@ -59,15 +59,19 @@ class ErrorProfile:
                 w.writerow([repr(float(d)), repr(float(e)), repr(float(v))])
 
 
-def minimal_separation(points, metric=euclidean_metric) -> float:
-    """Smallest pairwise distance; brute-force pair scan."""
+def _distances(A, B) -> np.ndarray:
+    """Euclidean distances between the (flattened) points of A and of B."""
+    XA = _stack([np.ravel(a) for a in A])
+    XB = _stack([np.ravel(b) for b in B])
+    return np.sqrt(_sq_dists(XA, XB))
+
+
+def minimal_separation(points) -> float:
+    """Smallest Euclidean distance between two distinct points of the set."""
     if len(points) < 2:
         raise ValueError("need at least two points")
-    best = np.inf
-    for j in range(len(points)):
-        for k in range(j + 1, len(points)):
-            best = min(best, metric(points[j], points[k]))
-    return float(best)
+    d = _distances(points, points)
+    return float(d[np.triu_indices(len(points), 1)].min())
 
 
 def _collocation_matrix(spec: KernelSpec, nodes) -> np.ndarray:
@@ -151,14 +155,14 @@ def evaluate(model: CollocationModel, x) -> float:
     return float(cross_gram(model.spec, [x], model.nodes)[0] @ model.coeffs)
 
 
-def error_profile(model: CollocationModel, truth, probes, metric=euclidean_metric) -> ErrorProfile:
-    """Per-probe distance to the nearest node, absolute error against the
-    truth values, and raw model value, sorted by that distance."""
+def error_profile(model: CollocationModel, truth, probes) -> ErrorProfile:
+    """Per-probe Euclidean distance to the nearest node, absolute error
+    against the truth values, and raw model value, sorted by that distance."""
     truth = np.asarray(truth, dtype=float)
     if len(probes) == 0:
         raise ValueError("no probes")
-    delta = np.array([min(metric(x, y) for y in model.nodes) for x in probes])
     vals = cross_gram(model.spec, probes, model.nodes) @ model.coeffs
+    delta = _distances(probes, model.nodes).min(axis=1)
     err = np.abs(vals - truth)
     order = np.argsort(delta, kind="stable")
     return ErrorProfile(

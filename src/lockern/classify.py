@@ -98,35 +98,62 @@ def svm_train_binary(gram: GramMatrix | np.ndarray, labels, C: float = 1.0) -> S
 
 
 def _smo(K: np.ndarray, spec: KernelSpec | None, y: np.ndarray, C: float) -> SvmModel:
-    """The dual solve of svm_train_binary on validated inputs."""
+    """The dual solve of svm_train_binary on validated inputs.
+
+    Carries yg = -y * grad, with grad the gradient of the dual objective
+    1/2 a'Qa - 1'a and Q = K * yy'. As y is +-1, Q[:, i] * y_i = y * K[:, i]
+    exactly, so a pair update is yg -= step * (K[:, i] - K[:, j]) and Q is
+    never formed. gu and gl are yg masked to the up and low sets (-inf and
+    +inf elsewhere); only entries i and j can change set in an update.
+    """
     M = len(y)
-    alpha = np.zeros(M)
-    grad = -np.ones(M)  # gradient of the dual objective 1/2 a'Qa - 1'a
-    Q = K * np.outer(y, y)
+    cols = K.T  # cols[i] is K[:, i], whatever the symmetry of K
+    diag = K.diagonal().tolist()
+    ys = y.tolist()
+    alpha = [0.0] * M
     tau = 1e-12
-    pos, neg = y > 0, y < 0
+    G = np.empty((3, M))  # rows yg, gu, gl: one in-place update moves all three
+    yg, gu, gl = G
+    yg[:] = y  # alpha = 0: grad = -1, up set = {y > 0}, low set = {y < 0}
+    gu[:] = np.where(y > 0, y, -np.inf)
+    gl[:] = np.where(y > 0, np.inf, y)
+    delta = np.empty(M)
     for _ in range(MAX_PAIR_UPDATES):
-        yg = -y * grad
-        up = (pos & (alpha < C)) | (neg & (alpha > 0))
-        low = (pos & (alpha > 0)) | (neg & (alpha < C))
         # first extremum over the masked set, as an argmax over that subset gives
-        i = int(np.argmax(np.where(up, yg, -np.inf)))
-        j = int(np.argmin(np.where(low, yg, np.inf)))
-        if yg[i] - yg[j] < KKT_TOL:
+        i = int(gu.argmax())
+        j = int(gl.argmin())
+        gap = yg.item(i) - yg.item(j)
+        if gap < KKT_TOL:
             break
         # curvature along the feasible pair direction (da_i, da_j) = (y_i, -y_j)t
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        eta = diag[i] + diag[j] - 2.0 * K.item(i, j)
         if eta <= 0:
             eta = tau
-        step = (yg[i] - yg[j]) / eta
         # move alpha_i up and alpha_j down along the equality constraint
-        max_i = C - alpha[i] if y[i] > 0 else alpha[i]
-        max_j = alpha[j] if y[j] > 0 else C - alpha[j]
-        step = min(step, max_i, max_j)
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
-        grad += step * (Q[:, i] * y[i] - Q[:, j] * y[j]) * 1.0
-    yg = -y * grad
+        yi, yj, ai, aj = ys[i], ys[j], alpha[i], alpha[j]
+        max_i = C - ai if yi > 0 else ai
+        max_j = aj if yj > 0 else C - aj
+        step = min(gap / eta, max_i, max_j)
+        alpha[i] = ai = ai + yi * step
+        alpha[j] = aj = aj - yj * step
+        np.subtract(cols[i], cols[j], out=delta)
+        delta *= step
+        G -= delta
+        # only i and j can have changed sets
+        gu[i] = yg.item(i) if (ai < C if yi > 0 else ai > 0) else -np.inf
+        gl[i] = yg.item(i) if (ai > 0 if yi > 0 else ai < C) else np.inf
+        gu[j] = yg.item(j) if (aj < C if yj > 0 else aj > 0) else -np.inf
+        gl[j] = yg.item(j) if (aj > 0 if yj > 0 else aj < C) else np.inf
+    else:
+        gap = float(gu.max() - gl.min())
+        if gap >= KKT_TOL:
+            warnings.warn(
+                f"SMO stopped at the update cap MAX_PAIR_UPDATES={MAX_PAIR_UPDATES} "
+                f"with KKT gap {gap:.3e} >= KKT_TOL={KKT_TOL:g}",
+                RuntimeWarning,
+            )
+    alpha = np.array(alpha)
+    pos, neg = y > 0, y < 0
     up = (pos & (alpha < C)) | (neg & (alpha > 0))
     low = (pos & (alpha > 0)) | (neg & (alpha < C))
     hi = np.max(yg[up]) if up.any() else 0.0

@@ -228,17 +228,21 @@ def _stratified_split(labels, train_ratio: float, rng):
     return np.array(sorted(train_idx)), np.array(sorted(test_idx))
 
 
-def _sample_features(config: ExperimentConfig, samples, indices) -> dict:
-    """Per-sample work, done once per call: sample index -> the preprocessed
-    Spectrogram for PCA features (the basis is fit per fold), or its
-    `svd_features` for SVD features."""
-    if config.feature not in ("pca", "svd"):
-        raise ValueError(f"unknown feature kind {config.feature!r}")
-    out = {}
-    for i in indices:
-        spec = _preprocess(samples[i], config.preprocessing)
-        out[i] = svd_features(spec, config.r) if config.feature == "svd" else spec
-    return out
+def _preprocessed(config: ExperimentConfig, samples, indices):
+    """(index, preprocessed Spectrogram) pairs, made lazily: a caller that
+    keeps only SVD features never holds every preprocessed spectrogram."""
+    return ((i, _preprocess(samples[i], config.preprocessing)) for i in indices)
+
+
+def _sample_features(config: ExperimentConfig, preprocessed) -> dict:
+    """Per-sample features from (index, preprocessed Spectrogram) pairs:
+    index -> the spectrogram itself for PCA features (the basis is fit per
+    fold), or its `svd_features` for SVD features."""
+    if config.feature == "pca":
+        return dict(preprocessed)
+    if config.feature == "svd":
+        return {i: svd_features(spec, config.r) for i, spec in preprocessed}
+    raise ValueError(f"unknown feature kind {config.feature!r}")
 
 
 def _fold_features(config: ExperimentConfig, per_sample: dict, train_idx, test_idx,
@@ -334,10 +338,17 @@ def run_experiment(config: ExperimentConfig, dataset: SyntheticGestureSet,
                    train_pool=None) -> ResultTable:
     """Mean/variance accuracy and wall-clock times over repeated stratified
     splits (one row)."""
+    pool = np.arange(len(dataset.samples)) if train_pool is None else np.asarray(train_pool)
+    per_sample = _sample_features(config, _preprocessed(config, dataset.samples, pool))
+    return _repeated_splits(config, dataset, pool, per_sample)
+
+
+def _repeated_splits(config: ExperimentConfig, dataset: SyntheticGestureSet, pool,
+                     per_sample: dict) -> ResultTable:
+    """run_experiment on the pool, given the `_sample_features` of (at least)
+    every pool sample."""
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
-    pool = np.arange(len(dataset.samples)) if train_pool is None else np.asarray(train_pool)
-    per_sample = _sample_features(config, dataset.samples, pool)
     accs, t_train, t_test = [], 0.0, 0.0
     for trial in range(config.trials):
         acc, tt, te = _run_single_trial(config, dataset, per_sample, trial, pool)
@@ -358,15 +369,20 @@ def run_experiment(config: ExperimentConfig, dataset: SyntheticGestureSet,
 
 def sweep_dimension(config: ExperimentConfig, dataset: SyntheticGestureSet, r_values):
     """One ResultTable per feature dimension r; invalid r are skipped with a
-    note row. The localized kernel's q is clamped to r inside the run."""
+    note row. The localized kernel's q is clamped to r inside the run. Each
+    sample is preprocessed once per call; SVD features are taken once per r."""
     out = []
     min_shape = min(min(s.data.shape) for s in dataset.samples)
+    pool = np.arange(len(dataset.samples))
+    preprocessed = dict(_preprocessed(config, dataset.samples, pool))
     for r in r_values:
         if config.feature == "svd" and r > min_shape:
             out.append((r, None))
             continue
         try:
-            out.append((r, run_experiment(replace(config, r=r), dataset)))
+            config_r = replace(config, r=r)
+            per_sample = _sample_features(config_r, preprocessed.items())
+            out.append((r, _repeated_splits(config_r, dataset, pool, per_sample)))
         except ValueError:
             out.append((r, None))
     return out
@@ -375,15 +391,22 @@ def sweep_dimension(config: ExperimentConfig, dataset: SyntheticGestureSet, r_va
 def sweep_train_fraction(config: ExperimentConfig, dataset: SyntheticGestureSet,
                          fractions=(0.2, 0.4, 0.6, 0.8)):
     """Per fraction: stratified subsample of the training pool, then the usual
-    repeated-split protocol on that subsample."""
+    repeated-split protocol on that subsample. Each sample is preprocessed
+    once per call."""
     labels = np.asarray([s.label for s in dataset.samples])
-    out = []
+    pools = []
     for frac in fractions:
         rng = np.random.default_rng(config.seed)
         pool, _ = _stratified_split(labels, frac, rng) if frac < 1.0 else (
             np.arange(len(labels)), np.array([], dtype=int))
+        pools.append(pool)
+    used = np.unique(np.concatenate(pools)) if pools else []
+    preprocessed = dict(_preprocessed(config, dataset.samples, used))
+    out = []
+    for frac, pool in zip(fractions, pools):
         try:
-            out.append((frac, run_experiment(config, dataset, train_pool=pool)))
+            per_sample = _sample_features(config, ((i, preprocessed[i]) for i in pool))
+            out.append((frac, _repeated_splits(config, dataset, pool, per_sample)))
         except ValueError:
             out.append((frac, None))
     return out
@@ -395,7 +418,8 @@ def holdout_subject(config: ExperimentConfig, dataset: SyntheticGestureSet) -> R
     once per call; only the PCA basis and its scale are refit per fold."""
     if len(dataset.subjects) < 2:
         raise ValueError("need at least two subjects")
-    per_sample = _sample_features(config, dataset.samples, range(len(dataset.samples)))
+    samples = dataset.samples
+    per_sample = _sample_features(config, _preprocessed(config, samples, range(len(samples))))
     method = config.method_name()
     rows = []
     for subject in dataset.subjects:

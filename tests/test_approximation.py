@@ -261,12 +261,24 @@ class TestEvaluateAndProfile:
         with pytest.raises(ValueError):
             error_profile(self._toy_model(), [], [])
 
-    def test_metric_override(self):
-        model = self._toy_model()
-        prof = error_profile(
-            model, np.zeros(1), [np.array([1.0])], metric=lambda x, y: 7.0
+    def test_delta_matches_pairwise_oracle(self):
+        rng = np.random.default_rng(3)
+        nodes = [rng.standard_normal(3) for _ in range(15)]
+        probes = [rng.standard_normal(3) for _ in range(40)]
+        model = CollocationModel(
+            nodes=nodes,
+            coeffs=np.ones(15),
+            spec=KernelSpec("euclidean_rbf", {"gamma": 1.0}),
+            eta=minimal_separation(nodes),
+            dominance_ratio=0.0,
         )
-        assert prof.delta[0] == 7.0
+        oracle = np.array([min(euclidean_metric(x, y) for y in nodes) for x in probes])
+        assert len(np.unique(oracle)) == len(oracle)  # distinct, so the order is unique
+        order = np.argsort(oracle)
+        prof = error_profile(model, np.zeros(40), probes)
+        np.testing.assert_allclose(prof.delta, oracle[order], rtol=1e-12, atol=0)
+        for got, i in zip(prof.probe_points, order):
+            assert got is probes[i]
 
     def test_euclidean_metric(self):
         assert euclidean_metric([0.0, 0.0], [3.0, 4.0]) == 5.0

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lockern import classify
 from lockern.classify import (
     KKT_TOL,
     MAX_PAIR_UPDATES,
@@ -156,30 +157,78 @@ class TestSvmBinary:
         with pytest.warns(UserWarning, match="indefinite"):
             svm_train_binary(K, [1.0, -1.0], C=1.0)
 
-    @pytest.mark.parametrize("case", ["rbf_overlap", "rbf_small_C", "localized", "linear"])
-    def test_matches_selection_oracle(self, case):
-        # the masked argmax/argmin selection must reproduce every iterate, so
-        # the results are compared for exact equality
+    @staticmethod
+    def _oracle_problem(case):
+        """(K, labels, C) of one test_matches_selection_oracle case."""
         rng = np.random.default_rng(11)
         if case.startswith("rbf"):
             X, y = blobs(20, seed=5, spread=1.5, gap=2.0)
             K = gram(KernelSpec("euclidean_rbf", {"gamma": 0.5}), list(X)).entries
-        elif case == "localized":
+            C = {"rbf_overlap": 1.0, "rbf_small_C": 0.05, "rbf_large_C": 100.0}[case]
+            return K, y, C
+        if case == "localized":
             X = rng.normal(size=(40, 3))
             y = np.where(X[:, 0] + 0.5 * rng.normal(size=40) > 0, 1.0, -1.0)
-            K = gram(KernelSpec("localized", {"N": 4.0, "q": 3}), list(0.5 * X)).entries
-        else:
+            return gram(KernelSpec("localized", {"N": 4.0, "q": 3}), list(0.5 * X)).entries, y, 1.0
+        if case == "linear":
             X = rng.normal(size=(30, 4))
             y = np.where(rng.uniform(size=30) < 0.4, 1.0, -1.0)
-            K = X @ X.T
-        C = 0.05 if case == "rbf_small_C" else 1.0
-        coeffs, ids, bias = smo_oracle(K, y, C)
-        model = svm_train_binary(K, y, C=C)
-        np.testing.assert_array_equal(model.support_ids, ids)
-        np.testing.assert_array_equal(model.support_coeffs, coeffs)
-        assert model.bias == bias
+            return X @ X.T, y, 1.0
+        if case == "duplicates":
+            # y is 12 times -1, then 12 times +1. Points 0 and 12 coincide with
+            # opposite labels; with yg = y at the start, ties pick them as the
+            # first pair, whose curvature is 0
+            X, y = blobs(12, seed=9, spread=1.0, gap=1.5)
+            X[[12, 5, 20]] = X[[0, 3, 15]]
+            return gram(KernelSpec("euclidean_rbf", {"gamma": 0.5}), list(X)).entries, y, 1.0
+        # four classes on a localized-kernel Gram, trained one-vs-rest
+        centers = np.array([[0.0, 0.0], [1.5, 0.0], [0.0, 1.5], [1.5, 1.5]])
+        X = np.vstack([rng.normal(c, 0.6, (12, 2)) for c in centers])
+        K = gram(KernelSpec("localized", {"N": 4.0, "q": 3}), list(X)).entries
+        return K, np.repeat([0, 1, 2, 3], 12), 1.0
+
+    @pytest.mark.parametrize(
+        "case",
+        ["rbf_overlap", "rbf_small_C", "rbf_large_C", "localized", "linear",
+         "duplicates", "four_class"],
+    )
+    def test_matches_selection_oracle(self, case):
+        # the in-place pair update and masked selection must reproduce every
+        # iterate, so the results are compared for exact equality
+        K, labels, C = self._oracle_problem(case)
+        if case == "four_class":
+            models = one_vs_rest_train(K, labels, C=C).models
+            targets = label_indicators(labels)[1]
+            assert len(models) == 4
+        else:
+            models, targets = [svm_train_binary(K, labels, C=C)], [labels]
+        for model, y in zip(models, targets):
+            coeffs, ids, bias = smo_oracle(K, y, C)
+            np.testing.assert_array_equal(model.support_ids, ids)
+            np.testing.assert_array_equal(model.support_coeffs, coeffs)
+            assert model.bias == bias
         if case == "rbf_small_C":
             assert np.any(np.abs(model.support_coeffs) == C)  # the box binds
+        if case == "rbf_large_C":
+            free = (np.abs(model.support_coeffs) > 1e-12) & (np.abs(model.support_coeffs) < C)
+            assert free.sum() >= 5
+        if case == "duplicates":
+            i, j = np.flatnonzero(labels > 0)[0], np.flatnonzero(labels < 0)[0]
+            assert K[i, i] + K[j, j] - 2.0 * K[i, j] <= 0  # the tau path runs
+
+    def test_update_cap_warns(self, monkeypatch):
+        X, y = blobs(10, seed=1, spread=1.5, gap=2.0)
+        K = gram(KernelSpec("euclidean_rbf", {"gamma": 0.5}), list(X)).entries
+        monkeypatch.setattr(classify, "MAX_PAIR_UPDATES", 1)
+        with pytest.warns(RuntimeWarning, match=r"KKT gap .* >= KKT_TOL=0\.001"):
+            svm_train_binary(K, y, C=1.0)
+
+    def test_converged_solve_does_not_warn(self):
+        X, y = blobs(10, seed=1, spread=1.5, gap=2.0)
+        K = gram(KernelSpec("euclidean_rbf", {"gamma": 0.5}), list(X)).entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            svm_train_binary(K, y, C=1.0)
 
     def test_predict_row_length_checked(self):
         model = SvmModel(

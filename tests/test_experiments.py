@@ -14,6 +14,7 @@ from lockern.experiments import (
     sweep_dimension,
     sweep_train_fraction,
     _fold_features,
+    _preprocessed,
     _preprocess,
     _sample_features,
     _stratified_split,
@@ -138,7 +139,7 @@ class TestFeatureExtraction:
         ds = small_gestures
         config = ExperimentConfig(r=5)
         target = max(s.data.shape[1] for s in ds.samples)
-        per_sample = _sample_features(config, ds.samples, range(70))
+        per_sample = _sample_features(config, _preprocessed(config, ds.samples, range(70)))
         train = range(40)
         fa, _ = _fold_features(config, per_sample, train, range(40, 44), target)
         fb, _ = _fold_features(config, per_sample, train, range(60, 70), target)
@@ -147,13 +148,14 @@ class TestFeatureExtraction:
 
     def test_svd_feature_shape(self, small_gestures):
         config = ExperimentConfig(feature="svd", r=4)
-        per_sample = _sample_features(config, small_gestures.samples, range(6))
+        pre = _preprocessed(config, small_gestures.samples, range(6))
+        per_sample = _sample_features(config, pre)
         train_f, test_f = _fold_features(config, per_sample, range(4), range(4, 6), 100)
         assert all(f.U.shape == (64, 4) and f.S.shape == (4,) for f in train_f + test_f)
 
     def test_unknown_feature(self):
         with pytest.raises(ValueError):
-            _sample_features(ExperimentConfig(feature="wavelet"), [], [])
+            _sample_features(ExperimentConfig(feature="wavelet"), [])
 
 
 def _record_calls(monkeypatch, name):
@@ -190,6 +192,21 @@ class TestPerSampleWorkOnce:
         preprocessed = _record_calls(monkeypatch, "log_threshold")
         config = ExperimentConfig(classifier="knn", knn_k=1, r=6, trials=3, seed=42)
         run_experiment(config, small_gestures)
+        assert _once_each(preprocessed, small_gestures.samples)
+
+    def test_sweeps_preprocess_each_sample_once(self, small_gestures, monkeypatch):
+        preprocessed = _record_calls(monkeypatch, "log_threshold")
+        decomposed = _record_calls(monkeypatch, "svd_features")
+        config = ExperimentConfig(feature="svd", kernel_kind="grassmann", trials=1)
+        out = sweep_dimension(config, small_gestures, [2, 3, 4, 5])
+        assert all(table is not None for _, table in out)
+        assert _once_each(preprocessed, small_gestures.samples)
+        # SVD features depend on r: once per sample and r value
+        assert len(decomposed) == 4 * len(small_gestures.samples)
+
+        preprocessed.clear()
+        knn = ExperimentConfig(classifier="knn", knn_k=1, r=6, trials=2, seed=42)
+        sweep_train_fraction(knn, small_gestures, fractions=(0.4, 0.6, 1.0))
         assert _once_each(preprocessed, small_gestures.samples)
 
 
