@@ -18,13 +18,14 @@ from . import diagnostics
 from .experiments import (
     ExperimentConfig,
     ResultTable,
+    _preprocessed,
     gen_synthetic_gestures,
     holdout_subject,
     run_experiment,
     sweep_dimension,
     sweep_train_fraction,
 )
-from .features import Spectrogram, log_threshold, normalize, svd_features, zero_pad_vectorize
+from .features import Spectrogram, svd_features, zero_pad_vectorize
 from .hermite import build_localized_kernel, eval_localized
 from .io import read_manifest, read_spectrogram_csv
 
@@ -50,7 +51,6 @@ def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lockern")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--threads", type=int, default=0, help="worker cap (0 = all cores)")
     sub = p.add_subparsers(dest="command", required=True)
 
     ke = sub.add_parser("kernel-eval", help="tabulate the localized kernel on a grid")
@@ -194,10 +194,8 @@ def _cmd_features(args) -> int:
     dataset = _load_dataset(args)
     os.makedirs(args.out_dir, exist_ok=True)
     target = max(s.data.shape[1] for s in dataset.samples)
-    for i, sample in enumerate(dataset.samples):
-        spec = sample
-        if args.preprocessing != "magnitude":
-            spec = normalize(log_threshold(spec), args.preprocessing)
+    indices = range(len(dataset.samples))
+    for i, spec in _preprocessed(args.preprocessing, dataset.samples, indices):
         path = os.path.join(args.out_dir, f"sample{i:04d}.csv")
         with open(path, "w", newline="\n") as fh:
             w = csv.writer(fh, lineterminator="\n")

@@ -20,7 +20,7 @@ from .features import (
     pca_project,
     stft,
     svd_features,
-    zero_pad_vectorize,
+    zero_pad_stack,
 )
 from .kernels import KernelSpec, cross_gram, gram
 # Unused here: kernel_fn stays importable from this module because the
@@ -42,6 +42,12 @@ __all__ = [
 ]
 
 SUBJECT_NAMES = "ABCDEF"
+
+# Most spectrogram elements one log_threshold call takes in
+# `_preprocessed`. Of 2^12-2^16, 2^14 (about seven 64-bin gesture
+# spectrograms) preprocessed a gesture set fastest; smaller blocks pay more
+# per-call overhead, larger ones fall out of cache and raise peak memory.
+_PREPROCESS_BLOCK_ELEMS = 2**14
 
 
 @dataclass(frozen=True)
@@ -208,13 +214,6 @@ def gen_synthetic_gestures(
     return SyntheticGestureSet(samples=samples, classes=classes, subjects=subject_ids)
 
 
-def _preprocess(spec: Spectrogram, mode: str) -> Spectrogram:
-    if mode == "magnitude":
-        return spec
-    thresholded = log_threshold(spec)
-    return normalize(thresholded, mode)
-
-
 def _stratified_split(labels, train_ratio: float, rng):
     labels = np.asarray(labels)
     train_idx, test_idx = [], []
@@ -228,10 +227,36 @@ def _stratified_split(labels, train_ratio: float, rng):
     return np.array(sorted(train_idx)), np.array(sorted(test_idx))
 
 
-def _preprocessed(config: ExperimentConfig, samples, indices):
-    """(index, preprocessed Spectrogram) pairs, made lazily: a caller that
-    keeps only SVD features never holds every preprocessed spectrogram."""
-    return ((i, _preprocess(samples[i], config.preprocessing)) for i in indices)
+def _preprocessed(mode: str, samples, indices):
+    """(index, preprocessed Spectrogram) pairs, made lazily, one block of
+    consecutive indices at a time: a caller that keeps only SVD features
+    never holds every preprocessed spectrogram. `mode` is binary, unit
+    (normalizations after `log_threshold`) or magnitude (unchanged)."""
+    if mode == "magnitude":
+        yield from ((i, samples[i]) for i in indices)
+        return
+    for block in _blocks(samples, indices):
+        try:
+            thresholded = log_threshold([samples[i] for i in block])
+        except ValueError as exc:
+            raise ValueError(f"samples {', '.join(map(str, block))}: {exc}") from exc
+        for i, spec in zip(block, thresholded):
+            yield i, normalize(spec, mode)
+
+
+def _blocks(samples, indices):
+    """Runs of consecutive `indices` whose samples hold at most
+    _PREPROCESS_BLOCK_ELEMS elements in all; a larger sample is a run alone."""
+    block, elems = [], 0
+    for i in indices:
+        size = samples[i].data.size
+        if block and elems + size > _PREPROCESS_BLOCK_ELEMS:
+            yield block
+            block, elems = [], 0
+        block.append(i)
+        elems += size
+    if block:
+        yield block
 
 
 def _sample_features(config: ExperimentConfig, preprocessed) -> dict:
@@ -254,11 +279,12 @@ def _fold_features(config: ExperimentConfig, per_sample: dict, train_idx, test_i
     if config.feature == "svd":
         return train, test
     # pad within the fold: padded vectors of every sample at once would
-    # raise peak memory
-    train_mat = np.stack([zero_pad_vectorize(s, target_frames) for s in train])
+    # raise peak memory. Projection stays per sample: one matrix product
+    # for the fold differs in the last bits.
+    train_mat = zero_pad_stack(train, target_frames)
     basis = fit_pca(train_mat, config.r)
     train_f = [pca_project(basis, v) for v in train_mat]
-    test_f = [pca_project(basis, zero_pad_vectorize(s, target_frames)) for s in test]
+    test_f = [pca_project(basis, v) for v in zero_pad_stack(test, target_frames)]
     # put typical nearest-neighbor distances at the scale the localized
     # kernel's bump expects; the scale derives from the training fold only
     scale = _nn_scale(train_f)
@@ -339,7 +365,8 @@ def run_experiment(config: ExperimentConfig, dataset: SyntheticGestureSet,
     """Mean/variance accuracy and wall-clock times over repeated stratified
     splits (one row)."""
     pool = np.arange(len(dataset.samples)) if train_pool is None else np.asarray(train_pool)
-    per_sample = _sample_features(config, _preprocessed(config, dataset.samples, pool))
+    pairs = _preprocessed(config.preprocessing, dataset.samples, pool)
+    per_sample = _sample_features(config, pairs)
     return _repeated_splits(config, dataset, pool, per_sample)
 
 
@@ -374,7 +401,7 @@ def sweep_dimension(config: ExperimentConfig, dataset: SyntheticGestureSet, r_va
     out = []
     min_shape = min(min(s.data.shape) for s in dataset.samples)
     pool = np.arange(len(dataset.samples))
-    preprocessed = dict(_preprocessed(config, dataset.samples, pool))
+    preprocessed = dict(_preprocessed(config.preprocessing, dataset.samples, pool))
     for r in r_values:
         if config.feature == "svd" and r > min_shape:
             out.append((r, None))
@@ -401,7 +428,7 @@ def sweep_train_fraction(config: ExperimentConfig, dataset: SyntheticGestureSet,
             np.arange(len(labels)), np.array([], dtype=int))
         pools.append(pool)
     used = np.unique(np.concatenate(pools)) if pools else []
-    preprocessed = dict(_preprocessed(config, dataset.samples, used))
+    preprocessed = dict(_preprocessed(config.preprocessing, dataset.samples, used))
     out = []
     for frac, pool in zip(fractions, pools):
         try:
@@ -419,7 +446,8 @@ def holdout_subject(config: ExperimentConfig, dataset: SyntheticGestureSet) -> R
     if len(dataset.subjects) < 2:
         raise ValueError("need at least two subjects")
     samples = dataset.samples
-    per_sample = _sample_features(config, _preprocessed(config, samples, range(len(samples))))
+    pairs = _preprocessed(config.preprocessing, samples, range(len(samples)))
+    per_sample = _sample_features(config, pairs)
     method = config.method_name()
     rows = []
     for subject in dataset.subjects:

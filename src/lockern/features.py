@@ -27,6 +27,7 @@ __all__ = [
     "fit_pca",
     "pca_project",
     "zero_pad_vectorize",
+    "zero_pad_stack",
     "arma_fit",
     "grassmann_embed",
 ]
@@ -100,32 +101,111 @@ def yen_threshold(values: np.ndarray, nbins: int = 256) -> float:
     signal). A degenerate (constant) input returns that constant.
     """
     values = np.asarray(values, dtype=float).ravel()
-    lo, hi = values.min(), values.max()
-    if hi <= lo:
-        return float(lo)
-    counts, edges = np.histogram(values, bins=nbins, range=(lo, hi))
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    pmf = counts / counts.sum()
-    p1 = np.cumsum(pmf)
-    p1_sq = np.cumsum(pmf**2)
-    p2_sq = np.cumsum(pmf[::-1] ** 2)[::-1]
+    return float(_yen_thresholds(values, np.array([values.size]), nbins)[0])
+
+
+def _yen_thresholds(values: np.ndarray, sizes: np.ndarray, nbins: int = 256) -> np.ndarray:
+    """`yen_threshold` of each consecutive segment of `values` (lengths
+    `sizes`), bitwise, from one segmented histogram pass.
+
+    Each segment's bins are those of `np.histogram(segment, nbins,
+    range=(min, max))`: the same edges, the same uniform-bin arithmetic and
+    the same +-1 corrections at the edges. Its errors are raised too, for
+    the first segment that meets one, naming the segment's position.
+    """
+    if nbins < 1:
+        raise ValueError("nbins must be positive")
+    if np.any(sizes == 0):
+        raise ValueError(f"sample {np.argmax(sizes == 0)} is empty")
+    starts = np.cumsum(sizes) - sizes
+    lo = np.minimum.reduceat(values, starts)
+    hi = np.maximum.reduceat(values, starts)
+    thresholds = lo.copy()  # a constant segment returns its value
+    varying = ~(hi <= lo)  # a NaN range counts as varying, and is refused below
+    rows = np.flatnonzero(varying)
+    if rows.size == 0:
+        return thresholds
+    if rows.size < sizes.size:
+        values = values[np.repeat(varying, sizes)]
+        sizes, lo, hi = sizes[rows], lo[rows], hi[rows]
+    n = rows.size
+
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    # np.linspace takes other arithmetic for every row once one row's step
+    # underflows to 0, but such a row holds too few floats for nbins bins:
+    # it is refused below, so no edges it changes are ever used
+    edges = np.linspace(lo[finite], hi[finite], nbins + 1, axis=1)
+    increasing = np.zeros(n, dtype=bool)
+    increasing[finite] = np.all(edges[:, :-1] < edges[:, 1:], axis=1)
+    if not increasing.all():
+        k = np.argmin(increasing)
+        if not finite[k]:
+            raise ValueError(f"sample {rows[k]}: range [{lo[k]}, {hi[k]}] is not finite")
+        raise ValueError(f"sample {rows[k]}: range [{lo[k]}, {hi[k]}] is too narrow "
+                         f"for {nbins} finite-sized bins")
+
+    # position of each value's first edge in the flat (n, nbins + 1) edges
+    first_edge = np.repeat(np.arange(0, n * (nbins + 1), nbins + 1), sizes)
+    edges = edges.ravel()
+    x = values - np.repeat(lo, sizes)
+    x /= np.repeat(hi - lo, sizes)
+    x *= nbins
+    bins = x.astype(np.intp)
+    bins -= bins == nbins
+    bins -= values < edges[first_edge + bins]
+    bins += (values >= edges[first_edge + bins + 1]) & (bins != nbins - 1)
+    # column nbins of each row is the last edge, which starts no bin: always 0
+    counts = np.bincount(first_edge + bins, minlength=edges.size).reshape(n, nbins + 1)
+    counts = counts[:, :-1]
+
+    pmf = counts / sizes[:, None]
+    p1 = np.cumsum(pmf, axis=1)[:, :-1]
+    p1_sq = np.cumsum(pmf**2, axis=1)
+    p2_sq = np.cumsum(pmf[:, ::-1] ** 2, axis=1)[:, ::-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         crit = np.log(
-            np.where(p1_sq[:-1] * p2_sq[1:] > 0, 1.0 / (p1_sq[:-1] * p2_sq[1:]), np.nan)
-        ) + 2.0 * np.log(np.where((p1[:-1] > 0) & (p1[:-1] < 1), p1[:-1] * (1 - p1[:-1]), np.nan))
-    if np.all(np.isnan(crit)):
-        return float(lo)
-    return float(centers[np.nanargmax(crit)])
+            np.where(p1_sq[:, :-1] * p2_sq[:, 1:] > 0, 1.0 / (p1_sq[:, :-1] * p2_sq[:, 1:]), np.nan)
+        ) + 2.0 * np.log(np.where((p1 > 0) & (p1 < 1), p1 * (1 - p1), np.nan))
+    # the first maximum, as np.nanargmax finds it; a segment whose criterion
+    # is NaN throughout keeps its minimum
+    defined = ~np.isnan(crit)
+    found = np.flatnonzero(defined.any(axis=1))
+    if found.size:
+        best = np.where(defined[found], crit[found], -np.inf).argmax(axis=1)
+        left = found * (nbins + 1) + best
+        thresholds[rows[found]] = 0.5 * (edges[left] + edges[left + 1])
+    return thresholds
 
 
-def log_threshold(spec: Spectrogram) -> Spectrogram:
-    """20*log10 magnitude, then zero everything below the Yen threshold."""
-    if spec.state != "magnitude":
-        raise ValueError(f"expected magnitude state, got {spec.state!r}")
-    db = 20.0 * np.log10(np.maximum(spec.data, DB_FLOOR))
-    t = yen_threshold(db)
-    out = np.where(db >= t, db, 0.0)
-    return replace(spec, data=out, state="thresholded")
+def log_threshold(specs) -> list[Spectrogram]:
+    """20*log10 magnitude of each spectrogram, then zero everything below its
+    own Yen threshold.
+
+    The thresholds of the whole sequence come from one segmented histogram
+    pass (`_yen_thresholds`); each is bitwise `yen_threshold` of that
+    spectrogram's dB values. The returned arrays are views of one buffer.
+    Errors name the offending position in `specs`.
+    """
+    specs = list(specs)
+    for k, spec in enumerate(specs):
+        if spec.state != "magnitude":
+            raise ValueError(f"sample {k}: expected magnitude state, got {spec.state!r}")
+    if not specs:
+        return []
+    # column-major, so the F-ordered STFT output is read without a copy
+    db = np.concatenate([spec.data.ravel(order="F") for spec in specs], dtype=float)
+    np.maximum(db, DB_FLOOR, out=db)
+    np.log10(db, out=db)
+    db *= 20.0
+    sizes = np.array([spec.data.size for spec in specs])
+    thresholds = _yen_thresholds(db, sizes)
+    kept = np.where(db >= np.repeat(thresholds, sizes), db, 0.0)
+    ends = np.cumsum(sizes)
+    return [
+        replace(spec, data=kept[end - size:end].reshape(spec.data.shape, order="F"),
+                state="thresholded")
+        for spec, size, end in zip(specs, sizes, ends)
+    ]
 
 
 def normalize(spec: Spectrogram, mode: str) -> Spectrogram:
@@ -203,12 +283,23 @@ def pca_project(basis: PcaBasis, x: np.ndarray) -> np.ndarray:
 def zero_pad_vectorize(spec: Spectrogram, target_frames: int) -> np.ndarray:
     """Pad with zero columns on the right to target_frames, then flatten
     column-major."""
-    rows, cols = spec.data.shape
-    if cols > target_frames:
-        raise ValueError(f"spectrogram has {cols} frames, target is {target_frames}")
-    padded = np.zeros((rows, target_frames))
-    padded[:, :cols] = spec.data
-    return padded.ravel(order="F")
+    return zero_pad_stack([spec], target_frames)[0]
+
+
+def zero_pad_stack(specs, target_frames: int) -> np.ndarray:
+    """Row k is `zero_pad_vectorize(specs[k], target_frames)`. The rows are
+    written into one preallocated zero matrix, one copy per spectrogram."""
+    specs = list(specs)
+    n_freq = specs[0].data.shape[0] if specs else 0
+    out = np.zeros((len(specs), n_freq * target_frames))
+    for row, spec in zip(out, specs):
+        rows, cols = spec.data.shape
+        if cols > target_frames:
+            raise ValueError(f"spectrogram has {cols} frames, target is {target_frames}")
+        if rows != n_freq:
+            raise ValueError(f"spectrogram has {rows} frequency bins, expected {n_freq}")
+        row[: spec.data.size] = spec.data.ravel(order="F")
+    return out
 
 
 def arma_fit(series: np.ndarray, d: int, ridge_cond: float = 1e12) -> ArmaModel:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from lockern import experiments
 from lockern.cli import main
 from lockern.features import Spectrogram
 from lockern.io import write_manifest, write_spectrogram_csv
+from preprocess_oracle import log_threshold_per_sample
 
 
 def run(argv):
@@ -62,6 +64,10 @@ class TestVerify:
         assert "PASS" in out
         assert "FAIL" not in out
 
+    def test_threads_flag_removed(self, capsys):
+        assert run(["--threads=2", "verify", "--benchmark", "reduction"]) == 2
+        assert "unrecognized arguments: --threads=2" in capsys.readouterr().err
+
     def test_unknown_benchmark(self, capsys):
         assert run(["verify", "--benchmark", "nope"]) == 2
         assert "unknown benchmark" in capsys.readouterr().err
@@ -80,6 +86,17 @@ class TestFeaturesCommand:
         assert first[0].startswith("singular_values,")
         assert len(first) == 1 + 64  # header plus one row per frequency bin
         assert (tmp_path / "run-manifest.txt").exists()
+
+    @pytest.mark.parametrize("preprocessing", ["binary", "unit"])
+    def test_csv_bytes_match_per_sample_oracle(self, tmp_path, monkeypatch, preprocessing):
+        argv = ["features", "--synthetic", "--preprocessing", preprocessing, "--r", "3"]
+        assert run(["--out-dir", str(tmp_path / "batched")] + argv) == 0
+        monkeypatch.setattr(experiments, "log_threshold", log_threshold_per_sample)
+        assert run(["--out-dir", str(tmp_path / "oracle")] + argv) == 0
+        batched = sorted((tmp_path / "batched").glob("sample*.csv"))
+        assert len(batched) == 4 * 6 * 25
+        for path in batched:
+            assert path.read_bytes() == (tmp_path / "oracle" / path.name).read_bytes()
 
     def test_requires_dataset_flag(self, capsys):
         assert run(["features"]) == 2

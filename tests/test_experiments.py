@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +16,10 @@ from lockern.experiments import (
     sweep_train_fraction,
     _fold_features,
     _preprocessed,
-    _preprocess,
     _sample_features,
     _stratified_split,
 )
+from preprocess_oracle import preprocess_oracle
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +81,9 @@ class TestGenGestures:
         ds = small_gestures
         target = max(s.data.shape[1] for s in ds.samples)
         feats, labels = [], []
-        for s in ds.samples[:: 4]:
-            feats.append(zero_pad_vectorize(_preprocess(s, "binary"), target))
-            labels.append(s.label)
+        for i, spec in _preprocessed("binary", ds.samples, range(0, len(ds.samples), 4)):
+            feats.append(zero_pad_vectorize(spec, target))
+            labels.append(ds.samples[i].label)
         feats = np.stack(feats)
         labels = np.array(labels)
         within, between = [], []
@@ -139,7 +140,7 @@ class TestFeatureExtraction:
         ds = small_gestures
         config = ExperimentConfig(r=5)
         target = max(s.data.shape[1] for s in ds.samples)
-        per_sample = _sample_features(config, _preprocessed(config, ds.samples, range(70)))
+        per_sample = _sample_features(config, _preprocessed(config.preprocessing, ds.samples, range(70)))
         train = range(40)
         fa, _ = _fold_features(config, per_sample, train, range(40, 44), target)
         fb, _ = _fold_features(config, per_sample, train, range(60, 70), target)
@@ -148,7 +149,7 @@ class TestFeatureExtraction:
 
     def test_svd_feature_shape(self, small_gestures):
         config = ExperimentConfig(feature="svd", r=4)
-        pre = _preprocessed(config, small_gestures.samples, range(6))
+        pre = _preprocessed(config.preprocessing, small_gestures.samples, range(6))
         per_sample = _sample_features(config, pre)
         train_f, test_f = _fold_features(config, per_sample, range(4), range(4, 6), 100)
         assert all(f.U.shape == (64, 4) and f.S.shape == (4,) for f in train_f + test_f)
@@ -160,12 +161,13 @@ class TestFeatureExtraction:
 
 def _record_calls(monkeypatch, name):
     """List of the first argument of each call to the `experiments` module
-    attribute `name`; holding them keeps their ids distinct."""
+    attribute `name`, a list argument flattened into its items; holding them
+    keeps their ids distinct."""
     args = []
     fn = getattr(experiments, name)
 
     def recorded(arg, *rest, **kwargs):
-        args.append(arg)
+        args.extend(arg if isinstance(arg, list) else [arg])
         return fn(arg, *rest, **kwargs)
 
     monkeypatch.setattr(experiments, name, recorded)
@@ -210,6 +212,48 @@ class TestPerSampleWorkOnce:
         assert _once_each(preprocessed, small_gestures.samples)
 
 
+class TestPreprocessed:
+    @pytest.mark.parametrize("mode", ["binary", "unit", "magnitude"])
+    def test_matches_per_sample_oracle(self, small_gestures, mode):
+        samples = small_gestures.samples
+        pairs = list(_preprocessed(mode, samples, range(len(samples))))
+        assert [i for i, _ in pairs] == list(range(len(samples)))
+        for i, spec in pairs:
+            expected = preprocess_oracle(samples[i], mode)
+            assert spec.data.tobytes() == expected.data.tobytes()
+            assert spec.state == expected.state
+
+    @pytest.mark.parametrize("mode", ["binary", "unit"])
+    def test_small_blocks_match_per_sample_oracle(self, small_gestures, monkeypatch, mode):
+        # 64 x 15-63 spectrograms: with a 2,500-element bound the wider ones
+        # form blocks alone and the narrower ones share blocks
+        monkeypatch.setattr(experiments, "_PREPROCESS_BLOCK_ELEMS", 2500)
+        blocks = []
+        log_threshold = experiments.log_threshold
+
+        def recorded(specs):
+            blocks.append(specs)
+            return log_threshold(specs)
+
+        monkeypatch.setattr(experiments, "log_threshold", recorded)
+        samples = small_gestures.samples
+        indices = list(range(len(samples) - 1, -1, -3))
+        pairs = list(_preprocessed(mode, samples, indices))
+        assert [i for i, _ in pairs] == indices
+        for i, spec in pairs:
+            assert spec.data.tobytes() == preprocess_oracle(samples[i], mode).data.tobytes()
+        assert {len(b) == 1 for b in blocks} == {True, False}
+        for block in blocks:
+            elems = sum(s.data.size for s in block)
+            assert len(block) == 1 or elems <= 2500
+
+    def test_error_names_samples_of_block(self, small_gestures):
+        samples = list(small_gestures.samples[:5])
+        samples[3] = replace(samples[3], data=np.full(samples[3].data.shape, np.nan))
+        with pytest.raises(ValueError, match="samples 0, 1, 2, 3, 4: sample 3: .*not finite"):
+            list(_preprocessed("binary", samples, range(5)))
+
+
 class TestRunExperiment:
     def test_knn_perfect_on_easy_data(self, small_gestures):
         config = ExperimentConfig(classifier="knn", knn_k=1, r=10, trials=1, seed=42)
@@ -234,6 +278,21 @@ class TestRunExperiment:
         b = run_experiment(config, small_gestures).rows[0]
         assert a.accuracy_mean == b.accuracy_mean
         assert a.accuracy_var == b.accuracy_var
+
+    def test_acceptance_csv_bytes_pinned(self, tmp_path):
+        # results_notiming.csv of acceptance criterion 11's configuration,
+        # as written before preprocessing was batched (commit f854029)
+        config = ExperimentConfig(
+            preprocessing="binary", feature="pca", r=30, kernel_kind="localized",
+            kernel_params={"N": 8.0, "q": 18}, classifier="svm", trials=5, seed=42,
+        )
+        dataset = gen_synthetic_gestures(classes=4, subjects=6, per_cell=25, seed=42)
+        path = tmp_path / "results_notiming.csv"
+        run_experiment(config, dataset).write_csv(path, include_timing=False)
+        assert path.read_bytes() == (
+            b"method,r,accuracy_mean,accuracy_var\n"
+            b"PCA LocSVM64,30,99.66666666666667,0.16666666666666477\n"
+        )
 
     def test_trials_validated(self, small_gestures):
         with pytest.raises(ValueError):

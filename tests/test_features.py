@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
+from lockern.experiments import gen_synthetic_gestures
 from lockern.features import (
     ArmaModel,
     Spectrogram,
+    _yen_thresholds,
     arma_fit,
     fit_pca,
     grassmann_embed,
@@ -16,8 +20,10 @@ from lockern.features import (
     stft,
     svd_features,
     yen_threshold,
+    zero_pad_stack,
     zero_pad_vectorize,
 )
+from preprocess_oracle import db_oracle, log_threshold_oracle, yen_oracle
 
 
 class TestStft:
@@ -78,6 +84,40 @@ def yen_naive(values, nbins=256):
     return best_t
 
 
+@st.composite
+def ragged_blocks(draw):
+    """1-8 segments of the kinds that reach every branch of the histogram:
+    one element, constant, two values, values on bin edges or one float to
+    either side of them (where np.histogram corrects the computed bin), and
+    spread."""
+    kinds = draw(st.lists(
+        st.sampled_from(["one", "constant", "two_valued", "on_edges", "beside_edges", "spread"]),
+        min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    segments = []
+    for kind in kinds:
+        lo, hi = np.sort(rng.normal(-40.0, 30.0, 2))
+        n = int(rng.integers(2, 300))
+        if kind == "one":
+            seg = np.array([lo])
+        elif kind == "constant":
+            seg = np.full(n, lo)
+        elif kind == "two_valued":
+            seg = rng.choice([lo, hi], n)
+            seg[:2] = lo, hi
+        elif kind == "on_edges":
+            seg = rng.choice(np.linspace(lo, hi, 257), n)
+            seg[:2] = lo, hi
+        elif kind == "beside_edges":
+            inner = rng.choice(np.linspace(lo, hi, 257)[1:-1], n)
+            seg = np.nextafter(inner, np.where(rng.random(n) < 0.5, -np.inf, np.inf))
+            seg[:2] = lo, hi
+        else:
+            seg = rng.normal(lo, hi - lo, n)
+        segments.append(seg)
+    return segments
+
+
 class TestYenThreshold:
     def test_matches_naive_on_bimodal(self):
         rng = np.random.default_rng(0)
@@ -112,13 +152,40 @@ class TestYenThreshold:
         t = yen_threshold(values)
         assert values.min() <= t <= values.max()
 
+    def test_nan_criterion_returns_minimum(self):
+        # one bin leaves no threshold to test: the criterion is empty
+        values = np.array([3.0, -1.0, 2.0])
+        assert yen_threshold(values, nbins=1) == -1.0 == yen_oracle(values, nbins=1)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_batched_matches_oracle_on_gesture_sets(self, seed):
+        # clean, and with the Rayleigh(2.0) noise of the benchmark's holdout
+        # workload added to every magnitude
+        clean = gen_synthetic_gestures(per_cell=10, seed=seed).samples
+        rng = np.random.default_rng(seed)
+        noisy = [replace(s, data=s.data + rng.rayleigh(2.0, s.data.shape)) for s in clean]
+        for samples in (clean, noisy):
+            db = [db_oracle(s) for s in samples]
+            expected = np.array([yen_oracle(d) for d in db])
+            values = np.concatenate([d.ravel(order="F") for d in db])
+            got = _yen_thresholds(values, np.array([d.size for d in db]))
+            assert got.tobytes() == expected.tobytes()
+
+    @given(ragged_blocks())
+    @settings(max_examples=60, deadline=None)
+    def test_ragged_blocks_match_oracle(self, segments):
+        sizes = np.array([len(seg) for seg in segments])
+        got = _yen_thresholds(np.concatenate(segments), sizes)
+        expected = np.array([yen_oracle(seg) for seg in segments])
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestLogThreshold:
     def test_state_and_sparsity(self):
         rng = np.random.default_rng(3)
         data = np.where(rng.random((64, 40)) < 0.1, 5.0, 1e-4)
         spec = Spectrogram(data=data)
-        out = log_threshold(spec)
+        out = log_threshold([spec])[0]
         assert out.state == "thresholded"
         # the loud 10 percent survives, the quiet background is zeroed
         kept = out.data != 0
@@ -128,7 +195,50 @@ class TestLogThreshold:
     def test_rejects_wrong_state(self):
         spec = Spectrogram(data=np.ones((4, 4)), state="binary")
         with pytest.raises(ValueError):
-            log_threshold(spec)
+            log_threshold([spec])
+
+    def test_matches_oracle_per_sample(self):
+        samples = gen_synthetic_gestures(per_cell=2, seed=5).samples
+        samples.append(Spectrogram(data=np.full((64, 3), 3.0)))  # constant
+        for got, spec in zip(log_threshold(samples), samples):
+            expected = log_threshold_oracle(spec)
+            assert got.data.tobytes() == expected.data.tobytes()
+            assert got.data.shape == spec.data.shape
+            assert got.state == "thresholded"
+            assert (got.label, got.subject) == (spec.label, spec.subject)
+
+    def test_constant_sample_keeps_its_value(self):
+        quiet = Spectrogram(data=np.where(np.eye(8) > 0, 5.0, 1e-4))
+        out = log_threshold([quiet, Spectrogram(data=np.full((4, 3), 3.0))])
+        np.testing.assert_array_equal(out[1].data, np.full((4, 3), 20.0 * np.log10(3.0)))
+
+    def test_wrong_state_names_position(self):
+        good = Spectrogram(data=np.ones((4, 4)))
+        with pytest.raises(ValueError, match="sample 1: expected magnitude state"):
+            log_threshold([good, Spectrogram(data=np.ones((4, 4)), state="binary")])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_names_position(self, bad):
+        good = Spectrogram(data=np.arange(1.0, 17.0).reshape(4, 4))
+        data = np.arange(1.0, 17.0).reshape(4, 4)
+        data[2, 1] = bad
+        with pytest.raises(ValueError):
+            log_threshold_oracle(Spectrogram(data=data))
+        with pytest.raises(ValueError, match="sample 2: .* is not finite"):
+            log_threshold([good, good, Spectrogram(data=data), good])
+
+    def test_narrow_range_names_position(self):
+        # 20 dB and the next float or so above it: too few floats between
+        # them for 256 bins
+        good = Spectrogram(data=np.arange(1.0, 17.0).reshape(4, 4))
+        narrow = Spectrogram(data=np.array([[10.0, 10.0 * (1.0 + 4e-16)]]))
+        with pytest.raises(ValueError, match="Too many bins"):
+            log_threshold_oracle(narrow)
+        with pytest.raises(ValueError, match="sample 1: .* too narrow for 256"):
+            log_threshold([good, narrow, good])
+
+    def test_empty_sequence(self):
+        assert log_threshold([]) == []
 
 
 class TestNormalize:
@@ -263,6 +373,20 @@ class TestZeroPad:
     def test_too_wide(self):
         with pytest.raises(ValueError):
             zero_pad_vectorize(Spectrogram(data=np.ones((2, 5))), 4)
+
+    def test_stack_rows_match_padding_oracle(self):
+        rng = np.random.default_rng(4)
+        specs = [Spectrogram(data=rng.random((3, cols))) for cols in (1, 4, 2)]
+        X = zero_pad_stack(specs, 4)
+        assert X.shape == (3, 12)
+        for row, spec in zip(X, specs):
+            padded = np.pad(spec.data, ((0, 0), (0, 4 - spec.data.shape[1])))
+            assert row.tobytes() == padded.ravel(order="F").tobytes()
+
+    def test_stack_refuses_other_bin_count(self):
+        specs = [Spectrogram(data=np.ones((2, 2))), Spectrogram(data=np.ones((3, 2)))]
+        with pytest.raises(ValueError, match="3 frequency bins, expected 2"):
+            zero_pad_stack(specs, 2)
 
 
 def make_lds(p, d, tau, seed):
