@@ -37,8 +37,8 @@ def main():
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["r", "accuracy_mean", "accuracy_var"])
         for r, table in sweep_dimension(config, dataset, r_values):
-            if table is None:
-                print(f"r={r:3d}  skipped (exceeds data rank)")
+            if isinstance(table, ValueError):
+                print(f"r={r:3d}  skipped ({table})")
                 continue
             row = table.rows[0]
             w.writerow([r, repr(row.accuracy_mean), repr(row.accuracy_var)])

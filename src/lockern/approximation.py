@@ -10,7 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DiscreteQuadrature, KernelSpec, _sq_dists, _stack, cross_gram, gram
+from .kernels import (
+    DiscreteQuadrature,
+    KernelSpec,
+    _sq_dists,
+    _stack,
+    cross_gram,
+    cross_gram_sq_dists,
+    gram,
+)
 # Unused here: the per-pair kernels stay importable from this module because
 # the benchmark's traced run (bench/layers.py) wraps them by this name.
 from .kernels import kernel_fn, psi_kernel  # noqa: F401
@@ -83,7 +91,11 @@ def dominance_diagnostic(spec: KernelSpec, nodes) -> float:
     strict diagonal dominance of the collocation system."""
     if len(nodes) < 2:
         raise ValueError("need at least two nodes")
-    K = _collocation_matrix(spec, nodes)
+    return _dominance_ratio(_collocation_matrix(spec, nodes))
+
+
+def _dominance_ratio(K: np.ndarray) -> float:
+    """dominance_diagnostic of the collocation matrix K."""
     diag = np.diag(K)
     if np.any(diag == 0):
         raise ValueError("zero diagonal kernel value")
@@ -106,7 +118,7 @@ def fit_empirical(spec: KernelSpec, nodes, values) -> CollocationModel:
         )
     coeffs = np.linalg.solve(K, values)
     eta = minimal_separation(nodes) if len(nodes) > 1 else np.inf
-    ratio = dominance_diagnostic(spec, nodes) if len(nodes) > 1 else 0.0
+    ratio = _dominance_ratio(K) if len(nodes) > 1 else 0.0
     return CollocationModel(nodes=nodes, coeffs=coeffs, spec=spec, eta=eta, dominance_ratio=ratio)
 
 
@@ -157,12 +169,17 @@ def evaluate(model: CollocationModel, x) -> float:
 
 def error_profile(model: CollocationModel, truth, probes) -> ErrorProfile:
     """Per-probe Euclidean distance to the nearest node, absolute error
-    against the truth values, and raw model value, sorted by that distance."""
+    against the truth values, and raw model value, sorted by that distance.
+    Model values and distances come from one distance pass, so the model's
+    kernel must be a flat kind (localized or euclidean_rbf)."""
     truth = np.asarray(truth, dtype=float)
     if len(probes) == 0:
         raise ValueError("no probes")
-    vals = cross_gram(model.spec, probes, model.nodes) @ model.coeffs
-    delta = _distances(probes, model.nodes).min(axis=1)
+    K, d2 = cross_gram_sq_dists(model.spec, probes, model.nodes)
+    vals = K @ model.coeffs
+    # sqrt is monotone and correctly rounded: the root of the least square
+    # is the least root
+    delta = np.sqrt(d2.min(axis=1))
     err = np.abs(vals - truth)
     order = np.argsort(delta, kind="stable")
     return ErrorProfile(

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GramMatrix, KernelSpec
+from .kernels import GramMatrix, KernelSpec, _check_finite
 
 __all__ = [
     "SvmModel",
@@ -63,12 +63,14 @@ def _gram_entries(gram: GramMatrix | np.ndarray):
     return np.asarray(gram, dtype=float), None
 
 
-def _check_problem(K: np.ndarray, labels, C: float) -> np.ndarray:
-    """Validated +-1 targets of one binary problem on the Gram K."""
+def _check_problem(K: np.ndarray, spec: KernelSpec | None, labels, C: float) -> np.ndarray:
+    """Validated +-1 targets of one binary problem on the Gram K of the
+    kernel spec (None when unknown)."""
     y = np.asarray(labels, dtype=float)
     M = len(y)
     if K.shape != (M, M):
         raise ValueError("gram/label size mismatch")
+    _check_finite(spec, K)
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be in {-1, +1}")
     if len(np.unique(y)) < 2:
@@ -79,8 +81,26 @@ def _check_problem(K: np.ndarray, labels, C: float) -> np.ndarray:
 
 
 def _warn_if_indefinite(K: np.ndarray) -> None:
+    """Warn when the smallest eigenvalue of K is below -tol, with
+    tol = 1e-3 * trace(K) / M.
+
+    A Cholesky factorisation of K + tol*I is tried first. It succeeds when
+    every eigenvalue of K is above -tol, and then no warning is due; only
+    when it fails is the smallest eigenvalue computed (`eigvalsh`) and
+    compared with -tol. The decision can differ from the `eigvalsh` test
+    alone only for a smallest eigenvalue within the rounding error of the
+    factorisation of -tol.
+    """
+    tol = 1e-3 * np.trace(K) / len(K)
+    shifted = np.array(K, dtype=float)
+    shifted.flat[:: len(K) + 1] += tol
+    try:
+        np.linalg.cholesky(shifted)
+        return
+    except np.linalg.LinAlgError:
+        pass
     eigmin = np.linalg.eigvalsh(K)[0]
-    if eigmin < -1e-3 * np.trace(K) / len(K):
+    if eigmin < -tol:
         warnings.warn(f"Gram matrix is noticeably indefinite (min eig {eigmin:.3e})")
 
 
@@ -92,7 +112,7 @@ def svm_train_binary(gram: GramMatrix | np.ndarray, labels, C: float = 1.0) -> S
     Warns when the Gram matrix is noticeably indefinite.
     """
     K, spec = _gram_entries(gram)
-    y = _check_problem(K, labels, C)
+    y = _check_problem(K, spec, labels, C)
     _warn_if_indefinite(K)
     return _smo(K, spec, y, C)
 
@@ -184,7 +204,7 @@ def one_vs_rest_train(gram: GramMatrix | np.ndarray, labels, C: float = 1.0) -> 
     if len(classes) < 2:
         raise ValueError("need at least two classes")
     K, spec = _gram_entries(gram)
-    targets = [_check_problem(K, y, C) for y in signs]
+    targets = [_check_problem(K, spec, y, C) for y in signs]
     _warn_if_indefinite(K)  # once per Gram, not once per class
     models = [_smo(K, spec, y, C) for y in targets]
     return MulticlassModel(models=models, classes=classes)

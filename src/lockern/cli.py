@@ -241,8 +241,8 @@ def _cmd_sweep_dim(args) -> int:
         raise UsageError("--r-values must be comma-separated integers") from exc
     os.makedirs(args.out_dir, exist_ok=True)
     for r, table in sweep_dimension(config, dataset, r_values):
-        if table is None:
-            print(f"r={r}: skipped (exceeds data rank)")
+        if isinstance(table, ValueError):
+            print(f"r={r}: skipped ({table})")
             continue
         table.write_csv(os.path.join(args.out_dir, f"sweep_r{r:03d}.csv"), extra={"r_swept": r})
         print(f"r={r}: {table.rows[0].accuracy_mean:.2f}%")
@@ -259,8 +259,8 @@ def _cmd_sweep_frac(args) -> int:
         raise UsageError("--fractions must be comma-separated numbers") from exc
     os.makedirs(args.out_dir, exist_ok=True)
     for frac, table in sweep_train_fraction(config, dataset, fractions):
-        if table is None:
-            print(f"fraction={frac}: failed (class vanished from training pool)")
+        if isinstance(table, ValueError):
+            print(f"fraction={frac}: failed ({table})")
             continue
         table.write_csv(
             os.path.join(args.out_dir, f"sweep_frac{int(100 * frac):03d}.csv"),

@@ -13,6 +13,7 @@ import numpy as np
 
 from .classify import knn_predict, one_vs_rest_predict, one_vs_rest_train
 from .features import (
+    RankError,
     Spectrogram,
     fit_pca,
     log_threshold,
@@ -22,7 +23,8 @@ from .features import (
     svd_features,
     zero_pad_stack,
 )
-from .kernels import KernelSpec, cross_gram, gram
+from .hermite import localized_degree
+from .kernels import DEFAULT_PARAMS, KernelSpec, cross_gram, gram
 # Unused here: kernel_fn stays importable from this module because the
 # benchmark's traced run (bench/layers.py) wraps it by this name.
 from .kernels import kernel_fn  # noqa: F401
@@ -31,6 +33,7 @@ __all__ = [
     "SyntheticManifoldSet",
     "SyntheticGestureSet",
     "ExperimentConfig",
+    "MissingClassError",
     "ResultRow",
     "ResultTable",
     "gen_circle",
@@ -48,6 +51,10 @@ SUBJECT_NAMES = "ABCDEF"
 # spectrograms) preprocessed a gesture set fastest; smaller blocks pay more
 # per-call overhead, larger ones fall out of cache and raise peak memory.
 _PREPROCESS_BLOCK_ELEMS = 2**14
+
+
+class MissingClassError(ValueError):
+    """A class has no sample in a training fold."""
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,8 @@ class ExperimentConfig:
             if self.classifier == "knn":
                 return "PCA KNN"
             if self.kernel_kind == "localized":
-                return f"PCA LocSVM{_kernel_spec(self).localized.degree}"
+                params = {**DEFAULT_PARAMS["localized"], **_kernel_params(self)}
+                return f"PCA LocSVM{localized_degree(params['N'], params['q'])}"
             return f"PCA {self.kernel_kind} SVM"
         return f"{self.kernel_kind} SVD {'KNN' if self.classifier == 'knn' else 'SVM'}"
 
@@ -305,13 +313,17 @@ def _nn_scale(features) -> float:
     return 0.4 / med if med > 0 else 1.0
 
 
-def _kernel_spec(config: ExperimentConfig) -> KernelSpec:
+def _kernel_params(config: ExperimentConfig) -> dict:
     params = dict(config.kernel_params)
     if config.kernel_kind == "localized":
         # manifold dimension never exceeds the feature-space dimension
         q = int(params.get("q", 18))
         params["q"] = max(1, min(q, config.r))
-    return KernelSpec(kind=config.kernel_kind, params=params)
+    return params
+
+
+def _kernel_spec(config: ExperimentConfig) -> KernelSpec:
+    return KernelSpec(kind=config.kernel_kind, params=_kernel_params(config))
 
 
 def _run_single_trial(config: ExperimentConfig, dataset: SyntheticGestureSet,
@@ -332,7 +344,7 @@ def _fit_and_score(config: ExperimentConfig, dataset: SyntheticGestureSet, per_s
     train_labels = [samples[i].label for i in train_idx]
     test_labels = [samples[i].label for i in test_idx]
     if len(set(train_labels)) < dataset.classes:
-        raise ValueError("a class is missing from the training fold")
+        raise MissingClassError("a class is missing from the training fold")
 
     t0 = time.perf_counter()
     train_f, test_f = _fold_features(config, per_sample, train_idx, test_idx, target_frames)
@@ -394,31 +406,34 @@ def _repeated_splits(config: ExperimentConfig, dataset: SyntheticGestureSet, poo
     return ResultTable(rows=[row])
 
 
+# the errors a sweep records for its point and goes on past
+_SWEEP_SKIPS = (RankError, MissingClassError)
+
+
 def sweep_dimension(config: ExperimentConfig, dataset: SyntheticGestureSet, r_values):
-    """One ResultTable per feature dimension r; invalid r are skipped with a
-    note row. The localized kernel's q is clamped to r inside the run. Each
+    """(r, result) per feature dimension r: the ResultTable, or the
+    RankError or MissingClassError that skipped this r. Any other error
+    propagates. The localized kernel's q is clamped to r inside the run. Each
     sample is preprocessed once per call; SVD features are taken once per r."""
     out = []
-    min_shape = min(min(s.data.shape) for s in dataset.samples)
     pool = np.arange(len(dataset.samples))
     preprocessed = dict(_preprocessed(config.preprocessing, dataset.samples, pool))
     for r in r_values:
-        if config.feature == "svd" and r > min_shape:
-            out.append((r, None))
-            continue
         try:
             config_r = replace(config, r=r)
             per_sample = _sample_features(config_r, preprocessed.items())
             out.append((r, _repeated_splits(config_r, dataset, pool, per_sample)))
-        except ValueError:
-            out.append((r, None))
+        except _SWEEP_SKIPS as exc:
+            out.append((r, exc))
     return out
 
 
 def sweep_train_fraction(config: ExperimentConfig, dataset: SyntheticGestureSet,
                          fractions=(0.2, 0.4, 0.6, 0.8)):
-    """Per fraction: stratified subsample of the training pool, then the usual
-    repeated-split protocol on that subsample. Each sample is preprocessed
+    """(fraction, result) per fraction: a stratified subsample of the
+    training pool, then the usual repeated-split protocol on it. The result
+    is the ResultTable, or the RankError or MissingClassError that skipped
+    this fraction; any other error propagates. Each sample is preprocessed
     once per call."""
     labels = np.asarray([s.label for s in dataset.samples])
     pools = []
@@ -434,8 +449,8 @@ def sweep_train_fraction(config: ExperimentConfig, dataset: SyntheticGestureSet,
         try:
             per_sample = _sample_features(config, ((i, preprocessed[i]) for i in pool))
             out.append((frac, _repeated_splits(config, dataset, pool, per_sample)))
-        except ValueError:
-            out.append((frac, None))
+        except _SWEEP_SKIPS as exc:
+            out.append((frac, exc))
     return out
 
 

@@ -19,6 +19,7 @@ __all__ = [
     "PcaBasis",
     "ArmaModel",
     "GrassmannPoint",
+    "RankError",
     "stft",
     "yen_threshold",
     "log_threshold",
@@ -33,6 +34,10 @@ __all__ = [
 ]
 
 DB_FLOOR = 1e-12  # magnitude clamp before log to avoid -inf
+
+
+class RankError(ValueError):
+    """The data have rank below the requested feature dimension r."""
 
 
 @dataclass(frozen=True)
@@ -234,8 +239,10 @@ def normalize(spec: Spectrogram, mode: str) -> Spectrogram:
 def svd_features(spec: Spectrogram, r: int) -> SubspaceFeature:
     """Top-r left singular vectors (sign-canonicalized) and singular values."""
     rows, cols = spec.data.shape
-    if r < 1 or r > min(rows, cols):
+    if r < 1:
         raise ValueError(f"r={r} out of range for {rows}x{cols} spectrogram")
+    if r > min(rows, cols):
+        raise RankError(f"r={r} out of range for {rows}x{cols} spectrogram")
     U, S, _ = np.linalg.svd(spec.data, full_matrices=False)
     return SubspaceFeature(U=canonicalize_signs(U[:, :r]), S=S[:r].copy())
 
@@ -255,8 +262,10 @@ def fit_pca(train_matrix: np.ndarray, r: int) -> PcaBasis:
     """
     X = np.asarray(train_matrix, dtype=float)
     M, D = X.shape
-    if r < 1 or r > min(M, D):
+    if r < 1:
         raise ValueError(f"r={r} out of range for {M}x{D} data")
+    if r > min(M, D):
+        raise RankError(f"r={r} out of range for {M}x{D} data")
     mean = X.mean(axis=0)
     Xc = X - mean
     sample_gram = M <= D
@@ -264,7 +273,7 @@ def fit_pca(train_matrix: np.ndarray, r: int) -> PcaBasis:
     eigvals, eigvecs = np.linalg.eigh(G)
     eigvals, eigvecs = eigvals[::-1][:r], eigvecs[:, ::-1][:, :r]
     if eigvals[-1] <= len(G) * np.finfo(float).eps * eigvals[0]:
-        raise ValueError(f"data rank below r={r}; lower r")
+        raise RankError(f"data rank below r={r}; lower r")
     components = eigvecs
     if sample_gram:
         components = Xc.T @ eigvecs

@@ -20,6 +20,7 @@ __all__ = [
     "psi",
     "proj_kernel_value",
     "cutoff",
+    "localized_degree",
     "build_localized_kernel",
     "eval_localized",
     "eval_localized_direct",
@@ -134,6 +135,17 @@ class LocalizedKernelSpec:
         return 2 * (len(self.coeffs) - 1)
 
 
+def localized_degree(N: float, q: int) -> int:
+    """Polynomial degree 2*floor(N^2/2) of the localized kernel with
+    bandwidth N and dimension parameter q. Raises ValueError for N < 1 or
+    q < 1, as `build_localized_kernel` does."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if q < 1:
+        raise ValueError("q must be a positive integer")
+    return 2 * int(math.floor(N * N / 2.0))
+
+
 def build_localized_kernel(N: float, q: int, gamma: float = 0.8) -> LocalizedKernelSpec:
     """Precompute the psi_{2l} coefficients of the localized kernel.
 
@@ -144,13 +156,9 @@ def build_localized_kernel(N: float, q: int, gamma: float = 0.8) -> LocalizedKer
     The prefactor is fixed so the expansion equals the defining sum of
     cutoff-weighted P_{m,q} terms exactly.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if q < 1:
-        raise ValueError("q must be a positive integer")
+    L = localized_degree(N, q) // 2
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    L = int(math.floor(N * N / 2.0))
     psi0 = _psi_values(2 * L, 0.0)  # psi_{2l}(0) carries the (-1)^l sign
     h_vals = np.array([cutoff(math.sqrt(2.0 * m) / N) for m in range(L + 1)])
     coeffs = np.empty(L + 1)
@@ -173,6 +181,8 @@ def eval_localized(spec: LocalizedKernelSpec, x):
     The even expansion is run through the full psi_k three-term recurrence
     with zero odd coefficients:
         psi_{k+1} = sqrt(2/(k+1)) x psi_k - sqrt(k/(k+1)) psi_{k-1}.
+    Each step forms b_k = (a_k x) b_{k+1} + c_k + beta_{k+1} b_{k+2} in three
+    buffers that rotate, so no step allocates.
     """
     x_arr = np.asarray(x, dtype=float)
     n = spec.degree
@@ -180,14 +190,24 @@ def eval_localized(spec: LocalizedKernelSpec, x):
     full[::2] = spec.coeffs
     b1 = np.zeros_like(x_arr)
     b2 = np.zeros_like(x_arr)
+    t = np.empty_like(x_arr)
     for k in range(n, -1, -1):
-        a_k = math.sqrt(2.0 / (k + 1)) * x_arr
-        beta_next = -math.sqrt((k + 1) / (k + 2))
-        b1, b2 = full[k] + a_k * b1 + beta_next * b2, b1
-    result = b1 * _PI_QUARTER * np.exp(-x_arr * x_arr / 2.0)
+        np.multiply(x_arr, math.sqrt(2.0 / (k + 1)), out=t)
+        t *= b1
+        t += full[k]
+        b2 *= -math.sqrt((k + 1) / (k + 2))
+        t += b2
+        b1, b2, t = t, b1, b2
+    # b1 * pi^{-1/4} * exp(-x^2 / 2), in t
+    np.negative(x_arr, out=t)
+    t *= x_arr
+    t /= 2.0
+    np.exp(t, out=t)
+    b1 *= _PI_QUARTER
+    b1 *= t
     if np.isscalar(x) or x_arr.ndim == 0:
-        return float(result)
-    return result
+        return float(b1)
+    return b1
 
 
 def eval_localized_direct(spec: LocalizedKernelSpec, x):

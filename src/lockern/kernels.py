@@ -6,9 +6,12 @@ Hermite kernel on flat vectors, batched kernel matrices (`cross_gram`, `gram`),
 and the derived second-order kernel Psi used by the theoretical least-squares
 normal equations.
 
-`cross_gram` is the one path that computes kernel values in bulk. The scalar
-per-pair functions (`grassmann_kernel`, ..., `kernel_fn`, `psi_kernel`) are
-kept as the reference the batched path is tested against.
+`cross_gram` and `gram` are the paths that compute kernel values in bulk;
+both refuse a matrix with a non-finite entry. The flat kinds (localized,
+`euclidean_rbf`) are radial profiles of the squared Euclidean distance, and
+their `gram` evaluates only the upper triangle. The scalar per-pair
+functions (`grassmann_kernel`, ..., `kernel_fn`, `psi_kernel`) are kept as
+the reference the batched path is tested against.
 """
 from __future__ import annotations
 
@@ -32,11 +35,14 @@ __all__ = [
     "localized_distance_kernel",
     "kernel_fn",
     "cross_gram",
+    "cross_gram_sq_dists",
     "gram",
     "psi_kernel",
 ]
 
 KERNEL_KINDS = ("grassmann", "laplace_svd", "gaussian_svd", "euclidean_rbf", "localized")
+# kinds on flat vectors whose value is a function of the squared distance
+FLAT_KINDS = ("euclidean_rbf", "localized")
 
 # Defaults from the experimental protocol this library reproduces.
 DEFAULT_PARAMS = {
@@ -258,6 +264,14 @@ def _projection_overlaps(UtA: np.ndarray, UtB: np.ndarray) -> np.ndarray:
     return out
 
 
+def _radial_profile(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
+    """Kernel values of a flat kind at squared Euclidean distances d2."""
+    if spec.kind == "euclidean_rbf":
+        return np.exp(-spec.params["gamma"] * d2)
+    loc = spec.localized
+    return eval_localized(loc, loc.gamma * np.sqrt(d2))
+
+
 def _kernel_matrix(spec: KernelSpec, FA: tuple, FB: tuple) -> np.ndarray:
     """K[i, j] = k(A[i], B[j]) from the stacked features of A and B."""
     if any(a.shape[1:] != b.shape[1:] for a, b in zip(FA, FB)):
@@ -276,11 +290,57 @@ def _kernel_matrix(spec: KernelSpec, FA: tuple, FB: tuple) -> np.ndarray:
             return np.exp(-p["alpha"] * np.sqrt(dU) - p["beta"] * np.sqrt(dS))
         return np.exp(-p["alpha"] * dU - p["beta"] * dS)
     (XA,), (XB,) = FA, FB
-    d2 = _sq_dists(XA, XB)
-    if spec.kind == "euclidean_rbf":
-        return np.exp(-p["gamma"] * d2)
-    loc = spec.localized
-    return eval_localized(loc, loc.gamma * np.sqrt(d2))
+    return _radial_profile(spec, _sq_dists(XA, XB))
+
+
+def _flat_gram(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
+    """Gram matrix of a flat kind on the rows of X from its upper triangle.
+
+    Each row block is paired with the columns from the block start, and only
+    the entries on or above the diagonal are kept; one profile call maps them
+    all, and the lower triangle is their mirror image. Direct differences
+    give d2(i, j) and d2(j, i) bitwise equal, so the mirror is exactly what
+    the full matrix would hold.
+    """
+    M = len(X)
+    blocks, upper_d2 = [], []
+    for rows in _row_blocks(M, X.size):
+        d2 = _sq_dists(X[rows], X[rows.start:])
+        upper = np.arange(d2.shape[1]) >= np.arange(d2.shape[0])[:, None]
+        upper_d2.append(d2[upper])
+        blocks.append((rows, upper))
+    values = _radial_profile(spec, np.concatenate(upper_d2))
+    K = np.empty((M, M))
+    end = 0
+    for (rows, upper), d2 in zip(blocks, upper_d2):
+        start, end = end, end + len(d2)
+        K[rows, rows.start:][upper] = values[start:end]
+    for rows, upper in blocks:
+        s, n = rows.start, rows.stop - rows.start
+        K[rows, :s] = K[:s, rows].T
+        diag, lower = K[rows, rows], ~upper[:, :n]
+        diag[lower] = diag.T[lower]
+    return K
+
+
+def _check_finite(spec: KernelSpec | None, K: np.ndarray) -> None:
+    """Raise ValueError naming the kernel and the first non-finite entry of K."""
+    finite = np.isfinite(K)
+    if finite.all():
+        return
+    idx = np.unravel_index(np.argmin(finite), K.shape)
+    where = f"at entry {tuple(int(i) for i in idx)}"
+    if spec is None:
+        raise ValueError(f"Gram matrix has a non-finite value {K[idx]} {where}")
+    if spec.kind == "localized":
+        loc = spec.localized
+        raise ValueError(
+            f"localized kernel (N={loc.N:g}, q={loc.q}, gamma={loc.gamma:g}, degree "
+            f"{loc.degree}) gave a non-finite value {K[idx]} {where}: its Hermite "
+            "recurrence overflows far from the origin; lower N or gamma"
+        )
+    params = ", ".join(f"{k}={v!r}" for k, v in sorted(spec.params.items()))
+    raise ValueError(f"{spec.kind} kernel ({params}) gave a non-finite value {K[idx]} {where}")
 
 
 def cross_gram(spec: KernelSpec, A: Sequence, B: Sequence) -> np.ndarray:
@@ -288,19 +348,40 @@ def cross_gram(spec: KernelSpec, A: Sequence, B: Sequence) -> np.ndarray:
 
     Features are what `kernel_fn(spec)` takes: objects with `U` (Grassmann),
     `U` and `S` (SVD kernels), or flat vectors. Raises ValueError on an empty
-    sequence, on features of unequal shape, and on a non-orthonormal
-    Grassmann basis.
+    sequence, on features of unequal shape, on a non-orthonormal Grassmann
+    basis, and on a non-finite kernel value.
     """
-    return _kernel_matrix(spec, _stacked_features(spec, A), _stacked_features(spec, B))
+    K = _kernel_matrix(spec, _stacked_features(spec, A), _stacked_features(spec, B))
+    _check_finite(spec, K)
+    return K
+
+
+def cross_gram_sq_dists(spec: KernelSpec, A: Sequence, B: Sequence) -> tuple:
+    """(cross_gram(spec, A, B), squared Euclidean distances between the
+    points of A and B) for a flat kind, from one distance pass."""
+    if spec.kind not in FLAT_KINDS:
+        raise ValueError(f"{spec.kind} is not a kernel on flat vectors")
+    (XA,), (XB,) = _stacked_features(spec, A), _stacked_features(spec, B)
+    if XA.shape[1:] != XB.shape[1:]:
+        raise ValueError("feature shape mismatch")
+    d2 = _sq_dists(XA, XB)
+    K = _radial_profile(spec, d2)
+    _check_finite(spec, K)
+    return K, d2
 
 
 def gram(spec: KernelSpec, points: Sequence, point_ids=None) -> GramMatrix:
-    """Symmetric Gram matrix: cross_gram of the points with themselves
-    (features stacked and validated once), symmetrised so K[i, j] == K[j, i]
-    exactly."""
+    """Symmetric Gram matrix: cross_gram of the points with themselves, with
+    K[i, j] == K[j, i] exactly. Features are stacked and validated once. The
+    flat kinds evaluate the upper triangle only and mirror it; the other
+    kinds symmetrise the full matrix."""
     features = _stacked_features(spec, points)
-    K = _kernel_matrix(spec, features, features)
-    K = 0.5 * (K + K.T)
+    if spec.kind in FLAT_KINDS:
+        K = _flat_gram(spec, *features)
+    else:
+        K = _kernel_matrix(spec, features, features)
+        K = 0.5 * (K + K.T)
+    _check_finite(spec, K)
     ids = list(point_ids) if point_ids is not None else list(range(len(points)))
     return GramMatrix(entries=K, spec=spec, point_ids=ids)
 

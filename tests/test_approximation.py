@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from kernel_oracle import error_profile_oracle
 from scipy.spatial.distance import pdist
 
+from lockern import approximation, kernels
 from lockern.approximation import (
     CollocationModel,
     _normal_equations,
@@ -74,6 +76,26 @@ class TestDominanceDiagnostic:
 
 
 class TestFitEmpirical:
+    @pytest.mark.parametrize("N", [2.0, 4.0, 8.0])
+    def test_ratio_matches_dominance_diagnostic(self, N):
+        nodes, truth = circle_nodes(12)
+        spec = KernelSpec("localized", {"N": N, "q": 1, "gamma": 1.0})
+        model = fit_empirical(spec, nodes, truth)
+        assert model.dominance_ratio == dominance_diagnostic(spec, nodes)
+
+    def test_one_collocation_gram(self, monkeypatch):
+        calls = []
+        real = approximation.gram
+
+        def counting(spec, points, point_ids=None):
+            calls.append(len(points))
+            return real(spec, points, point_ids)
+
+        monkeypatch.setattr(approximation, "gram", counting)
+        nodes, truth = circle_nodes(12)
+        fit_empirical(KernelSpec("localized", {"N": 8.0, "q": 1, "gamma": 1.0}), nodes, truth)
+        assert calls == [12]
+
     def test_single_node_closed_form(self):
         spec = KernelSpec("localized", {"N": 4.0, "q": 2, "gamma": 0.8})
         node = np.array([1.0, 2.0])
@@ -279,6 +301,40 @@ class TestEvaluateAndProfile:
         np.testing.assert_allclose(prof.delta, oracle[order], rtol=1e-12, atol=0)
         for got, i in zip(prof.probe_points, order):
             assert got is probes[i]
+
+    @pytest.mark.parametrize("kind", ["localized", "euclidean_rbf"])
+    def test_one_pass_matches_two_pass_oracle(self, kind):
+        rng = np.random.default_rng(4)
+        nodes, truth = circle_nodes(20)
+        spec = KernelSpec(kind, {"N": 8.0, "q": 1, "gamma": 1.0} if kind == "localized"
+                          else {"gamma": 30.0})
+        model = fit_empirical(spec, nodes, truth)
+        probes = [rng.standard_normal(2) for _ in range(60)] + nodes[:3]
+        values, delta = error_profile_oracle(model, probes)
+        order = np.argsort(delta, kind="stable")
+        prof = error_profile(model, np.zeros(len(probes)), probes)
+        assert prof.model_value.tobytes() == values[order].tobytes()
+        assert prof.delta.tobytes() == delta[order].tobytes()
+
+    def test_one_distance_pass(self, monkeypatch):
+        calls = []
+        real = kernels._sq_dists
+
+        def counting(XA, XB):
+            calls.append((len(XA), len(XB)))
+            return real(XA, XB)
+
+        monkeypatch.setattr(kernels, "_sq_dists", counting)
+        monkeypatch.setattr(approximation, "_sq_dists", counting)
+        model = self._toy_model()
+        error_profile(model, np.zeros(3), [np.array([0.5]), np.array([1.0]), np.array([3.0])])
+        assert calls == [(3, 2)]
+
+    def test_needs_flat_kernel(self):
+        model = CollocationModel(nodes=[np.eye(3)[:, :1]], coeffs=np.ones(1),
+                                 spec=KernelSpec("grassmann"), eta=np.inf, dominance_ratio=0.0)
+        with pytest.raises(ValueError, match="grassmann is not a kernel on flat vectors"):
+            error_profile(model, np.zeros(1), [np.eye(3)[:, :1]])
 
     def test_euclidean_metric(self):
         assert euclidean_metric([0.0, 0.0], [3.0, 4.0]) == 5.0

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from kernel_oracle import indefinite_oracle
 
 from lockern import classify
 from lockern.classify import (
@@ -18,7 +19,7 @@ from lockern.classify import (
     svm_predict,
     svm_train_binary,
 )
-from lockern.kernels import KernelSpec, gram
+from lockern.kernels import GramMatrix, KernelSpec, gram
 
 
 def euclid(a, b):
@@ -156,6 +157,44 @@ class TestSvmBinary:
         K = np.array([[1.0, 2.0], [2.0, 1.0]])  # min eigenvalue -1
         with pytest.warns(UserWarning, match="indefinite"):
             svm_train_binary(K, [1.0, -1.0], C=1.0)
+
+    def test_definite_gram_skips_eigvalsh(self, monkeypatch):
+        def refuse(K):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        X, y = blobs(30, seed=8)
+        G = gram(KernelSpec("localized", {"N": 8.0, "q": 2, "gamma": 1.0}), list(X))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            svm_train_binary(G, y, C=1.0)
+            one_vs_rest_train(G, y, C=1.0)
+
+    @pytest.mark.parametrize("ratio", [-0.5, -2e-3, -5e-4, 0.0, 1e-6, 0.3])
+    def test_warning_decision_matches_eigvalsh_oracle(self, ratio):
+        # smallest eigenvalue ratio * (mean of the others): on either side of
+        # the threshold -1e-3 * trace / M, away from its rounding band
+        rng = np.random.default_rng(9)
+        Q, _ = np.linalg.qr(rng.normal(size=(40, 40)))
+        eigs = np.linspace(1.0, 3.0, 40)
+        eigs[0] = ratio * eigs[1:].mean()
+        K = (Q * eigs) @ Q.T
+        K = 0.5 * (K + K.T)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            classify._warn_if_indefinite(K)
+        assert bool(caught) == indefinite_oracle(K) == (ratio < -1e-3)
+
+    def test_non_finite_gram_named(self):
+        K = np.eye(3)
+        K[1, 2] = np.nan
+        with pytest.raises(ValueError, match=r"Gram matrix has a non-finite value nan "
+                                             r"at entry \(1, 2\)"):
+            svm_train_binary(K, [1.0, -1.0, 1.0], C=1.0)
+        spec = KernelSpec("localized", {"N": 8.0, "q": 2, "gamma": 1.0})
+        G = GramMatrix(entries=K, spec=spec, point_ids=[0, 1, 2])
+        with pytest.raises(ValueError, match=r"localized kernel \(N=8, q=2"):
+            one_vs_rest_train(G, [0, 1, 2], C=1.0)
 
     @staticmethod
     def _oracle_problem(case):

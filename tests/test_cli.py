@@ -196,6 +196,16 @@ class TestSweepCommands:
         header = (tmp_path / "sweep_r002.csv").read_text().splitlines()[0]
         assert header.startswith("r_swept,")
 
+    def test_sweep_dim_skip_prints_cause(self, tmp_path, knn_config, capsys):
+        code = run(
+            ["--out-dir", str(tmp_path), "sweep-dim", "--synthetic", "--per-cell", "2",
+             "--config", knn_config, "--r-values", "2,5000"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "r=5000: skipped (r=5000 out of range for " in out
+        assert not (tmp_path / "sweep_r5000.csv").exists()
+
     def test_sweep_dim_bad_values(self, tmp_path, capsys):
         code = run(
             ["--out-dir", str(tmp_path), "sweep-dim", "--synthetic",

@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lockern import experiments
+from lockern import experiments, kernels
 from lockern.experiments import (
     ExperimentConfig,
+    MissingClassError,
     gen_circle,
     gen_synthetic_gestures,
     holdout_subject,
@@ -19,6 +20,7 @@ from lockern.experiments import (
     _sample_features,
     _stratified_split,
 )
+from lockern.features import RankError
 from preprocess_oracle import preprocess_oracle
 
 
@@ -313,6 +315,24 @@ class TestRunExperiment:
             == "grassmann SVD SVM"
         )
 
+    def test_method_name_builds_no_kernel(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel built")
+
+        monkeypatch.setattr(kernels, "build_localized_kernel", refuse)
+        config = ExperimentConfig(kernel_params={"N": 8.0, "q": 18}, r=30)
+        assert config.method_name() == "PCA LocSVM64"
+
+    @pytest.mark.parametrize("N", [0.5, 0.0])
+    def test_invalid_bandwidth_raises_before_any_row(self, small_gestures, N):
+        config = ExperimentConfig(kernel_params={"N": N}, trials=1)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            config.method_name()
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            run_experiment(config, small_gestures)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            holdout_subject(config, small_gestures)
+
 
 class TestSweeps:
     def test_dimension_sweep_clamps_q(self, small_gestures):
@@ -328,8 +348,32 @@ class TestSweeps:
     def test_dimension_sweep_skips_invalid_svd_rank(self, small_gestures):
         config = ExperimentConfig(feature="svd", kernel_kind="grassmann", trials=1, seed=42)
         out = sweep_dimension(config, small_gestures, [2, 10_000])
-        assert out[0][1] is not None
-        assert out[1][1] is None
+        assert isinstance(out[0][1], experiments.ResultTable)
+        assert isinstance(out[1][1], RankError)
+        assert str(out[1][1]).startswith("r=10000 out of range for 64x")
+
+    def test_dimension_sweep_skips_pca_rank(self, small_gestures):
+        config = ExperimentConfig(classifier="knn", knn_k=1, trials=1, seed=42)
+        out = sweep_dimension(config, small_gestures, [2, 10_000])
+        assert isinstance(out[0][1], experiments.ResultTable)
+        assert isinstance(out[1][1], RankError)
+
+    def test_sweeps_propagate_other_errors(self, small_gestures):
+        # an invalid bandwidth is not a rank or missing-class cause
+        config = ExperimentConfig(kernel_params={"N": 0.5}, trials=1, seed=42)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            sweep_dimension(config, small_gestures, [2, 6])
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            sweep_train_fraction(config, small_gestures, fractions=(0.5,))
+
+    def test_sweep_skips_missing_class(self, small_gestures, monkeypatch):
+        def missing(*args):
+            raise MissingClassError("a class is missing from the training fold")
+
+        monkeypatch.setattr(experiments, "_fit_and_score", missing)
+        config = ExperimentConfig(classifier="knn", knn_k=1, r=6, trials=1, seed=42)
+        (out,) = sweep_train_fraction(config, small_gestures, fractions=(0.5,))
+        assert isinstance(out[1], MissingClassError)
 
     def test_fraction_one_matches_plain_run(self, small_gestures):
         config = ExperimentConfig(classifier="knn", knn_k=1, r=6, trials=1, seed=42)

@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_oracle import clenshaw_oracle
 
 from lockern.hermite import (
     build_localized_kernel,
@@ -12,6 +13,7 @@ from lockern.hermite import (
     eval_localized,
     eval_localized_direct,
     hermite_batch,
+    localized_degree,
     proj_kernel_value,
     psi,
 )
@@ -166,6 +168,17 @@ class TestBuildLocalizedKernel:
         with pytest.raises(ValueError):
             build_localized_kernel(4, 0)
 
+    @pytest.mark.parametrize("N", [1.0, 1.5, 2.0, 3.7, 4.0, 8.0, 32.0])
+    def test_degree_helper_matches_built_kernel(self, N):
+        assert localized_degree(N, 18) == build_localized_kernel(N, 18).degree
+
+    @pytest.mark.parametrize("N, q", [(0.5, 2), (4.0, 0), (0.5, 0)])
+    def test_degree_helper_raises_as_build(self, N, q):
+        with pytest.raises(ValueError) as built:
+            build_localized_kernel(N, q)
+        with pytest.raises(ValueError, match=f"^{built.value}$"):
+            localized_degree(N, q)
+
     @pytest.mark.parametrize("q", [1, 2, 5])
     def test_equals_cutoff_weighted_projection_sum(self, q):
         # the coefficient expansion must reproduce the defining sum exactly
@@ -180,6 +193,35 @@ class TestBuildLocalizedKernel:
 
 
 class TestEvalLocalized:
+    @pytest.mark.parametrize("N, q", [(1.0, 1), (4.0, 2), (8.0, 18), (12.0, 5)])
+    def test_in_place_pass_matches_allocating_oracle(self, N, q):
+        spec = build_localized_kernel(N, q, 1.0)
+        rng = np.random.default_rng(int(N * 100 + q))
+        arrays = [
+            rng.uniform(-15.0, 15.0, 257),
+            rng.uniform(-6.0, 6.0, (9, 13)),
+            np.array(2.5),
+            np.array([0.0, -0.0]),
+            np.linspace(0.0, 40.0, 81)[::2],  # non-contiguous
+            np.zeros((0,)),
+        ]
+        for x in arrays:
+            got, want = eval_localized(spec, x), clenshaw_oracle(spec, x)
+            assert type(got) is type(want)
+            assert np.asarray(got).shape == np.asarray(want).shape
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        for x in (0.0, -0.0, 1.25, np.float64(-3.5), 7):
+            got, want = eval_localized(spec, x), clenshaw_oracle(spec, x)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_input_array_unchanged(self):
+        spec = build_localized_kernel(4.0, 2)
+        x = np.linspace(-3.0, 3.0, 7)
+        before = x.copy()
+        eval_localized(spec, x)
+        np.testing.assert_array_equal(x, before)
+
     @pytest.mark.parametrize("N", [1.0, 2.0, 4.0, 8.0])
     @pytest.mark.parametrize("q", [1, 2, 10, 18])
     def test_clenshaw_matches_direct(self, N, q):

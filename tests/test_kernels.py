@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_oracle import full_gram_oracle
 
 from lockern import kernels
 from lockern.features import SubspaceFeature
@@ -225,6 +226,48 @@ class TestCrossGram:
         np.testing.assert_array_equal(G, G.T)
         np.testing.assert_allclose(G, cross_gram(spec, pts, pts), rtol=1e-14, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "case, block_elems",
+        [("single", None), ("duplicates", None), ("blocks", 512), ("rows", 8),
+         ("large", None)],
+    )
+    @pytest.mark.parametrize("kind", ["euclidean_rbf", "localized"])
+    def test_flat_gram_is_exactly_symmetrised_cross_gram(self, kind, case, block_elems,
+                                                          monkeypatch):
+        rng = np.random.default_rng(34)
+        sizes = {"single": (1, 4), "duplicates": (9, 4), "blocks": (30, 4),
+                 "rows": (13, 3), "large": (200, 30)}
+        M, dim = sizes[case]
+        pts = [rng.standard_normal(dim) for _ in range(M)]
+        if case == "duplicates":
+            pts[5] = pts[2].copy()
+            pts[8] = pts[2].copy()
+        if block_elems is not None:
+            monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block_elems)
+        blocks = list(kernels._row_blocks(M, M * dim))
+        if case in ("blocks", "large"):
+            assert len(blocks) > 2 and blocks[0].stop - blocks[0].start > 1
+        if case == "rows":
+            assert all(b.stop - b.start == 1 for b in blocks)
+        spec = CROSS_GRAM_SPECS[kind]
+        G = gram(spec, pts).entries
+        assert G.tobytes() == full_gram_oracle(spec, pts).tobytes()
+
+    @pytest.mark.parametrize("M", [1, 2, 30])
+    def test_localized_gram_evaluates_upper_triangle_once(self, M, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMS", 512)
+        calls = []
+        real = kernels.eval_localized
+
+        def counting(spec, x):
+            calls.append(np.size(x))
+            return real(spec, x)
+
+        monkeypatch.setattr(kernels, "eval_localized", counting)
+        rng = np.random.default_rng(35)
+        gram(CROSS_GRAM_SPECS["localized"], [rng.standard_normal(4) for _ in range(M)])
+        assert calls == [M * (M + 1) // 2]
+
     def test_rejects_non_orthonormal_basis(self):
         rng = np.random.default_rng(33)
         spec = CROSS_GRAM_SPECS["grassmann"]
@@ -259,6 +302,34 @@ class TestCrossGram:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             cross_gram(KernelSpec("euclidean_rbf"), [np.zeros(2)], [])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+class TestNonFinite:
+    # the unscaled Clenshaw pass of N=32 overflows to NaN at distance >= 40
+    SPEC = KernelSpec("localized", {"N": 32.0, "q": 18, "gamma": 1.0})
+    PTS = [np.array([0.0]), np.array([1.0]), np.array([41.0])]
+
+    def test_gram_names_kernel_and_entry(self):
+        with pytest.raises(ValueError, match=r"localized kernel \(N=32, q=18, gamma=1, "
+                                             r"degree 1024\) gave a non-finite value nan "
+                                             r"at entry \(0, 2\)"):
+            gram(self.SPEC, self.PTS)
+
+    def test_cross_gram_names_kernel_and_entry(self):
+        with pytest.raises(ValueError, match=r"N=32, q=18.* at entry \(1, 0\)"):
+            cross_gram(self.SPEC, self.PTS[:1] + [np.array([60.0])], self.PTS[:1])
+
+    def test_other_kinds_name_their_parameters(self):
+        spec = KernelSpec("euclidean_rbf", {"gamma": -1.0})
+        with pytest.raises(ValueError, match=r"euclidean_rbf kernel \(gamma=-1.0\) gave a "
+                                             r"non-finite value inf at entry \(0, 1\)"):
+            gram(spec, [np.array([0.0]), np.array([30.0])])
+
+    def test_finite_far_field_accepted(self):
+        G = gram(KernelSpec("localized", {"N": 8.0, "q": 18, "gamma": 1.0}), self.PTS)
+        assert np.all(np.isfinite(G.entries))
 
 
 class TestKernelSpec:
