@@ -330,6 +330,16 @@ class TestEvaluateAndProfile:
         error_profile(model, np.zeros(3), [np.array([0.5]), np.array([1.0]), np.array([3.0])])
         assert calls == [(3, 2)]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_kernel_value_named(self):
+        # the unscaled Clenshaw pass of N=32 overflows to NaN at distance >= 40
+        model = CollocationModel(nodes=[np.array([0.0]), np.array([1.0])],
+                                 coeffs=np.ones(2), eta=1.0, dominance_ratio=0.0,
+                                 spec=KernelSpec("localized", {"N": 32.0, "q": 18, "gamma": 1.0}))
+        with pytest.raises(ValueError, match=r"N=32, q=18.* at entry \(1, 0\)"):
+            error_profile(model, np.zeros(2), [np.array([0.5]), np.array([45.0])])
+
     def test_needs_flat_kernel(self):
         model = CollocationModel(nodes=[np.eye(3)[:, :1]], coeffs=np.ones(1),
                                  spec=KernelSpec("grassmann"), eta=np.inf, dominance_ratio=0.0)
