@@ -1,12 +1,11 @@
 """Paired benchmark runs of a base commit against a changed commit.
 
-    python3 scripts/bench_pairs.py --base REF [--head REF] --label NAME
-        [--workloads a,b] [--pairs 10] [--seconds 20] [--seed0 40]
+    python3 scripts/bench_pairs.py --base REF [--head REF] --label NAME [--seed0 40]
 
 Exports both commits' committed files (`git archive`) into a temporary
-directory, then runs `bench/run.py --trace 0` of each export in `--pairs`
-pairs per workload, with seeds seed0, seed0+1, ... and alternating which side
-runs first. Writes `BENCH_<label>.json` at the repository root: per workload
+directory, then runs `bench/run.py --trace 0` of each export in 10 pairs per
+workload of `BENCHMARK.json`, each run `run_seconds` long, with seeds seed0,
+seed0+1, ... and alternating which side runs first. Writes `BENCH_<label>.json` at the repository root: per workload
 and end-to-end metric, each side's median and quartiles and every value, the
 change's wins, ties and losses, and whether the gain rule and the metric's
 regression bound (both from `BENCHMARK.json`) hold; plus the seeds, both
@@ -25,6 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+PAIRS = 10
 
 
 def quartiles(values) -> dict:
@@ -103,11 +103,6 @@ def parse_args(argv):
     p.add_argument("--base", required=True, help="git ref of the base (parent) commit")
     p.add_argument("--head", default="HEAD", help="git ref of the changed commit")
     p.add_argument("--label", required=True, help="output is BENCH_<label>.json")
-    p.add_argument("--workloads", default=None,
-                   help="comma-separated; default every workload in BENCHMARK.json")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=None,
-                   help="run length; default run_seconds of BENCHMARK.json")
     p.add_argument("--seed0", type=int, default=40, help="seed of the first pair")
     return p.parse_args(argv)
 
@@ -116,10 +111,9 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
-    seeds = list(range(args.seed0, args.seed0 + args.pairs))
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    seeds = list(range(args.seed0, args.seed0 + PAIRS))
     refs = {"base": args.base, "change": args.head}
     commits = {side: {"ref": ref, "sha": git("rev-parse", "--verify", f"{ref}^{{commit}}")}
                for side, ref in refs.items()}

@@ -13,10 +13,10 @@ import numpy as np
 from .kernels import (
     DiscreteQuadrature,
     KernelSpec,
+    _cross_gram_sq_dists,
     _sq_dists,
     _stack,
     cross_gram,
-    cross_gram_sq_dists,
     gram,
 )
 # Unused here: the per-pair kernels stay importable from this module because
@@ -175,7 +175,7 @@ def error_profile(model: CollocationModel, truth, probes) -> ErrorProfile:
     truth = np.asarray(truth, dtype=float)
     if len(probes) == 0:
         raise ValueError("no probes")
-    K, d2 = cross_gram_sq_dists(model.spec, probes, model.nodes)
+    K, d2 = _cross_gram_sq_dists(model.spec, probes, model.nodes)
     vals = K @ model.coeffs
     # sqrt is monotone and correctly rounded: the root of the least square
     # is the least root

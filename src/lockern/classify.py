@@ -63,14 +63,12 @@ def _gram_entries(gram: GramMatrix | np.ndarray):
     return np.asarray(gram, dtype=float), None
 
 
-def _check_problem(K: np.ndarray, spec: KernelSpec | None, labels, C: float) -> np.ndarray:
-    """Validated +-1 targets of one binary problem on the Gram K of the
-    kernel spec (None when unknown)."""
+def _check_problem(K: np.ndarray, labels, C: float) -> np.ndarray:
+    """Validated +-1 targets of one binary problem on the Gram K."""
     y = np.asarray(labels, dtype=float)
     M = len(y)
     if K.shape != (M, M):
         raise ValueError("gram/label size mismatch")
-    _check_finite(spec, K)
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be in {-1, +1}")
     if len(np.unique(y)) < 2:
@@ -112,7 +110,8 @@ def svm_train_binary(gram: GramMatrix | np.ndarray, labels, C: float = 1.0) -> S
     Warns when the Gram matrix is noticeably indefinite.
     """
     K, spec = _gram_entries(gram)
-    y = _check_problem(K, spec, labels, C)
+    y = _check_problem(K, labels, C)
+    _check_finite(spec, K)
     _warn_if_indefinite(K)
     return _smo(K, spec, y, C)
 
@@ -204,8 +203,10 @@ def one_vs_rest_train(gram: GramMatrix | np.ndarray, labels, C: float = 1.0) -> 
     if len(classes) < 2:
         raise ValueError("need at least two classes")
     K, spec = _gram_entries(gram)
-    targets = [_check_problem(K, spec, y, C) for y in signs]
-    _warn_if_indefinite(K)  # once per Gram, not once per class
+    targets = [_check_problem(K, y, C) for y in signs]
+    # once per Gram, not once per class
+    _check_finite(spec, K)
+    _warn_if_indefinite(K)
     models = [_smo(K, spec, y, C) for y in targets]
     return MulticlassModel(models=models, classes=classes)
 

@@ -35,7 +35,6 @@ __all__ = [
     "localized_distance_kernel",
     "kernel_fn",
     "cross_gram",
-    "cross_gram_sq_dists",
     "gram",
     "psi_kernel",
 ]
@@ -273,7 +272,8 @@ def _radial_profile(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
 
 
 def _kernel_matrix(spec: KernelSpec, FA: tuple, FB: tuple) -> np.ndarray:
-    """K[i, j] = k(A[i], B[j]) from the stacked features of A and B."""
+    """K[i, j] = k(A[i], B[j]) from the stacked features of A and B, for the
+    Grassmann and SVD kinds (flat kinds: `_cross_gram_sq_dists`)."""
     if any(a.shape[1:] != b.shape[1:] for a, b in zip(FA, FB)):
         raise ValueError("feature shape mismatch")
     p = spec.params
@@ -289,8 +289,7 @@ def _kernel_matrix(spec: KernelSpec, FA: tuple, FB: tuple) -> np.ndarray:
         if spec.kind == "laplace_svd":
             return np.exp(-p["alpha"] * np.sqrt(dU) - p["beta"] * np.sqrt(dS))
         return np.exp(-p["alpha"] * dU - p["beta"] * dS)
-    (XA,), (XB,) = FA, FB
-    return _radial_profile(spec, _sq_dists(XA, XB))
+    raise ValueError(f"{spec.kind} is a kernel on flat vectors")
 
 
 def _flat_gram(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
@@ -308,14 +307,16 @@ def _flat_gram(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
         d2 = _sq_dists(X[rows], X[rows.start:])
         upper = np.arange(d2.shape[1]) >= np.arange(d2.shape[0])[:, None]
         upper_d2.append(d2[upper])
-        blocks.append((rows, upper))
-    values = _radial_profile(spec, np.concatenate(upper_d2))
+        blocks.append((rows, upper, len(upper_d2[-1])))
+    values = np.concatenate(upper_d2)
+    del upper_d2  # only the block lengths are needed from here on
+    values = _radial_profile(spec, values)
     K = np.empty((M, M))
     end = 0
-    for (rows, upper), d2 in zip(blocks, upper_d2):
-        start, end = end, end + len(d2)
+    for rows, upper, n_upper in blocks:
+        start, end = end, end + n_upper
         K[rows, rows.start:][upper] = values[start:end]
-    for rows, upper in blocks:
+    for rows, upper, _ in blocks:
         s, n = rows.start, rows.stop - rows.start
         K[rows, :s] = K[:s, rows].T
         diag, lower = K[rows, rows], ~upper[:, :n]
@@ -351,12 +352,14 @@ def cross_gram(spec: KernelSpec, A: Sequence, B: Sequence) -> np.ndarray:
     sequence, on features of unequal shape, on a non-orthonormal Grassmann
     basis, and on a non-finite kernel value.
     """
+    if spec.kind in FLAT_KINDS:
+        return _cross_gram_sq_dists(spec, A, B)[0]
     K = _kernel_matrix(spec, _stacked_features(spec, A), _stacked_features(spec, B))
     _check_finite(spec, K)
     return K
 
 
-def cross_gram_sq_dists(spec: KernelSpec, A: Sequence, B: Sequence) -> tuple:
+def _cross_gram_sq_dists(spec: KernelSpec, A: Sequence, B: Sequence) -> tuple:
     """(cross_gram(spec, A, B), squared Euclidean distances between the
     points of A and B) for a flat kind, from one distance pass."""
     if spec.kind not in FLAT_KINDS:

@@ -203,7 +203,7 @@ class TestPerSampleWorkOnce:
         decomposed = _record_calls(monkeypatch, "svd_features")
         config = ExperimentConfig(feature="svd", kernel_kind="grassmann", trials=1)
         out = sweep_dimension(config, small_gestures, [2, 3, 4, 5])
-        assert all(table is not None for _, table in out)
+        assert all(isinstance(table, experiments.ResultTable) for _, table in out)
         assert _once_each(preprocessed, small_gestures.samples)
         # SVD features depend on r: once per sample and r value
         assert len(decomposed) == 4 * len(small_gestures.samples)
@@ -342,7 +342,7 @@ class TestSweeps:
         out = sweep_dimension(config, small_gestures, [2, 6])
         assert [r for r, _ in out] == [2, 6]
         for _, table in out:
-            assert table is not None
+            assert isinstance(table, experiments.ResultTable)
             assert table.rows[0].accuracy_mean >= 25.0
 
     def test_dimension_sweep_skips_invalid_svd_rank(self, small_gestures):
@@ -384,7 +384,7 @@ class TestSweeps:
     def test_fraction_sweep_shrinks_pool(self, small_gestures):
         config = ExperimentConfig(classifier="knn", knn_k=1, r=6, trials=1, seed=42)
         out = sweep_train_fraction(config, small_gestures, fractions=(0.3, 1.0))
-        assert all(table is not None for _, table in out)
+        assert all(isinstance(table, experiments.ResultTable) for _, table in out)
 
 
 class TestHoldout:
