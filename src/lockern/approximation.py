@@ -14,7 +14,7 @@ from .kernels import (
     DiscreteQuadrature,
     KernelSpec,
     _cross_gram_sq_dists,
-    _sq_dists,
+    _min_separation,
     _stack,
     cross_gram,
     gram,
@@ -67,19 +67,11 @@ class ErrorProfile:
                 w.writerow([repr(float(d)), repr(float(e)), repr(float(v))])
 
 
-def _distances(A, B) -> np.ndarray:
-    """Euclidean distances between the (flattened) points of A and of B."""
-    XA = _stack([np.ravel(a) for a in A])
-    XB = _stack([np.ravel(b) for b in B])
-    return np.sqrt(_sq_dists(XA, XB))
-
-
 def minimal_separation(points) -> float:
     """Smallest Euclidean distance between two distinct points of the set."""
     if len(points) < 2:
         raise ValueError("need at least two points")
-    d = _distances(points, points)
-    return float(d[np.triu_indices(len(points), 1)].min())
+    return _min_separation(_stack([np.ravel(p) for p in points]))
 
 
 def _collocation_matrix(spec: KernelSpec, nodes) -> np.ndarray:

@@ -4,13 +4,12 @@ and a deterministic k-nearest-neighbor vote.
 """
 from __future__ import annotations
 
-import ast
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GramMatrix, KernelSpec, _check_finite
+from .kernels import GramMatrix, KernelSpec, _check_finite, _sq_dists, _stack
 
 __all__ = [
     "SvmModel",
@@ -21,8 +20,6 @@ __all__ = [
     "one_vs_rest_train",
     "one_vs_rest_predict",
     "knn_predict",
-    "dump_model",
-    "load_model",
 ]
 
 KKT_TOL = 1e-3
@@ -221,65 +218,27 @@ def one_vs_rest_predict(mc: MulticlassModel, kernel_row: np.ndarray):
     return mc.classes[int(np.argmax(scores))]
 
 
-def knn_predict(train_features, train_labels, x, k: int, metric):
-    """Majority vote among the k nearest training points.
+def knn_predict(train_features, train_labels, test_features, k: int) -> list:
+    """Majority vote among the k nearest training points (Euclidean), one
+    label per test vector.
 
     Ties break by smaller mean distance among tied classes, then by lowest
-    label; fully deterministic.
+    `str(label)`; fully deterministic.
     """
-    if len(train_features) == 0:
+    n_train = len(train_features)
+    if n_train == 0:
         raise ValueError("empty training set")
-    if k < 1 or k > len(train_features):
+    if k < 1 or k > n_train:
         raise ValueError("k out of range")
-    dists = np.array([metric(x, f) for f in train_features])
-    order = np.argsort(dists, kind="stable")[:k]
-    votes = {}
-    for idx in order:
-        lab = train_labels[idx]
-        cnt, dsum = votes.get(lab, (0, 0.0))
-        votes[lab] = (cnt + 1, dsum + dists[idx])
-    ranked = sorted(votes.items(), key=lambda kv: (-kv[1][0], kv[1][1] / kv[1][0], str(kv[0])))
-    return ranked[0][0]
-
-
-def dump_model(model: SvmModel, path) -> None:
-    """Plain-text dump: header lines, then one `index,coefficient` line per
-    support vector."""
-    with open(path, "w") as fh:
-        kind = model.spec.kind if model.spec is not None else "none"
-        params = model.spec.params if model.spec is not None else {}
-        fh.write(f"kernel={kind}\n")
-        fh.write("params=" + ",".join(f"{k}:{v!r}" for k, v in sorted(params.items())) + "\n")
-        fh.write(f"C={model.C!r}\n")
-        fh.write(f"bias={model.bias!r}\n")
-        for idx, coef in zip(model.support_ids, model.support_coeffs):
-            fh.write(f"{int(idx)},{float(coef)!r}\n")
-
-
-def load_model(path) -> SvmModel:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    header = dict(ln.split("=", 1) for ln in lines[:4])
-    kind = header["kernel"]
-    spec = None
-    if kind != "none":
-        params = {}
-        if header["params"]:
-            for item in header["params"].split(","):
-                k, v = item.split(":", 1)
-                params[k] = ast.literal_eval(v)
-        spec = KernelSpec(kind=kind, params=params)
-    ids, coeffs = [], []
-    for ln in lines[4:]:
-        if not ln:
-            continue
-        i, c = ln.split(",")
-        ids.append(int(i))
-        coeffs.append(float(c))
-    return SvmModel(
-        support_coeffs=np.array(coeffs),
-        support_ids=np.array(ids, dtype=int),
-        bias=float(header["bias"]),
-        spec=spec,
-        C=float(header["C"]),
-    )
+    X = _stack([np.ravel(v) for v in (*train_features, *test_features)])
+    dists = np.sqrt(_sq_dists(X[n_train:], X[:n_train]))
+    preds = []
+    for row, order in zip(dists, np.argsort(dists, axis=1, kind="stable")[:, :k]):
+        votes = {}
+        for idx in order:
+            lab = train_labels[idx]
+            cnt, dsum = votes.get(lab, (0, 0.0))
+            votes[lab] = (cnt + 1, dsum + row[idx])
+        ranked = sorted(votes.items(), key=lambda kv: (-kv[1][0], kv[1][1] / kv[1][0], str(kv[0])))
+        preds.append(ranked[0][0])
+    return preds

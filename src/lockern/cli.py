@@ -29,16 +29,6 @@ from .features import Spectrogram, svd_features, zero_pad_vectorize
 from .hermite import build_localized_kernel, eval_localized
 from .io import read_manifest, read_spectrogram_csv
 
-BENCHMARKS = (
-    "localization",
-    "interpolation",
-    "decay",
-    "dominance",
-    "orthonormality",
-    "reduction",
-)
-
-
 class UsageError(Exception):
     pass
 
@@ -61,7 +51,7 @@ def _parser() -> argparse.ArgumentParser:
     ke.add_argument("--steps", type=int, default=100)
     ke.add_argument("--output", default="-")
 
-    v = sub.add_parser("verify", help="run a named diagnostic benchmark")
+    v = sub.add_parser("verify", help="run a named diagnostic benchmark, or all of them")
     v.add_argument("--benchmark", required=True)
 
     f = sub.add_parser("features", help="extract features for a manifest")
@@ -178,15 +168,17 @@ def _cmd_kernel_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.benchmark not in BENCHMARKS:
+    names = diagnostics.BENCHMARKS if args.benchmark == "all" else (args.benchmark,)
+    if not set(names) <= set(diagnostics.BENCHMARKS):
         raise UsageError(
-            f"unknown benchmark {args.benchmark!r}; choose from {', '.join(BENCHMARKS)}"
+            f"unknown benchmark {args.benchmark!r}; choose from "
+            f"{', '.join(diagnostics.BENCHMARKS)} or all"
         )
-    results = diagnostics.run_benchmark(args.benchmark)
     ok = True
-    for name, passed, detail in results:
-        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-        ok = ok and passed
+    for bench in names:
+        for name, passed, detail in diagnostics.run_benchmark(bench):
+            print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
+            ok = ok and passed
     return 0 if ok else 1
 
 

@@ -20,7 +20,8 @@ from .hermite import (
 )
 from .kernels import KernelSpec
 
-__all__ = ["run_benchmark", "circle_fit", "circle_probes", "localization_constant", "overfit_errors"]
+__all__ = ["BENCHMARKS", "run_benchmark", "circle_fit", "circle_probes",
+           "localization_constant", "overfit_errors"]
 
 
 def localization_constant(N: float, q: int, S: int, x_max: float = 20.0, steps: int = 2000):
@@ -177,6 +178,9 @@ _BENCHES = {
     "dominance": _bench_dominance,
     "orthonormality": _bench_orthonormality,
 }
+
+# the benchmark names, in the order `lockern verify --benchmark all` runs them
+BENCHMARKS = tuple(_BENCHES)
 
 
 def run_benchmark(name: str):

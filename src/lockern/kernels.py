@@ -49,7 +49,7 @@ DEFAULT_PARAMS = {
     "laplace_svd": {"alpha": 0.2, "beta": 0.0042},
     "gaussian_svd": {"alpha": 0.2, "beta": 0.12},
     "euclidean_rbf": {"gamma": 2.1e-7},
-    "localized": {"gamma": 0.8, "N": 4.0, "q": 2},
+    "localized": {"gamma": 0.8, "N": 4.0, "q": 18},
 }
 
 
@@ -292,22 +292,41 @@ def _kernel_matrix(spec: KernelSpec, FA: tuple, FB: tuple) -> np.ndarray:
     raise ValueError(f"{spec.kind} is a kernel on flat vectors")
 
 
+def _upper_sq_dists(X: np.ndarray, k: int = 0):
+    """The squared distances between the rows of X on and above the k-th
+    diagonal (k as in np.triu), one row block at a time.
+
+    Each row block is paired with the columns from the block start. Yields
+    (rows, upper, values): `upper` masks the wanted entries of that
+    (rows, M - rows.start) block and `values` are those entries in row-major
+    order. Only block-sized temporaries are made.
+    """
+    for rows in _row_blocks(len(X), X.size):
+        d2 = _sq_dists(X[rows], X[rows.start:])
+        upper = np.arange(d2.shape[1]) >= np.arange(d2.shape[0])[:, None] + k
+        yield rows, upper, d2[upper]
+
+
+def _min_separation(X: np.ndarray) -> float:
+    """Smallest Euclidean distance between two distinct rows of X (at least
+    two rows). sqrt is monotone and correctly rounded, so the root of the
+    least squared distance is the least distance."""
+    return float(np.sqrt(min(v.min() for _, _, v in _upper_sq_dists(X, 1) if v.size)))
+
+
 def _flat_gram(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
     """Gram matrix of a flat kind on the rows of X from its upper triangle.
 
-    Each row block is paired with the columns from the block start, and only
-    the entries on or above the diagonal are kept; one profile call maps them
-    all, and the lower triangle is their mirror image. Direct differences
-    give d2(i, j) and d2(j, i) bitwise equal, so the mirror is exactly what
-    the full matrix would hold.
+    One profile call maps the entries on or above the diagonal
+    (`_upper_sq_dists`), and the lower triangle is their mirror image.
+    Direct differences give d2(i, j) and d2(j, i) bitwise equal, so the
+    mirror is exactly what the full matrix would hold.
     """
     M = len(X)
     blocks, upper_d2 = [], []
-    for rows in _row_blocks(M, X.size):
-        d2 = _sq_dists(X[rows], X[rows.start:])
-        upper = np.arange(d2.shape[1]) >= np.arange(d2.shape[0])[:, None]
-        upper_d2.append(d2[upper])
-        blocks.append((rows, upper, len(upper_d2[-1])))
+    for rows, upper, d2 in _upper_sq_dists(X):
+        upper_d2.append(d2)
+        blocks.append((rows, upper, len(d2)))
     values = np.concatenate(upper_d2)
     del upper_d2  # only the block lengths are needed from here on
     values = _radial_profile(spec, values)

@@ -1,6 +1,7 @@
 """Reference bodies that the kernel layer replaced, kept as exact-equality
 oracles: the allocating Clenshaw pass, the full flat Gram symmetrised after
-the fact, the two-pass error profile, and the `eigvalsh`-only
+the fact, the two-pass error profile, the minimal separation from the full
+distance matrix, the per-pair k-NN vote, and the `eigvalsh`-only
 indefiniteness test.
 """
 from __future__ import annotations
@@ -9,9 +10,8 @@ import math
 
 import numpy as np
 
-from lockern import approximation
 from lockern.hermite import LocalizedKernelSpec
-from lockern.kernels import KernelSpec, cross_gram
+from lockern.kernels import KernelSpec, _sq_dists, _stack, cross_gram
 
 PI_QUARTER = math.pi ** (-0.25)
 
@@ -40,12 +40,43 @@ def full_gram_oracle(spec: KernelSpec, points) -> np.ndarray:
     return 0.5 * (C + C.T)
 
 
+def distances(A, B) -> np.ndarray:
+    """Euclidean distances between the (flattened) points of A and of B, as
+    a full matrix."""
+    XA = _stack([np.ravel(a) for a in A])
+    XB = _stack([np.ravel(b) for b in B])
+    return np.sqrt(_sq_dists(XA, XB))
+
+
 def error_profile_oracle(model, probes):
     """(model values, nearest-node distances) in probe order, from two
     distance passes."""
     values = cross_gram(model.spec, probes, model.nodes) @ model.coeffs
-    delta = approximation._distances(probes, model.nodes).min(axis=1)
+    delta = distances(probes, model.nodes).min(axis=1)
     return values, delta
+
+
+def minimal_separation_oracle(points) -> float:
+    """The least entry above the diagonal of the full distance matrix."""
+    d = distances(points, points)
+    return float(d[np.triu_indices(len(points), 1)].min())
+
+
+def knn_oracle(train, labels, x, k):
+    """The k-NN vote of acceptance criterion 12: one `np.linalg.norm` per
+    pair, a sort on (distance, index), ties by mean distance, then label."""
+    def metric(a, b):
+        return float(np.linalg.norm(a - b))
+
+    dists = sorted(range(len(train)), key=lambda i: (metric(x, train[i]), i))[:k]
+    votes = {}
+    for i in dists:
+        cnt, total = votes.get(labels[i], (0, 0.0))
+        votes[labels[i]] = (cnt + 1, total + metric(x, train[i]))
+    ranked = sorted(
+        votes.items(), key=lambda kv: (-kv[1][0], kv[1][1] / kv[1][0], str(kv[0]))
+    )
+    return ranked[0][0]
 
 
 def indefinite_oracle(K: np.ndarray) -> bool:

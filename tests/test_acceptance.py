@@ -221,4 +221,4 @@ def test_criterion_12_knn_oracle_equivalence():
         for _ in range(200):
             x = rng.standard_normal(4)
             k = int(rng.integers(1, 8))
-            assert knn_predict(train, labels, x, k, metric) == oracle(train, labels, x, k)
+            assert knn_predict(train, labels, [x], k) == [oracle(train, labels, x, k)]

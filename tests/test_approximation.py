@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from kernel_oracle import error_profile_oracle
+from kernel_oracle import error_profile_oracle, minimal_separation_oracle
 from scipy.spatial.distance import pdist
 
 from lockern import approximation, kernels
@@ -50,6 +51,36 @@ class TestMinimalSeparation:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             minimal_separation([np.zeros(2)])
+
+    @pytest.mark.parametrize("points", [
+        [np.array([0.0, 1.0]), np.array([2.0, -1.0])],
+        [np.array([0.5]), np.array([2.0]), np.array([0.5]), np.array([-1.0])],
+    ], ids=["two", "duplicate"])
+    def test_equals_full_matrix_oracle(self, points):
+        assert minimal_separation(points) == minimal_separation_oracle(points)
+
+    @pytest.mark.parametrize("M", [49, 50])
+    @pytest.mark.parametrize("block_elems", [600, 1])
+    def test_row_blocks_equal_full_matrix_oracle(self, M, block_elems, monkeypatch):
+        # 3-vectors: 600 elements give 4-row blocks; M = 49 ends on a block
+        # of one row, which has no entry above the diagonal
+        rng = np.random.default_rng(M)
+        pts = list(rng.standard_normal((M, 3)))
+        expected = minimal_separation_oracle(pts)
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block_elems)
+        assert minimal_separation(pts) == expected
+
+    def test_gesture_scale_exact_and_block_sized(self):
+        pts = list(np.random.default_rng(7).standard_normal((1920, 30)))
+        tracemalloc.start()
+        try:
+            eta = minimal_separation(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert eta == minimal_separation_oracle(pts)
+        # the full 1920 x 1920 distance matrix alone is 28 MiB
+        assert peak <= 8 * 2**20
 
 
 class TestDominanceDiagnostic:
@@ -325,7 +356,6 @@ class TestEvaluateAndProfile:
             return real(XA, XB)
 
         monkeypatch.setattr(kernels, "_sq_dists", counting)
-        monkeypatch.setattr(approximation, "_sq_dists", counting)
         model = self._toy_model()
         error_profile(model, np.zeros(3), [np.array([0.5]), np.array([1.0]), np.array([3.0])])
         assert calls == [(3, 2)]

@@ -2,22 +2,28 @@ import warnings
 
 import numpy as np
 import pytest
-from kernel_oracle import indefinite_oracle
+from kernel_oracle import indefinite_oracle, knn_oracle
 
-from lockern import classify
+from lockern import classify, kernels
 from lockern.classify import (
     KKT_TOL,
     MAX_PAIR_UPDATES,
     SvmModel,
     MulticlassModel,
-    dump_model,
     knn_predict,
     label_indicators,
-    load_model,
     one_vs_rest_predict,
     one_vs_rest_train,
     svm_predict,
     svm_train_binary,
+)
+from lockern.experiments import (
+    ExperimentConfig,
+    _fold_features,
+    _preprocessed,
+    _sample_features,
+    _stratified_split,
+    gen_synthetic_gestures,
 )
 from lockern.kernels import GramMatrix, KernelSpec, gram
 
@@ -341,72 +347,81 @@ class TestKnn:
         for _ in range(50):
             x = rng.standard_normal(3)
             nearest = int(np.argmin([euclid(x, f) for f in train]))
-            assert knn_predict(train, labels, x, k=1, metric=euclid) == labels[nearest]
+            assert knn_predict(train, labels, [x], k=1) == [labels[nearest]]
 
     def test_majority_vote(self):
         train = [np.array([0.0]), np.array([0.2]), np.array([5.0])]
         labels = ["a", "a", "b"]
-        assert knn_predict(train, labels, np.array([1.0]), k=3, metric=euclid) == "a"
+        assert knn_predict(train, labels, [np.array([1.0])], k=3) == ["a"]
 
     def test_tie_breaks_by_mean_distance(self):
         train = [np.array([-1.0]), np.array([2.0])]
         labels = ["far", "near"]
-        assert knn_predict(train, labels, np.array([1.5]), k=2, metric=euclid) == "near"
+        assert knn_predict(train, labels, [np.array([1.5])], k=2) == ["near"]
 
     def test_exact_tie_breaks_by_label(self):
         train = [np.array([-1.0]), np.array([1.0])]
         labels = ["b", "a"]
-        assert knn_predict(train, labels, np.array([0.0]), k=2, metric=euclid) == "a"
+        assert knn_predict(train, labels, [np.array([0.0])], k=2) == ["a"]
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(6)
         train = [rng.standard_normal(2) for _ in range(20)]
         labels = [f"class{i % 3}" for i in range(20)]
         x = rng.standard_normal(2)
-        first = knn_predict(train, labels, x, k=5, metric=euclid)
+        first = knn_predict(train, labels, [x], k=5)
         for _ in range(5):
-            assert knn_predict(train, labels, x, k=5, metric=euclid) == first
+            assert knn_predict(train, labels, [x], k=5) == first
 
     def test_k_validation(self):
         train = [np.zeros(1)]
-        with pytest.raises(ValueError):
-            knn_predict(train, [0], np.zeros(1), k=2, metric=euclid)
-        with pytest.raises(ValueError):
-            knn_predict([], [], np.zeros(1), k=1, metric=euclid)
+        for k in (0, 2):
+            with pytest.raises(ValueError, match="k out of range"):
+                knn_predict(train, [0], [np.zeros(1)], k=k)
+        with pytest.raises(ValueError, match="empty training set"):
+            knn_predict([], [], [np.zeros(1)], k=1)
+
+    def test_unequal_lengths_rejected(self):
+        train = [np.zeros(2), np.ones(2)]
+        with pytest.raises(ValueError, match="feature shape mismatch"):
+            knn_predict(train, [0, 1], [np.zeros(3)], k=1)
+        with pytest.raises(ValueError, match="feature shape mismatch"):
+            knn_predict([np.zeros(2), np.ones(3)], [0, 1], [np.zeros(2)], k=1)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_gesture_folds_match_oracle(self, gesture_folds, k):
+        for train_f, labels, test_f in gesture_folds:
+            expected = [knn_oracle(train_f, labels, x, k) for x in test_f]
+            assert knn_predict(train_f, labels, test_f, k) == expected
+
+    @pytest.mark.parametrize("block_elems", [1000, 1])
+    def test_row_blocks_give_same_labels(self, block_elems, monkeypatch):
+        rng = np.random.default_rng(8)
+        train = list(rng.standard_normal((40, 3)))
+        labels = [int(v) for v in rng.integers(0, 4, 40)]
+        test = list(rng.standard_normal((300, 3)))
+        whole = knn_predict(train, labels, test, k=5)
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block_elems)
+        assert knn_predict(train, labels, test, k=5) == whole
+        assert whole == [knn_oracle(train, labels, x, 5) for x in test]
 
 
-class TestModelIo:
-    def test_roundtrip(self, tmp_path):
-        X, y = blobs(6, seed=7)
-        spec = KernelSpec("localized", {"N": 4.0, "q": 2, "gamma": 0.8})
-        g = gram(spec, list(X))
-        model = svm_train_binary(g, y, C=2.0)
-        path = tmp_path / "model.txt"
-        dump_model(model, path)
-        back = load_model(path)
-        np.testing.assert_array_equal(back.support_ids, model.support_ids)
-        np.testing.assert_allclose(back.support_coeffs, model.support_coeffs, rtol=1e-15)
-        assert back.bias == model.bias
-        assert back.C == model.C
-        assert back.spec.kind == "localized"
-        assert back.spec.params == model.spec.params
-
-    def test_roundtrip_without_spec(self, tmp_path):
-        K = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        model = svm_train_binary(K, [1.0, -1.0], C=1.0)
-        path = tmp_path / "model.txt"
-        dump_model(model, path)
-        back = load_model(path)
-        assert back.spec is None
-        np.testing.assert_allclose(back.support_coeffs, model.support_coeffs)
-
-    def test_roundtrip_predictions_identical(self, tmp_path):
-        X, y = blobs(6, seed=8)
-        g = gram(KernelSpec("euclidean_rbf", {"gamma": 0.5}), list(X))
-        model = svm_train_binary(g, y, C=1.0)
-        path = tmp_path / "model.txt"
-        dump_model(model, path)
-        back = load_model(path)
-        for i in range(len(y)):
-            row = g.entries[i][model.support_ids]
-            assert svm_predict(back, row) == svm_predict(model, row)
+@pytest.fixture(scope="module")
+def gesture_folds():
+    """(train features, train labels, test features) of four PCA r=30
+    folds, built as run_experiment builds them: two gesture sets, two
+    stratified splits each."""
+    folds = []
+    for seed in (0, 1):
+        ds = gen_synthetic_gestures(per_cell=10, seed=seed)
+        config = ExperimentConfig(classifier="knn", seed=seed)
+        pool = range(len(ds.samples))
+        per_sample = _sample_features(config, _preprocessed(config.preprocessing, ds.samples, pool))
+        labels = np.array([s.label for s in ds.samples])
+        frames = max(s.data.shape[1] for s in ds.samples)
+        for trial in range(2):
+            rng = np.random.default_rng(seed + trial)
+            train_idx, test_idx = _stratified_split(labels, config.train_ratio, rng)
+            train_f, test_f = _fold_features(config, per_sample, train_idx, test_idx, frames)
+            folds.append((train_f, labels[train_idx].tolist(), test_f))
+    return folds

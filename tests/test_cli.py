@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lockern import experiments
+from lockern import diagnostics, experiments
 from lockern.cli import main
 from lockern.features import Spectrogram
 from lockern.io import write_manifest, write_spectrogram_csv
@@ -63,6 +63,23 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+
+    def test_all_runs_every_benchmark_in_order(self, capsys, monkeypatch):
+        ran, real = [], diagnostics.run_benchmark
+        monkeypatch.setattr(diagnostics, "run_benchmark", lambda name: ran.append(name) or real(name))
+        assert run(["verify", "--benchmark", "all"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert out.count("PASS") == len(out.splitlines()) > len(ran)
+        assert ran == list(diagnostics.BENCHMARKS) == [
+            "reduction", "localization", "interpolation", "decay", "dominance", "orthonormality"]
+
+    def test_all_exits_1_on_a_failing_check(self, capsys, monkeypatch):
+        monkeypatch.setitem(diagnostics._BENCHES, "decay", lambda: [("far-field-decay", False, "x")])
+        assert run(["verify", "--benchmark", "all"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL far-field-decay: x" in out
+        assert "PASS psi-orthonormality" in out  # the benchmarks after it still run
 
     def test_threads_flag_removed(self, capsys):
         assert run(["--threads=2", "verify", "--benchmark", "reduction"]) == 2
@@ -142,6 +159,16 @@ class TestExperimentCommand:
         )
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_svd_knn_exits_1_with_message(self, tmp_path, capsys):
+        cfg = tmp_path / "svd_knn.cfg"
+        cfg.write_text("feature = svd\nclassifier = knn\nr = 3\ntrials = 1\n")
+        code = run(
+            ["--out-dir", str(tmp_path), "experiment", "--synthetic",
+             "--per-cell", "2", "--config", str(cfg)]
+        )
+        assert code == 1
+        assert "error: classifier knn with feature svd" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = run(

@@ -296,6 +296,18 @@ class TestRunExperiment:
             b"PCA LocSVM64,30,99.66666666666667,0.16666666666666477\n"
         )
 
+    def test_svd_knn_rejected_before_preprocessing(self, small_gestures, monkeypatch):
+        preprocessed = _record_calls(monkeypatch, "log_threshold")
+        config = ExperimentConfig(feature="svd", classifier="knn", r=3, trials=1)
+        for entry in (run_experiment, holdout_subject):
+            with pytest.raises(ValueError, match="classifier knn with feature svd"):
+                entry(config, small_gestures)
+        assert preprocessed == []
+
+    def test_localized_q_default_is_kernel_spec_default(self):
+        assert experiments._kernel_spec(ExperimentConfig(r=30)).params["q"] == 18
+        assert kernels.KernelSpec("localized").params["q"] == 18
+
     def test_trials_validated(self, small_gestures):
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(trials=0), small_gestures)
