@@ -172,6 +172,7 @@ def _bench_dominance():
 
 _BENCHES = {
     "reduction": _bench_reduction,
+    "clenshaw": _bench_clenshaw,
     "localization": _bench_localization,
     "interpolation": _bench_interpolation,
     "decay": _bench_decay,

@@ -24,7 +24,7 @@ from .features import (
     zero_pad_stack,
 )
 from .hermite import localized_degree
-from .kernels import DEFAULT_PARAMS, KernelSpec, cross_gram, gram
+from .kernels import DEFAULT_PARAMS, GramMatrix, KernelSpec, cross_gram, gram
 # Unused here: kernel_fn stays importable from this module because the
 # benchmark's traced run (bench/layers.py) wraps it by this name.
 from .kernels import kernel_fn  # noqa: F401
@@ -102,9 +102,11 @@ class ExperimentConfig:
 class ResultRow:
     """One result line. The two times cover per-fold work only:
     `train_time_s` the fold's features (for PCA: basis fit, projection of
-    both folds, scaling) and, for the SVM, Gram and SMO; `test_time_s` the
-    test cross-Gram and prediction. Per-sample work (preprocessing, and SVD
-    features) runs once per call, before the folds, and is in neither."""
+    both folds, scaling) and, for the SVM, the training Gram and SMO;
+    `test_time_s` the test cross-Gram and prediction. Per-call work runs
+    once, before the folds, and is in neither: preprocessing, and for SVD
+    features the features themselves and the kernel matrix of the whole
+    pool, from which each fold slices its training Gram and test rows."""
 
     method: str
     r: int
@@ -281,14 +283,41 @@ def _sample_features(config: ExperimentConfig, preprocessed) -> dict:
     raise ValueError(f"unknown feature kind {config.feature!r}")
 
 
+@dataclass(frozen=True)
+class _PoolGram:
+    """The kernel matrix of the SVD features of every pool sample, made once
+    per call. SVD features are per-sample and have no fitted parameters, so
+    every kernel value a fold needs, training or test, is an entry of it;
+    PCA features are fit per fold and cannot pool."""
+
+    gram: GramMatrix
+    rows: np.ndarray  # sample index -> row of gram.entries
+
+    @classmethod
+    def of(cls, spec: KernelSpec, per_sample: dict) -> "_PoolGram":
+        """Pool Gram of the features in `per_sample`, rows in its order."""
+        pool_gram = gram(spec, list(per_sample.values()), point_ids=list(per_sample))
+        index = np.fromiter(per_sample, dtype=int, count=len(per_sample))
+        rows = np.full(index.max() + 1, -1)
+        rows[index] = np.arange(len(index))
+        return cls(pool_gram, rows)
+
+    def train_gram(self, train_idx) -> GramMatrix:
+        """Training Gram of a fold; exactly symmetric, as the pool's is."""
+        tr = self.rows[train_idx]
+        return GramMatrix(self.gram.entries[np.ix_(tr, tr)], self.gram.spec, list(train_idx))
+
+    def test_rows(self, test_idx, train_idx) -> np.ndarray:
+        """Kernel values of each test sample against the training fold."""
+        return self.gram.entries[np.ix_(self.rows[test_idx], self.rows[train_idx])]
+
+
 def _fold_features(config: ExperimentConfig, per_sample: dict, train_idx, test_idx,
                    target_frames: int):
-    """Per-fold features from the per-sample results: SVD features as they
-    are; PCA fit on the training fold only. Returns (train, test) lists."""
+    """PCA features of one fold from the per-sample spectrograms, the basis
+    and scale fit on the training fold only. Returns (train, test) lists."""
     train = [per_sample[i] for i in train_idx]
     test = [per_sample[i] for i in test_idx]
-    if config.feature == "svd":
-        return train, test
     # pad within the fold: padded vectors of every sample at once would
     # raise peak memory. Projection stays per sample: one matrix product
     # for the fold differs in the last bits.
@@ -331,35 +360,50 @@ def _kernel_spec(config: ExperimentConfig) -> KernelSpec:
 
 
 def _run_single_trial(config: ExperimentConfig, dataset: SyntheticGestureSet,
-                      per_sample: dict, trial: int, pool):
+                      shared, trial: int, pool):
     rng = np.random.default_rng(config.seed + trial)
     labels = [s.label for s in dataset.samples]
     train_idx, test_idx = _stratified_split(np.asarray(labels)[pool], config.train_ratio, rng)
     train_idx, test_idx = pool[train_idx], pool[test_idx]
-    return _fit_and_score(config, dataset, per_sample, train_idx, test_idx)
+    return _fit_and_score(config, dataset, shared, train_idx, test_idx)
 
 
-def _fit_and_score(config: ExperimentConfig, dataset: SyntheticGestureSet, per_sample: dict,
+def _shared(config: ExperimentConfig, per_sample: dict):
+    """What every fold of one call reads: the `_PoolGram` of the samples in
+    `per_sample` for SVD features, `per_sample` itself for PCA features."""
+    if config.feature == "svd":
+        return _PoolGram.of(_kernel_spec(config), per_sample)
+    return per_sample
+
+
+def _fit_and_score(config: ExperimentConfig, dataset: SyntheticGestureSet, shared,
                    train_idx, test_idx):
-    """Per-fold work on the per-sample results of `_sample_features`.
-    Returns (accuracy %, train seconds, test seconds)."""
+    """Per-fold work on the `_shared` results of one call. Returns
+    (accuracy %, train seconds, test seconds)."""
     samples = dataset.samples
-    target_frames = max(s.data.shape[1] for s in samples)
     train_labels = [samples[i].label for i in train_idx]
     test_labels = [samples[i].label for i in test_idx]
     if len(set(train_labels)) < dataset.classes:
         raise MissingClassError("a class is missing from the training fold")
 
     t0 = time.perf_counter()
-    train_f, test_f = _fold_features(config, per_sample, train_idx, test_idx, target_frames)
+    pooled = isinstance(shared, _PoolGram)
+    if not pooled:
+        target_frames = max(s.data.shape[1] for s in samples)
+        train_f, test_f = _fold_features(config, shared, train_idx, test_idx, target_frames)
 
     if config.classifier == "svm":
-        spec = _kernel_spec(config)
-        G = gram(spec, train_f)
+        if pooled:
+            G = shared.train_gram(train_idx)
+        else:
+            spec = _kernel_spec(config)
+            G = gram(spec, train_f)
         model = one_vs_rest_train(G, train_labels, C=config.C)
         train_time = time.perf_counter() - t0
         t1 = time.perf_counter()
-        preds = [one_vs_rest_predict(model, row) for row in cross_gram(spec, test_f, train_f)]
+        rows = (shared.test_rows(test_idx, train_idx) if pooled
+                else cross_gram(spec, test_f, train_f))
+        preds = [one_vs_rest_predict(model, row) for row in rows]
         test_time = time.perf_counter() - t1
     elif config.classifier == "knn":
         train_time = time.perf_counter() - t0
@@ -385,13 +429,14 @@ def run_experiment(config: ExperimentConfig, dataset: SyntheticGestureSet,
 
 def _repeated_splits(config: ExperimentConfig, dataset: SyntheticGestureSet, pool,
                      per_sample: dict) -> ResultTable:
-    """run_experiment on the pool, given the `_sample_features` of (at least)
-    every pool sample."""
+    """run_experiment on the pool, given the `_sample_features` of exactly
+    the pool samples."""
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
+    shared = _shared(config, per_sample)
     accs, t_train, t_test = [], 0.0, 0.0
     for trial in range(config.trials):
-        acc, tt, te = _run_single_trial(config, dataset, per_sample, trial, pool)
+        acc, tt, te = _run_single_trial(config, dataset, shared, trial, pool)
         accs.append(acc)
         t_train += tt
         t_test += te
@@ -415,7 +460,8 @@ def sweep_dimension(config: ExperimentConfig, dataset: SyntheticGestureSet, r_va
     """(r, result) per feature dimension r: the ResultTable, or the
     RankError or MissingClassError that skipped this r. Any other error
     propagates. The localized kernel's q is clamped to r inside the run. Each
-    sample is preprocessed once per call; SVD features are taken once per r."""
+    sample is preprocessed once per call; SVD features and their kernel
+    matrix are taken once per r."""
     out = []
     pool = np.arange(len(dataset.samples))
     preprocessed = dict(_preprocessed(config.preprocessing, dataset.samples, pool))
@@ -435,7 +481,7 @@ def sweep_train_fraction(config: ExperimentConfig, dataset: SyntheticGestureSet,
     training pool, then the usual repeated-split protocol on it. The result
     is the ResultTable, or the RankError or MissingClassError that skipped
     this fraction; any other error propagates. Each sample is preprocessed
-    once per call."""
+    once per call; SVD features take one kernel matrix per fraction's pool."""
     labels = np.asarray([s.label for s in dataset.samples])
     pools = []
     for frac in fractions:
@@ -458,18 +504,19 @@ def sweep_train_fraction(config: ExperimentConfig, dataset: SyntheticGestureSet,
 def holdout_subject(config: ExperimentConfig, dataset: SyntheticGestureSet) -> ResultTable:
     """Train on all subjects but one, test on the held-out subject; one row
     per fold. Each sample is preprocessed (and, for SVD features, decomposed)
-    once per call; only the PCA basis and its scale are refit per fold."""
+    once per call, and SVD features take one kernel matrix per call; only
+    the PCA basis and its scale are refit per fold."""
     if len(dataset.subjects) < 2:
         raise ValueError("need at least two subjects")
     samples = dataset.samples
     pairs = _preprocessed(config.preprocessing, samples, range(len(samples)))
-    per_sample = _sample_features(config, pairs)
+    shared = _shared(config, _sample_features(config, pairs))
     method = config.method_name()
     rows = []
     for subject in dataset.subjects:
         train_idx = np.array([i for i, s in enumerate(dataset.samples) if s.subject != subject])
         test_idx = np.array([i for i, s in enumerate(dataset.samples) if s.subject == subject])
-        acc, tt, te = _fit_and_score(config, dataset, per_sample, train_idx, test_idx)
+        acc, tt, te = _fit_and_score(config, dataset, shared, train_idx, test_idx)
         rows.append(
             ResultRow(
                 method=f"{method} holdout={subject}",

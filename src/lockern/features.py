@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import canonicalize_signs
 
@@ -93,8 +94,7 @@ def stft(signal, window, hop: int, fft_size: int, label=None, subject=None) -> S
         raise ValueError("window longer than fft_size")
     if len(signal) < win:
         raise ValueError("signal shorter than window")
-    n_frames = (len(signal) - win) // hop + 1
-    frames = np.stack([signal[t * hop : t * hop + win] * window for t in range(n_frames)])
+    frames = sliding_window_view(signal, win)[::hop] * window
     spec = np.abs(np.fft.fft(frames, n=fft_size, axis=1)).T
     return Spectrogram(data=spec, state="magnitude", label=label, subject=subject)
 

@@ -1,8 +1,8 @@
 """Reference bodies that the kernel layer replaced, kept as exact-equality
 oracles: the allocating Clenshaw pass, the full flat Gram symmetrised after
 the fact, the two-pass error profile, the minimal separation from the full
-distance matrix, the per-pair k-NN vote, and the `eigvalsh`-only
-indefiniteness test.
+distance matrix, the per-pair k-NN vote, the `eigvalsh`-only
+indefiniteness test, and the STFT frames cut one by one.
 """
 from __future__ import annotations
 
@@ -82,3 +82,13 @@ def knn_oracle(train, labels, x, k):
 def indefinite_oracle(K: np.ndarray) -> bool:
     """Whether the full-spectrum test warns."""
     return bool(np.linalg.eigvalsh(K)[0] < -1e-3 * np.trace(K) / len(K))
+
+
+def stft_oracle(signal, window, hop: int, fft_size: int) -> np.ndarray:
+    """`stft(...).data` with one sliced frame per list item."""
+    signal = np.asarray(signal)
+    window = np.asarray(window, dtype=float)
+    win = len(window)
+    n_frames = (len(signal) - win) // hop + 1
+    frames = np.stack([signal[t * hop : t * hop + win] * window for t in range(n_frames)])
+    return np.abs(np.fft.fft(frames, n=fft_size, axis=1)).T

@@ -57,7 +57,7 @@ class TestKernelEval:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("bench", ["reduction", "orthonormality", "localization"])
+    @pytest.mark.parametrize("bench", ["reduction", "clenshaw", "orthonormality", "localization"])
     def test_benchmark_passes(self, bench, capsys):
         assert run(["verify", "--benchmark", bench]) == 0
         out = capsys.readouterr().out
@@ -72,7 +72,13 @@ class TestVerify:
         assert "FAIL" not in out
         assert out.count("PASS") == len(out.splitlines()) > len(ran)
         assert ran == list(diagnostics.BENCHMARKS) == [
-            "reduction", "localization", "interpolation", "decay", "dominance", "orthonormality"]
+            "reduction", "clenshaw", "localization", "interpolation", "decay", "dominance",
+            "orthonormality"]
+
+    def test_every_bench_function_is_registered(self):
+        defined = {name for name in vars(diagnostics) if name.startswith("_bench_")}
+        registered = {fn.__name__ for fn in diagnostics._BENCHES.values()}
+        assert defined == registered
 
     def test_all_exits_1_on_a_failing_check(self, capsys, monkeypatch):
         monkeypatch.setitem(diagnostics._BENCHES, "decay", lambda: [("far-field-decay", False, "x")])

@@ -153,8 +153,8 @@ class TestFeatureExtraction:
         config = ExperimentConfig(feature="svd", r=4)
         pre = _preprocessed(config.preprocessing, small_gestures.samples, range(6))
         per_sample = _sample_features(config, pre)
-        train_f, test_f = _fold_features(config, per_sample, range(4), range(4, 6), 100)
-        assert all(f.U.shape == (64, 4) and f.S.shape == (4,) for f in train_f + test_f)
+        assert list(per_sample) == list(range(6))
+        assert all(f.U.shape == (64, 4) and f.S.shape == (4,) for f in per_sample.values())
 
     def test_unknown_feature(self):
         with pytest.raises(ValueError):
@@ -397,6 +397,98 @@ class TestSweeps:
         config = ExperimentConfig(classifier="knn", knn_k=1, r=6, trials=1, seed=42)
         out = sweep_train_fraction(config, small_gestures, fractions=(0.3, 1.0))
         assert all(isinstance(table, experiments.ResultTable) for _, table in out)
+
+
+def _noised_gestures(seed):
+    """A 120-sample gesture set with Rayleigh(2.0) noise on every magnitude,
+    which takes subject-holdout accuracy off the ceiling."""
+    ds = gen_synthetic_gestures(per_cell=5, seed=seed)
+    rng = np.random.default_rng(seed)
+    samples = [replace(s, data=s.data + rng.rayleigh(2.0, s.data.shape)) for s in ds.samples]
+    return replace(ds, samples=samples)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(experiments, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, counted)
+    return calls
+
+
+class TestPoolGram:
+    @pytest.mark.parametrize("kind", ["grassmann", "laplace_svd", "gaussian_svd"])
+    def test_slices_match_per_fold_kernels(self, small_gestures, kind):
+        config = ExperimentConfig(feature="svd", r=4, kernel_kind=kind)
+        samples = small_gestures.samples
+        per_sample = _sample_features(
+            config, _preprocessed(config.preprocessing, samples, range(len(samples))))
+        pool = experiments._shared(config, per_sample)
+        spec = experiments._kernel_spec(config)
+        tol = 4 * np.finfo(float).eps
+        for subject in small_gestures.subjects:
+            train = np.array([i for i, s in enumerate(samples) if s.subject != subject])
+            test = np.array([i for i, s in enumerate(samples) if s.subject == subject])
+            train_f = [per_sample[i] for i in train]
+            G = pool.train_gram(train)
+            assert G.spec == spec
+            assert np.array_equal(G.entries, G.entries.T)
+            np.testing.assert_allclose(G.entries, kernels.gram(spec, train_f).entries,
+                                       rtol=0, atol=tol)
+            np.testing.assert_allclose(
+                pool.test_rows(test, train),
+                kernels.cross_gram(spec, [per_sample[i] for i in test], train_f),
+                rtol=0, atol=tol)
+
+    def test_rows_follow_a_subset_pool(self, small_gestures):
+        # a pool that is not 0..M-1 (a training-fraction sweep's) in any order
+        config = ExperimentConfig(feature="svd", r=3, kernel_kind="grassmann")
+        pool = [50, 7, 33, 90, 12]
+        pairs = _preprocessed(config.preprocessing, small_gestures.samples, pool)
+        per_sample = _sample_features(config, pairs)
+        spec = experiments._kernel_spec(config)
+        K = experiments._shared(config, per_sample).test_rows(np.array([90, 7]),
+                                                               np.array([12, 50]))
+        want = kernels.cross_gram(spec, [per_sample[90], per_sample[7]],
+                                  [per_sample[12], per_sample[50]])
+        np.testing.assert_allclose(K, want, rtol=0, atol=4 * np.finfo(float).eps)
+
+    def test_one_gram_per_call_for_svd_features(self, small_gestures, monkeypatch):
+        grams = _count_calls(monkeypatch, "gram")
+        crosses = _count_calls(monkeypatch, "cross_gram")
+        svd = ExperimentConfig(feature="svd", r=3, kernel_kind="grassmann", trials=3)
+        holdout_subject(svd, small_gestures)
+        assert (len(grams), len(crosses)) == (1, 0)
+        run_experiment(svd, small_gestures)
+        assert (len(grams), len(crosses)) == (2, 0)
+        sweep_dimension(svd, small_gestures, [2, 3])
+        assert (len(grams), len(crosses)) == (4, 0)
+        sweep_train_fraction(svd, small_gestures, fractions=(0.6, 1.0))
+        assert (len(grams), len(crosses)) == (6, 0)
+
+    def test_pca_builds_kernels_per_fold(self, small_gestures, monkeypatch):
+        grams = _count_calls(monkeypatch, "gram")
+        crosses = _count_calls(monkeypatch, "cross_gram")
+        pca = ExperimentConfig(r=6, kernel_kind="localized", trials=3)
+        holdout_subject(pca, small_gestures)
+        assert (len(grams), len(crosses)) == (6, 6)
+        run_experiment(pca, small_gestures)
+        assert (len(grams), len(crosses)) == (9, 9)
+
+    @pytest.mark.parametrize("seed, accuracies", [
+        (1, [75.0, 85.0, 95.0, 100.0, 90.0, 75.0]),
+        (2, [75.0, 75.0, 95.0, 75.0, 85.0, 75.0]),
+    ])
+    def test_noised_grassmann_holdout_pinned(self, seed, accuracies):
+        # per-fold accuracies as computed with one Gram and one cross-Gram
+        # per fold (commit 42594c0)
+        config = ExperimentConfig(feature="svd", r=5, kernel_kind="grassmann")
+        rows = holdout_subject(config, _noised_gestures(seed)).rows
+        assert [row.accuracy_mean for row in rows] == accuracies
 
 
 class TestHoldout:

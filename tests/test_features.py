@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
+from lockern import experiments
 from lockern.experiments import gen_synthetic_gestures
 from lockern.features import (
     ArmaModel,
@@ -23,6 +24,7 @@ from lockern.features import (
     zero_pad_stack,
     zero_pad_vectorize,
 )
+from kernel_oracle import stft_oracle
 from preprocess_oracle import db_oracle, log_threshold_oracle, yen_oracle
 
 
@@ -54,6 +56,29 @@ class TestStft:
         half = spec.data[:64]
         peaks = np.argmax(half, axis=0)
         assert peaks[-1] > peaks[0]
+
+    def test_gesture_set_matches_frame_oracle(self, monkeypatch):
+        calls = []
+
+        def checked(signal, window, hop, fft_size, **kwargs):
+            spec = stft(signal, window, hop, fft_size, **kwargs)
+            calls.append(signal)
+            assert np.array_equal(spec.data, stft_oracle(signal, window, hop, fft_size))
+            return spec
+
+        monkeypatch.setattr(experiments, "stft", checked)
+        gen_synthetic_gestures(per_cell=10, seed=3)
+        assert len(calls) == 240
+
+    @pytest.mark.parametrize("n, win, hop", [(64, 64, 32), (64, 64, 1), (500, 32, 45),
+                                             (97, 16, 40)])
+    def test_edge_framings_match_frame_oracle(self, n, win, hop):
+        # len(signal) == win gives one frame; hop > win skips samples between frames
+        signal = np.random.default_rng(n + hop).normal(size=n)
+        window = np.hanning(win)
+        spec = stft(signal, window, hop=hop, fft_size=64)
+        assert spec.data.shape[1] == (n - win) // hop + 1
+        assert np.array_equal(spec.data, stft_oracle(signal, window, hop, 64))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
