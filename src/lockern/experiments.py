@@ -293,15 +293,6 @@ class _PoolGram:
     gram: GramMatrix
     rows: np.ndarray  # sample index -> row of gram.entries
 
-    @classmethod
-    def of(cls, spec: KernelSpec, per_sample: dict) -> "_PoolGram":
-        """Pool Gram of the features in `per_sample`, rows in its order."""
-        pool_gram = gram(spec, list(per_sample.values()), point_ids=list(per_sample))
-        index = np.fromiter(per_sample, dtype=int, count=len(per_sample))
-        rows = np.full(index.max() + 1, -1)
-        rows[index] = np.arange(len(index))
-        return cls(pool_gram, rows)
-
     def train_gram(self, train_idx) -> GramMatrix:
         """Training Gram of a fold; exactly symmetric, as the pool's is."""
         tr = self.rows[train_idx]
@@ -370,10 +361,15 @@ def _run_single_trial(config: ExperimentConfig, dataset: SyntheticGestureSet,
 
 def _shared(config: ExperimentConfig, per_sample: dict):
     """What every fold of one call reads: the `_PoolGram` of the samples in
-    `per_sample` for SVD features, `per_sample` itself for PCA features."""
-    if config.feature == "svd":
-        return _PoolGram.of(_kernel_spec(config), per_sample)
-    return per_sample
+    `per_sample` (rows in its order) for SVD features, `per_sample` itself
+    for PCA features."""
+    if config.feature != "svd":
+        return per_sample
+    pool_gram = gram(_kernel_spec(config), list(per_sample.values()), point_ids=list(per_sample))
+    index = np.fromiter(per_sample, dtype=int, count=len(per_sample))
+    rows = np.full(index.max() + 1, -1)
+    rows[index] = np.arange(len(index))
+    return _PoolGram(pool_gram, rows)
 
 
 def _fit_and_score(config: ExperimentConfig, dataset: SyntheticGestureSet, shared,

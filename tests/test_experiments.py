@@ -408,18 +408,6 @@ def _noised_gestures(seed):
     return replace(ds, samples=samples)
 
 
-def _count_calls(monkeypatch, name):
-    calls = []
-    fn = getattr(experiments, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, name, counted)
-    return calls
-
-
 class TestPoolGram:
     @pytest.mark.parametrize("kind", ["grassmann", "laplace_svd", "gaussian_svd"])
     def test_slices_match_per_fold_kernels(self, small_gestures, kind):
@@ -458,8 +446,8 @@ class TestPoolGram:
         np.testing.assert_allclose(K, want, rtol=0, atol=4 * np.finfo(float).eps)
 
     def test_one_gram_per_call_for_svd_features(self, small_gestures, monkeypatch):
-        grams = _count_calls(monkeypatch, "gram")
-        crosses = _count_calls(monkeypatch, "cross_gram")
+        grams = _record_calls(monkeypatch, "gram")
+        crosses = _record_calls(monkeypatch, "cross_gram")
         svd = ExperimentConfig(feature="svd", r=3, kernel_kind="grassmann", trials=3)
         holdout_subject(svd, small_gestures)
         assert (len(grams), len(crosses)) == (1, 0)
@@ -471,8 +459,8 @@ class TestPoolGram:
         assert (len(grams), len(crosses)) == (6, 0)
 
     def test_pca_builds_kernels_per_fold(self, small_gestures, monkeypatch):
-        grams = _count_calls(monkeypatch, "gram")
-        crosses = _count_calls(monkeypatch, "cross_gram")
+        grams = _record_calls(monkeypatch, "gram")
+        crosses = _record_calls(monkeypatch, "cross_gram")
         pca = ExperimentConfig(r=6, kernel_kind="localized", trials=3)
         holdout_subject(pca, small_gestures)
         assert (len(grams), len(crosses)) == (6, 6)
