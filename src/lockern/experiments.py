@@ -104,9 +104,12 @@ class ResultRow:
     `train_time_s` the fold's features (for PCA: basis fit, projection of
     both folds, scaling) and, for the SVM, the training Gram and SMO;
     `test_time_s` the test cross-Gram and prediction. Per-call work runs
-    once, before the folds, and is in neither: preprocessing, and for SVD
-    features the features themselves and the kernel matrix of the whole
-    pool, from which each fold slices its training Gram and test rows."""
+    once, before the folds, and is in neither: preprocessing, and SVD
+    features. SVD features take one kernel matrix of the whole pool per
+    call, from which each fold slices its training Gram and test rows; a
+    fold is charged that matrix's seconds at its per-entry rate for the
+    entries it reads, the training block in `train_time_s` and the test
+    block in `test_time_s`."""
 
     method: str
     r: int
@@ -291,7 +294,13 @@ class _PoolGram:
     PCA features are fit per fold and cannot pool."""
 
     gram: GramMatrix
-    rows: np.ndarray  # sample index -> row of gram.entries
+    rows: np.ndarray  # sample index -> row of gram.entries; absent: out of range
+    seconds: float  # wall time of the `gram` call that built it
+
+    def seconds_for(self, n_rows: int, n_cols: int) -> float:
+        """The pool Gram's seconds at its per-entry rate for an n_rows x
+        n_cols block: what a fold that reads the block is charged."""
+        return self.seconds * n_rows * n_cols / len(self.gram.entries) ** 2
 
     def train_gram(self, train_idx) -> GramMatrix:
         """Training Gram of a fold; exactly symmetric, as the pool's is."""
@@ -305,10 +314,13 @@ class _PoolGram:
 
 def _fold_features(config: ExperimentConfig, per_sample: dict, train_idx, test_idx,
                    target_frames: int):
-    """PCA features of one fold from the per-sample spectrograms, the basis
-    and scale fit on the training fold only. Returns (train, test) lists."""
+    """Per-fold features from the per-sample results: SVD features as they
+    are (for a call that does not pool their kernel matrix); PCA fit on the
+    training fold only. Returns (train, test) lists."""
     train = [per_sample[i] for i in train_idx]
     test = [per_sample[i] for i in test_idx]
+    if config.feature == "svd":
+        return train, test
     # pad within the fold: padded vectors of every sample at once would
     # raise peak memory. Projection stays per sample: one matrix product
     # for the fold differs in the last bits.
@@ -361,15 +373,18 @@ def _run_single_trial(config: ExperimentConfig, dataset: SyntheticGestureSet,
 
 def _shared(config: ExperimentConfig, per_sample: dict):
     """What every fold of one call reads: the `_PoolGram` of the samples in
-    `per_sample` (rows in its order) for SVD features, `per_sample` itself
-    for PCA features."""
+    `per_sample` (rows in its order, timed) for SVD features, `per_sample`
+    itself for PCA features."""
     if config.feature != "svd":
         return per_sample
+    t0 = time.perf_counter()
     pool_gram = gram(_kernel_spec(config), list(per_sample.values()), point_ids=list(per_sample))
+    seconds = time.perf_counter() - t0
     index = np.fromiter(per_sample, dtype=int, count=len(per_sample))
-    rows = np.full(index.max() + 1, -1)
+    # a sample outside the pool maps past the last row, so slicing it raises
+    rows = np.full(index.max() + 1, len(index))
     rows[index] = np.arange(len(index))
-    return _PoolGram(pool_gram, rows)
+    return _PoolGram(pool_gram, rows, seconds)
 
 
 def _fit_and_score(config: ExperimentConfig, dataset: SyntheticGestureSet, shared,
@@ -377,6 +392,7 @@ def _fit_and_score(config: ExperimentConfig, dataset: SyntheticGestureSet, share
     """Per-fold work on the `_shared` results of one call. Returns
     (accuracy %, train seconds, test seconds)."""
     samples = dataset.samples
+    target_frames = max(s.data.shape[1] for s in samples)
     train_labels = [samples[i].label for i in train_idx]
     test_labels = [samples[i].label for i in test_idx]
     if len(set(train_labels)) < dataset.classes:
@@ -385,7 +401,6 @@ def _fit_and_score(config: ExperimentConfig, dataset: SyntheticGestureSet, share
     t0 = time.perf_counter()
     pooled = isinstance(shared, _PoolGram)
     if not pooled:
-        target_frames = max(s.data.shape[1] for s in samples)
         train_f, test_f = _fold_features(config, shared, train_idx, test_idx, target_frames)
 
     if config.classifier == "svm":
@@ -401,6 +416,11 @@ def _fit_and_score(config: ExperimentConfig, dataset: SyntheticGestureSet, share
                 else cross_gram(spec, test_f, train_f))
         preds = [one_vs_rest_predict(model, row) for row in rows]
         test_time = time.perf_counter() - t1
+        if pooled:
+            # the kernel values this fold reads, at the pool Gram's rate, so
+            # SVD rows count their kernel work as PCA rows do
+            train_time += shared.seconds_for(len(train_idx), len(train_idx))
+            test_time += shared.seconds_for(len(test_idx), len(train_idx))
     elif config.classifier == "knn":
         train_time = time.perf_counter() - t0
         t1 = time.perf_counter()
@@ -425,11 +445,17 @@ def run_experiment(config: ExperimentConfig, dataset: SyntheticGestureSet,
 
 def _repeated_splits(config: ExperimentConfig, dataset: SyntheticGestureSet, pool,
                      per_sample: dict) -> ResultTable:
-    """run_experiment on the pool, given the `_sample_features` of exactly
-    the pool samples."""
+    """run_experiment on the pool, given the `_sample_features` of (at least)
+    every pool sample. SVD features take one kernel matrix of the pool when
+    trials * train_ratio >= 1, and a Gram and a cross-Gram per trial below
+    that."""
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
-    shared = _shared(config, per_sample)
+    # a trial reads the kernel values of its training samples against all M
+    # pool samples, about train_ratio * M^2, and the pool matrix has M^2: it
+    # pays once the trials together read at least as many
+    pays = config.trials * config.train_ratio >= 1
+    shared = _shared(config, per_sample) if pays else per_sample
     accs, t_train, t_test = [], 0.0, 0.0
     for trial in range(config.trials):
         acc, tt, te = _run_single_trial(config, dataset, shared, trial, pool)
@@ -456,8 +482,8 @@ def sweep_dimension(config: ExperimentConfig, dataset: SyntheticGestureSet, r_va
     """(r, result) per feature dimension r: the ResultTable, or the
     RankError or MissingClassError that skipped this r. Any other error
     propagates. The localized kernel's q is clamped to r inside the run. Each
-    sample is preprocessed once per call; SVD features and their kernel
-    matrix are taken once per r."""
+    sample is preprocessed once per call; SVD features are taken once per r,
+    and so is their kernel matrix where the trials pool it."""
     out = []
     pool = np.arange(len(dataset.samples))
     preprocessed = dict(_preprocessed(config.preprocessing, dataset.samples, pool))
@@ -477,7 +503,8 @@ def sweep_train_fraction(config: ExperimentConfig, dataset: SyntheticGestureSet,
     training pool, then the usual repeated-split protocol on it. The result
     is the ResultTable, or the RankError or MissingClassError that skipped
     this fraction; any other error propagates. Each sample is preprocessed
-    once per call; SVD features take one kernel matrix per fraction's pool."""
+    once per call; where the trials pool SVD features' kernel matrix, each
+    fraction's pool takes one."""
     labels = np.asarray([s.label for s in dataset.samples])
     pools = []
     for frac in fractions:

@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -153,8 +154,8 @@ class TestFeatureExtraction:
         config = ExperimentConfig(feature="svd", r=4)
         pre = _preprocessed(config.preprocessing, small_gestures.samples, range(6))
         per_sample = _sample_features(config, pre)
-        assert list(per_sample) == list(range(6))
-        assert all(f.U.shape == (64, 4) and f.S.shape == (4,) for f in per_sample.values())
+        train_f, test_f = _fold_features(config, per_sample, range(4), range(4, 6), 100)
+        assert all(f.U.shape == (64, 4) and f.S.shape == (4,) for f in train_f + test_f)
 
     def test_unknown_feature(self):
         with pytest.raises(ValueError):
@@ -445,6 +446,17 @@ class TestPoolGram:
                                   [per_sample[12], per_sample[50]])
         np.testing.assert_allclose(K, want, rtol=0, atol=4 * np.finfo(float).eps)
 
+    def test_stray_sample_raises(self, small_gestures):
+        # a sample outside the pool must not read another sample's row
+        config = ExperimentConfig(feature="svd", r=3, kernel_kind="grassmann")
+        pairs = _preprocessed(config.preprocessing, small_gestures.samples, [4, 9, 2])
+        pool = experiments._shared(config, _sample_features(config, pairs))
+        for stray in (3, 5, 10):
+            with pytest.raises(IndexError):
+                pool.test_rows(np.array([stray]), np.array([4, 9]))
+            with pytest.raises(IndexError):
+                pool.train_gram(np.array([2, stray]))
+
     def test_one_gram_per_call_for_svd_features(self, small_gestures, monkeypatch):
         grams = _record_calls(monkeypatch, "gram")
         crosses = _record_calls(monkeypatch, "cross_gram")
@@ -457,6 +469,40 @@ class TestPoolGram:
         assert (len(grams), len(crosses)) == (4, 0)
         sweep_train_fraction(svd, small_gestures, fractions=(0.6, 1.0))
         assert (len(grams), len(crosses)) == (6, 0)
+
+    @pytest.mark.parametrize("trials, train_ratio, pooled", [
+        (1, 0.8, False), (2, 0.5, True), (2, 0.4, False), (5, 0.2, True),
+    ])
+    def test_repeated_splits_pool_when_it_pays(self, small_gestures, monkeypatch,
+                                               trials, train_ratio, pooled):
+        # the pool matrix has M^2 entries, a trial reads about train_ratio * M^2
+        grams = _record_calls(monkeypatch, "gram")
+        crosses = _record_calls(monkeypatch, "cross_gram")
+        svd = ExperimentConfig(feature="svd", r=3, kernel_kind="grassmann",
+                               trials=trials, train_ratio=train_ratio)
+        run_experiment(svd, small_gestures)
+        want = (1, 0) if pooled else (trials, trials)
+        assert (len(grams), len(crosses)) == want
+
+    def test_folds_are_charged_their_share_of_the_pool_gram(self, small_gestures,
+                                                             monkeypatch):
+        # a pool Gram of at least 0.2 s: each fold's columns hold at least
+        # its blocks' share of it at the per-entry rate
+        gram = experiments.gram
+
+        def slow_gram(*args, **kwargs):
+            time.sleep(0.2)
+            return gram(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "gram", slow_gram)
+        config = ExperimentConfig(feature="svd", r=3, kernel_kind="grassmann")
+        rows = holdout_subject(config, small_gestures).rows
+        M = len(small_gestures.samples)
+        for subject, row in zip(small_gestures.subjects, rows):
+            n_test = sum(s.subject == subject for s in small_gestures.samples)
+            n_train = M - n_test
+            assert row.train_time_s >= 0.2 * n_train * n_train / M**2
+            assert row.test_time_s >= 0.2 * n_test * n_train / M**2
 
     def test_pca_builds_kernels_per_fold(self, small_gestures, monkeypatch):
         grams = _record_calls(monkeypatch, "gram")
