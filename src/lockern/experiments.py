@@ -105,10 +105,10 @@ class ResultRow:
     both folds, scaling) and, for the SVM, the training Gram and SMO;
     `test_time_s` the test cross-Gram and prediction. Per-call work runs
     once, before the folds, and is in neither: preprocessing, and SVD
-    features. SVD features take one kernel matrix of the whole pool per
-    call, from which each fold slices its training Gram and test rows; a
-    fold is charged that matrix's seconds at its per-entry rate for the
-    entries it reads, the training block in `train_time_s` and the test
+    features. Where a call pools the SVD features' kernel matrix (see
+    `_repeated_splits`), each fold slices its training Gram and test rows
+    from it and is charged that matrix's seconds at its per-entry rate for
+    the entries it reads, the training block in `train_time_s` and the test
     block in `test_time_s`."""
 
     method: str
