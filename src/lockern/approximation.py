@@ -11,9 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
+    FLAT_KINDS,
     DiscreteQuadrature,
     KernelSpec,
-    _cross_gram_sq_dists,
+    _cross_gram_statistics,
     _min_separation,
     _stack,
     cross_gram,
@@ -162,12 +163,15 @@ def evaluate(model: CollocationModel, x) -> float:
 def error_profile(model: CollocationModel, truth, probes) -> ErrorProfile:
     """Per-probe Euclidean distance to the nearest node, absolute error
     against the truth values, and raw model value, sorted by that distance.
-    Model values and distances come from one distance pass, so the model's
-    kernel must be a flat kind (localized or euclidean_rbf)."""
+    Model values and distances come from one distance pass: the pair
+    statistics of a flat kind (localized or euclidean_rbf), which the
+    model's kernel must be, are the squared distances."""
     truth = np.asarray(truth, dtype=float)
     if len(probes) == 0:
         raise ValueError("no probes")
-    K, d2 = _cross_gram_sq_dists(model.spec, probes, model.nodes)
+    if model.spec.kind not in FLAT_KINDS:
+        raise ValueError(f"{model.spec.kind} is not a kernel on flat vectors")
+    K, d2 = _cross_gram_statistics(model.spec, probes, model.nodes)
     vals = K @ model.coeffs
     # sqrt is monotone and correctly rounded: the root of the least square
     # is the least root

@@ -104,9 +104,9 @@ class ResultRow:
     `train_time_s` the fold's features (for PCA: basis fit, projection of
     both folds, scaling) and, for the SVM, the training Gram and SMO;
     `test_time_s` the test cross-Gram and prediction. Per-call work runs
-    once, before the folds, and is in neither: preprocessing, and SVD
-    features. Where a call pools the SVD features' kernel matrix (see
-    `_repeated_splits`), each fold slices its training Gram and test rows
+    once, before the folds, and is in neither: preprocessing, the kernel
+    spec, and SVD features. Every call pools the SVD features' kernel
+    matrix (`_PoolGram`): each fold slices its training Gram and test rows
     from it and is charged that matrix's seconds at its per-entry rate for
     the entries it reads, the training block in `train_time_s` and the test
     block in `test_time_s`."""
@@ -289,9 +289,11 @@ def _sample_features(config: ExperimentConfig, preprocessed) -> dict:
 @dataclass(frozen=True)
 class _PoolGram:
     """The kernel matrix of the SVD features of every pool sample, made once
-    per call. SVD features are per-sample and have no fitted parameters, so
-    every kernel value a fold needs, training or test, is an entry of it;
-    PCA features are fit per fold and cannot pool."""
+    per call, whatever the number of folds. SVD features are per-sample and
+    have no fitted parameters, so every kernel value a fold needs, training
+    or test, is an entry of it; PCA features are fit per fold and cannot
+    pool. Its upper triangle costs about what one 80/20 split's own Gram
+    and cross-Gram cost."""
 
     gram: GramMatrix
     rows: np.ndarray  # sample index -> row of gram.entries; absent: out of range
@@ -314,13 +316,11 @@ class _PoolGram:
 
 def _fold_features(config: ExperimentConfig, per_sample: dict, train_idx, test_idx,
                    target_frames: int):
-    """Per-fold features from the per-sample results: SVD features as they
-    are (for a call that does not pool their kernel matrix); PCA fit on the
-    training fold only. Returns (train, test) lists."""
+    """PCA features of one fold from the per-sample spectrograms, the basis
+    and its scale fit on the training fold only. Returns (train, test)
+    lists."""
     train = [per_sample[i] for i in train_idx]
     test = [per_sample[i] for i in test_idx]
-    if config.feature == "svd":
-        return train, test
     # pad within the fold: padded vectors of every sample at once would
     # raise peak memory. Projection stays per sample: one matrix product
     # for the fold differs in the last bits.
@@ -358,27 +358,31 @@ def _kernel_params(config: ExperimentConfig) -> dict:
     return params
 
 
-def _kernel_spec(config: ExperimentConfig) -> KernelSpec:
+def _kernel_spec(config: ExperimentConfig) -> KernelSpec | None:
+    """The kernel of the config, built once per call; None for k-NN, which
+    uses no kernel."""
+    if config.classifier == "knn":
+        return None
     return KernelSpec(kind=config.kernel_kind, params=_kernel_params(config))
 
 
-def _run_single_trial(config: ExperimentConfig, dataset: SyntheticGestureSet,
+def _run_single_trial(config: ExperimentConfig, dataset: SyntheticGestureSet, spec,
                       shared, trial: int, pool):
     rng = np.random.default_rng(config.seed + trial)
     labels = [s.label for s in dataset.samples]
     train_idx, test_idx = _stratified_split(np.asarray(labels)[pool], config.train_ratio, rng)
     train_idx, test_idx = pool[train_idx], pool[test_idx]
-    return _fit_and_score(config, dataset, shared, train_idx, test_idx)
+    return _fit_and_score(config, dataset, spec, shared, train_idx, test_idx)
 
 
-def _shared(config: ExperimentConfig, per_sample: dict):
-    """What every fold of one call reads: the `_PoolGram` of the samples in
-    `per_sample` (rows in its order, timed) for SVD features, `per_sample`
-    itself for PCA features."""
+def _shared(config: ExperimentConfig, spec: KernelSpec | None, per_sample: dict):
+    """What every fold of one call reads: the `_PoolGram` under `spec` of
+    the samples in `per_sample` (rows in its order, timed) for SVD
+    features, `per_sample` itself for PCA features."""
     if config.feature != "svd":
         return per_sample
     t0 = time.perf_counter()
-    pool_gram = gram(_kernel_spec(config), list(per_sample.values()), point_ids=list(per_sample))
+    pool_gram = gram(spec, list(per_sample.values()), point_ids=list(per_sample))
     seconds = time.perf_counter() - t0
     index = np.fromiter(per_sample, dtype=int, count=len(per_sample))
     # a sample outside the pool maps past the last row, so slicing it raises
@@ -387,10 +391,10 @@ def _shared(config: ExperimentConfig, per_sample: dict):
     return _PoolGram(pool_gram, rows, seconds)
 
 
-def _fit_and_score(config: ExperimentConfig, dataset: SyntheticGestureSet, shared,
+def _fit_and_score(config: ExperimentConfig, dataset: SyntheticGestureSet, spec, shared,
                    train_idx, test_idx):
-    """Per-fold work on the `_shared` results of one call. Returns
-    (accuracy %, train seconds, test seconds)."""
+    """Per-fold work on the `_kernel_spec` and `_shared` results of one
+    call. Returns (accuracy %, train seconds, test seconds)."""
     samples = dataset.samples
     target_frames = max(s.data.shape[1] for s in samples)
     train_labels = [samples[i].label for i in train_idx]
@@ -404,11 +408,7 @@ def _fit_and_score(config: ExperimentConfig, dataset: SyntheticGestureSet, share
         train_f, test_f = _fold_features(config, shared, train_idx, test_idx, target_frames)
 
     if config.classifier == "svm":
-        if pooled:
-            G = shared.train_gram(train_idx)
-        else:
-            spec = _kernel_spec(config)
-            G = gram(spec, train_f)
+        G = shared.train_gram(train_idx) if pooled else gram(spec, train_f)
         model = one_vs_rest_train(G, train_labels, C=config.C)
         train_time = time.perf_counter() - t0
         t1 = time.perf_counter()
@@ -446,19 +446,15 @@ def run_experiment(config: ExperimentConfig, dataset: SyntheticGestureSet,
 def _repeated_splits(config: ExperimentConfig, dataset: SyntheticGestureSet, pool,
                      per_sample: dict) -> ResultTable:
     """run_experiment on the pool, given the `_sample_features` of (at least)
-    every pool sample. SVD features take one kernel matrix of the pool when
-    trials * train_ratio >= 1, and a Gram and a cross-Gram per trial below
-    that."""
+    every pool sample. The kernel spec is built once, and SVD features take
+    one kernel matrix of the pool, for all trials."""
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
-    # a trial reads the kernel values of its training samples against all M
-    # pool samples, about train_ratio * M^2, and the pool matrix has M^2: it
-    # pays once the trials together read at least as many
-    pays = config.trials * config.train_ratio >= 1
-    shared = _shared(config, per_sample) if pays else per_sample
+    spec = _kernel_spec(config)
+    shared = _shared(config, spec, per_sample)
     accs, t_train, t_test = [], 0.0, 0.0
     for trial in range(config.trials):
-        acc, tt, te = _run_single_trial(config, dataset, shared, trial, pool)
+        acc, tt, te = _run_single_trial(config, dataset, spec, shared, trial, pool)
         accs.append(acc)
         t_train += tt
         t_test += te
@@ -482,8 +478,8 @@ def sweep_dimension(config: ExperimentConfig, dataset: SyntheticGestureSet, r_va
     """(r, result) per feature dimension r: the ResultTable, or the
     RankError or MissingClassError that skipped this r. Any other error
     propagates. The localized kernel's q is clamped to r inside the run. Each
-    sample is preprocessed once per call; SVD features are taken once per r,
-    and so is their kernel matrix where the trials pool it."""
+    sample is preprocessed once per call; SVD features and their kernel
+    matrix are taken once per r."""
     out = []
     pool = np.arange(len(dataset.samples))
     preprocessed = dict(_preprocessed(config.preprocessing, dataset.samples, pool))
@@ -503,8 +499,8 @@ def sweep_train_fraction(config: ExperimentConfig, dataset: SyntheticGestureSet,
     training pool, then the usual repeated-split protocol on it. The result
     is the ResultTable, or the RankError or MissingClassError that skipped
     this fraction; any other error propagates. Each sample is preprocessed
-    once per call; where the trials pool SVD features' kernel matrix, each
-    fraction's pool takes one."""
+    once per call; for SVD features, each fraction's pool takes one kernel
+    matrix."""
     labels = np.asarray([s.label for s in dataset.samples])
     pools = []
     for frac in fractions:
@@ -527,19 +523,21 @@ def sweep_train_fraction(config: ExperimentConfig, dataset: SyntheticGestureSet,
 def holdout_subject(config: ExperimentConfig, dataset: SyntheticGestureSet) -> ResultTable:
     """Train on all subjects but one, test on the held-out subject; one row
     per fold. Each sample is preprocessed (and, for SVD features, decomposed)
-    once per call, and SVD features take one kernel matrix per call; only
-    the PCA basis and its scale are refit per fold."""
+    once per call, the kernel spec is built once, and SVD features take one
+    kernel matrix per call; only the PCA basis and its scale are refit per
+    fold."""
     if len(dataset.subjects) < 2:
         raise ValueError("need at least two subjects")
     samples = dataset.samples
     pairs = _preprocessed(config.preprocessing, samples, range(len(samples)))
-    shared = _shared(config, _sample_features(config, pairs))
+    spec = _kernel_spec(config)
+    shared = _shared(config, spec, _sample_features(config, pairs))
     method = config.method_name()
     rows = []
     for subject in dataset.subjects:
         train_idx = np.array([i for i, s in enumerate(dataset.samples) if s.subject != subject])
         test_idx = np.array([i for i, s in enumerate(dataset.samples) if s.subject == subject])
-        acc, tt, te = _fit_and_score(config, dataset, shared, train_idx, test_idx)
+        acc, tt, te = _fit_and_score(config, dataset, spec, shared, train_idx, test_idx)
         rows.append(
             ResultRow(
                 method=f"{method} holdout={subject}",

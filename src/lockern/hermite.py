@@ -14,10 +14,7 @@ import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
-    "HermiteEval",
     "LocalizedKernelSpec",
-    "hermite_batch",
-    "psi",
     "proj_kernel_value",
     "cutoff",
     "localized_degree",
@@ -46,29 +43,9 @@ def _hermite_values(k_max: int, x):
     return out
 
 
-@dataclass(frozen=True)
-class HermiteEval:
-    max_degree: int
-    values: np.ndarray  # h_0..h_{max_degree} at a single point
-
-
-def hermite_batch(k_max: int, x: float) -> HermiteEval:
-    """All orthonormal Hermite polynomial values h_0(x)..h_{k_max}(x)."""
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    if not np.isfinite(x):
-        raise ValueError("x must be finite")
-    return HermiteEval(max_degree=k_max, values=_hermite_values(k_max, float(x)))
-
-
-def psi(k: int, x: float) -> float:
-    """Hermite function psi_k(x) = h_k(x) exp(-x^2/2)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return float(hermite_batch(k, x).values[k] * math.exp(-x * x / 2.0))
-
-
 def _psi_values(k_max: int, x):
+    """Hermite functions psi_k(x) = h_k(x) exp(-x^2/2), k = 0..k_max, at x
+    (scalar or array)."""
     x = np.asarray(x, dtype=float)
     return _hermite_values(k_max, x) * np.exp(-x * x / 2.0)
 

@@ -6,17 +6,20 @@ Hermite kernel on flat vectors, batched kernel matrices (`cross_gram`, `gram`),
 and the derived second-order kernel Psi used by the theoretical least-squares
 normal equations.
 
-`cross_gram` and `gram` are the paths that compute kernel values in bulk;
-both refuse a matrix with a non-finite entry. The flat kinds (localized,
-`euclidean_rbf`) are radial profiles of the squared Euclidean distance, and
-their `gram` evaluates only the upper triangle. The scalar per-pair
-functions (`grassmann_kernel`, ..., `kernel_fn`, `psi_kernel`) are kept as
-the reference the batched path is tested against.
+Every kind is a profile of one pair statistic of its embedding: the squared
+Euclidean distance (flat kinds: localized, `euclidean_rbf`), the projection
+distance (Grassmann), or an exponent built from the distances of the U and
+S features (SVD kinds). `cross_gram` and `gram` are the paths that compute
+kernel values in bulk; both refuse a matrix with a non-finite entry, and
+`gram` evaluates only the upper triangle, for every kind. The scalar
+per-pair functions (`grassmann_kernel`, ..., `kernel_fn`, `psi_kernel`) are
+kept as the reference the batched path is tested against.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +43,7 @@ __all__ = [
 ]
 
 KERNEL_KINDS = ("grassmann", "laplace_svd", "gaussian_svd", "euclidean_rbf", "localized")
-# kinds on flat vectors whose value is a function of the squared distance
+# kinds on flat vectors, whose pair statistic is the squared distance
 FLAT_KINDS = ("euclidean_rbf", "localized")
 
 # Defaults from the experimental protocol this library reproduces.
@@ -263,84 +266,63 @@ def _projection_overlaps(UtA: np.ndarray, UtB: np.ndarray) -> np.ndarray:
     return out
 
 
-def _radial_profile(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
-    """Kernel values of a flat kind at squared Euclidean distances d2."""
-    if spec.kind == "euclidean_rbf":
-        return np.exp(-spec.params["gamma"] * d2)
-    loc = spec.localized
-    return eval_localized(loc, loc.gamma * np.sqrt(d2))
-
-
-def _kernel_matrix(spec: KernelSpec, FA: tuple, FB: tuple) -> np.ndarray:
-    """K[i, j] = k(A[i], B[j]) from the stacked features of A and B, for the
-    Grassmann and SVD kinds (flat kinds: `_cross_gram_sq_dists`)."""
-    if any(a.shape[1:] != b.shape[1:] for a, b in zip(FA, FB)):
-        raise ValueError("feature shape mismatch")
+def _statistic(spec: KernelSpec, FA: tuple, FB: tuple) -> np.ndarray:
+    """The pair statistic s[i, j] of A[i] and B[j], from their stacked
+    features, whose `_profile` is the kernel value: the squared distance
+    (flat kinds), the clamped projection distance (Grassmann), or the
+    exponent alpha dU^(1/2) + beta dS^(1/2) (Laplace SVD) or alpha dU +
+    beta dS (Gaussian SVD), with dU and dS the squared distances of the U
+    and S features."""
     p = spec.params
     if spec.kind == "grassmann":
         (UtA,), (UtB,) = FA, FB
         d = UtA.shape[1] - _projection_overlaps(UtA, UtB)
         # clamp round-off so identical subspaces yield exactly 1
-        return np.exp(-p["gamma"] * np.where(d < 1e-12, 0.0, d))
+        return np.where(d < 1e-12, 0.0, d)
     if spec.kind in ("laplace_svd", "gaussian_svd"):
         (UA, SA), (UB, SB) = FA, FB
         dU = _sq_dists(UA.reshape(len(UA), -1), UB.reshape(len(UB), -1))
         dS = _sq_dists(SA, SB)
         if spec.kind == "laplace_svd":
-            return np.exp(-p["alpha"] * np.sqrt(dU) - p["beta"] * np.sqrt(dS))
-        return np.exp(-p["alpha"] * dU - p["beta"] * dS)
-    raise ValueError(f"{spec.kind} is a kernel on flat vectors")
+            return p["alpha"] * np.sqrt(dU) + p["beta"] * np.sqrt(dS)
+        return p["alpha"] * dU + p["beta"] * dS
+    (XA,), (XB,) = FA, FB
+    return _sq_dists(XA, XB)
 
 
-def _upper_sq_dists(X: np.ndarray, k: int = 0):
-    """The squared distances between the rows of X on and above the k-th
-    diagonal (k as in np.triu), one row block at a time.
+def _profile(spec: KernelSpec, s: np.ndarray) -> np.ndarray:
+    """Kernel values at pair statistics s (see `_statistic`)."""
+    if spec.kind == "localized":
+        loc = spec.localized
+        return eval_localized(loc, loc.gamma * np.sqrt(s))
+    if spec.kind in ("laplace_svd", "gaussian_svd"):
+        return np.exp(-s)
+    return np.exp(-spec.params["gamma"] * s)
 
-    Each row block is paired with the columns from the block start. Yields
-    (rows, upper, values): `upper` masks the wanted entries of that
-    (rows, M - rows.start) block and `values` are those entries in row-major
-    order. Only block-sized temporaries are made.
+
+def _upper_statistics(statistic, F: tuple, pair_elems: int, k: int = 0):
+    """statistic(FA, FB) between the points of the stacked features F on
+    and above the k-th diagonal (k as in np.triu), one row block at a time.
+
+    Each row block is paired with the columns from the block start, and is
+    sized so the statistic's largest temporary, `pair_elems` floats a pair,
+    holds at most `_BLOCK_ELEMS` floats. Yields (rows, upper, values): `upper` masks
+    the wanted entries of that (rows, M - rows.start) block and `values` are
+    those entries in row-major order. Only block-sized temporaries are made.
     """
-    for rows in _row_blocks(len(X), X.size):
-        d2 = _sq_dists(X[rows], X[rows.start:])
-        upper = np.arange(d2.shape[1]) >= np.arange(d2.shape[0])[:, None] + k
-        yield rows, upper, d2[upper]
+    M = len(F[0])
+    for rows in _row_blocks(M, M * pair_elems):
+        s = statistic(tuple(f[rows] for f in F), tuple(f[rows.start:] for f in F))
+        upper = np.arange(s.shape[1]) >= np.arange(s.shape[0])[:, None] + k
+        yield rows, upper, s[upper]
 
 
 def _min_separation(X: np.ndarray) -> float:
     """Smallest Euclidean distance between two distinct rows of X (at least
     two rows). sqrt is monotone and correctly rounded, so the root of the
     least squared distance is the least distance."""
-    return float(np.sqrt(min(v.min() for _, _, v in _upper_sq_dists(X, 1) if v.size)))
-
-
-def _flat_gram(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
-    """Gram matrix of a flat kind on the rows of X from its upper triangle.
-
-    One profile call maps the entries on or above the diagonal
-    (`_upper_sq_dists`), and the lower triangle is their mirror image.
-    Direct differences give d2(i, j) and d2(j, i) bitwise equal, so the
-    mirror is exactly what the full matrix would hold.
-    """
-    M = len(X)
-    blocks, upper_d2 = [], []
-    for rows, upper, d2 in _upper_sq_dists(X):
-        upper_d2.append(d2)
-        blocks.append((rows, upper, len(d2)))
-    values = np.concatenate(upper_d2)
-    del upper_d2  # only the block lengths are needed from here on
-    values = _radial_profile(spec, values)
-    K = np.empty((M, M))
-    end = 0
-    for rows, upper, n_upper in blocks:
-        start, end = end, end + n_upper
-        K[rows, rows.start:][upper] = values[start:end]
-    for rows, upper, _ in blocks:
-        s, n = rows.start, rows.stop - rows.start
-        K[rows, :s] = K[:s, rows].T
-        diag, lower = K[rows, rows], ~upper[:, :n]
-        diag[lower] = diag.T[lower]
-    return K
+    blocks = _upper_statistics(lambda A, B: _sq_dists(A[0], B[0]), (X,), X.shape[1], 1)
+    return float(np.sqrt(min(v.min() for _, _, v in blocks if v.size)))
 
 
 def _check_finite(spec: KernelSpec | None, K: np.ndarray) -> None:
@@ -364,45 +346,64 @@ def _check_finite(spec: KernelSpec | None, K: np.ndarray) -> None:
 
 
 def cross_gram(spec: KernelSpec, A: Sequence, B: Sequence) -> np.ndarray:
-    """Kernel matrix K[i, j] = k(A[i], B[j]) over two feature sequences.
+    """Kernel matrix K[i, j] = k(A[i], B[j]) over two feature sequences: the
+    profile of the pair statistics of A and B.
 
     Features are what `kernel_fn(spec)` takes: objects with `U` (Grassmann),
     `U` and `S` (SVD kernels), or flat vectors. Raises ValueError on an empty
     sequence, on features of unequal shape, on a non-orthonormal Grassmann
     basis, and on a non-finite kernel value.
     """
-    if spec.kind in FLAT_KINDS:
-        return _cross_gram_sq_dists(spec, A, B)[0]
-    K = _kernel_matrix(spec, _stacked_features(spec, A), _stacked_features(spec, B))
-    _check_finite(spec, K)
-    return K
+    return _cross_gram_statistics(spec, A, B)[0]
 
 
-def _cross_gram_sq_dists(spec: KernelSpec, A: Sequence, B: Sequence) -> tuple:
-    """(cross_gram(spec, A, B), squared Euclidean distances between the
-    points of A and B) for a flat kind, from one distance pass."""
-    if spec.kind not in FLAT_KINDS:
-        raise ValueError(f"{spec.kind} is not a kernel on flat vectors")
-    (XA,), (XB,) = _stacked_features(spec, A), _stacked_features(spec, B)
-    if XA.shape[1:] != XB.shape[1:]:
+def _cross_gram_statistics(spec: KernelSpec, A: Sequence, B: Sequence) -> tuple:
+    """(cross_gram(spec, A, B), the pair statistics it is the profile of),
+    from one statistics pass."""
+    FA, FB = _stacked_features(spec, A), _stacked_features(spec, B)
+    if any(a.shape[1:] != b.shape[1:] for a, b in zip(FA, FB)):
         raise ValueError("feature shape mismatch")
-    d2 = _sq_dists(XA, XB)
-    K = _radial_profile(spec, d2)
+    s = _statistic(spec, FA, FB)
+    K = _profile(spec, s)
     _check_finite(spec, K)
-    return K, d2
+    return K, s
 
 
 def gram(spec: KernelSpec, points: Sequence, point_ids=None) -> GramMatrix:
     """Symmetric Gram matrix: cross_gram of the points with themselves, with
-    K[i, j] == K[j, i] exactly. Features are stacked and validated once. The
-    flat kinds evaluate the upper triangle only and mirror it; the other
-    kinds symmetrise the full matrix."""
+    K[i, j] == K[j, i] exactly. Features are stacked and validated once.
+
+    For every kind, the pair statistics on and above the diagonal are read
+    row block by row block (`_upper_statistics`), one profile call maps
+    them, and the lower triangle is their mirror image. The statistics of
+    the flat and SVD kinds are bitwise symmetric (direct differences give
+    d2(i, j) == d2(j, i)), so for them the mirror is exactly what the full
+    matrix would hold.
+    """
     features = _stacked_features(spec, points)
-    if spec.kind in FLAT_KINDS:
-        K = _flat_gram(spec, *features)
-    else:
-        K = _kernel_matrix(spec, features, features)
-        K = 0.5 * (K + K.T)
+    M = len(features[0])
+    # floats a pair in the statistic's largest temporary: the r x r basis
+    # overlap (Grassmann) or the difference of the first feature
+    pair_elems = (features[0].shape[1] ** 2 if spec.kind == "grassmann"
+                  else features[0][0].size)
+    blocks, upper_s = [], []
+    for rows, upper, stats in _upper_statistics(partial(_statistic, spec), features,
+                                                pair_elems):
+        upper_s.append(stats)
+        blocks.append((rows, upper, len(stats)))
+    values = np.concatenate(upper_s)
+    del upper_s  # only the block lengths are needed from here on
+    values = _profile(spec, values)
+    K = np.empty((M, M))
+    end = 0
+    for rows, upper, n_upper in blocks:
+        start, end = end, end + n_upper
+        K[rows, rows.start:][upper] = values[start:end]
+    for rows, upper, _ in blocks:
+        s, n = rows.start, rows.stop - rows.start
+        K[rows, :s] = K[:s, rows].T
+        diag, lower = K[rows, rows], ~upper[:, :n]
+        diag[lower] = diag.T[lower]
     _check_finite(spec, K)
     ids = list(point_ids) if point_ids is not None else list(range(len(points)))
     return GramMatrix(entries=K, spec=spec, point_ids=ids)

@@ -154,8 +154,7 @@ class TestFeatureExtraction:
         config = ExperimentConfig(feature="svd", r=4)
         pre = _preprocessed(config.preprocessing, small_gestures.samples, range(6))
         per_sample = _sample_features(config, pre)
-        train_f, test_f = _fold_features(config, per_sample, range(4), range(4, 6), 100)
-        assert all(f.U.shape == (64, 4) and f.S.shape == (4,) for f in train_f + test_f)
+        assert all(f.U.shape == (64, 4) and f.S.shape == (4,) for f in per_sample.values())
 
     def test_unknown_feature(self):
         with pytest.raises(ValueError):
@@ -416,8 +415,8 @@ class TestPoolGram:
         samples = small_gestures.samples
         per_sample = _sample_features(
             config, _preprocessed(config.preprocessing, samples, range(len(samples))))
-        pool = experiments._shared(config, per_sample)
         spec = experiments._kernel_spec(config)
+        pool = experiments._shared(config, spec, per_sample)
         tol = 4 * np.finfo(float).eps
         for subject in small_gestures.subjects:
             train = np.array([i for i, s in enumerate(samples) if s.subject != subject])
@@ -440,8 +439,8 @@ class TestPoolGram:
         pairs = _preprocessed(config.preprocessing, small_gestures.samples, pool)
         per_sample = _sample_features(config, pairs)
         spec = experiments._kernel_spec(config)
-        K = experiments._shared(config, per_sample).test_rows(np.array([90, 7]),
-                                                               np.array([12, 50]))
+        K = experiments._shared(config, spec, per_sample).test_rows(np.array([90, 7]),
+                                                                     np.array([12, 50]))
         want = kernels.cross_gram(spec, [per_sample[90], per_sample[7]],
                                   [per_sample[12], per_sample[50]])
         np.testing.assert_allclose(K, want, rtol=0, atol=4 * np.finfo(float).eps)
@@ -450,7 +449,8 @@ class TestPoolGram:
         # a sample outside the pool must not read another sample's row
         config = ExperimentConfig(feature="svd", r=3, kernel_kind="grassmann")
         pairs = _preprocessed(config.preprocessing, small_gestures.samples, [4, 9, 2])
-        pool = experiments._shared(config, _sample_features(config, pairs))
+        pool = experiments._shared(config, experiments._kernel_spec(config),
+                                   _sample_features(config, pairs))
         for stray in (3, 5, 10):
             with pytest.raises(IndexError):
                 pool.test_rows(np.array([stray]), np.array([4, 9]))
@@ -469,20 +469,9 @@ class TestPoolGram:
         assert (len(grams), len(crosses)) == (4, 0)
         sweep_train_fraction(svd, small_gestures, fractions=(0.6, 1.0))
         assert (len(grams), len(crosses)) == (6, 0)
-
-    @pytest.mark.parametrize("trials, train_ratio, pooled", [
-        (1, 0.8, False), (2, 0.5, True), (2, 0.4, False), (5, 0.2, True),
-    ])
-    def test_repeated_splits_pool_when_it_pays(self, small_gestures, monkeypatch,
-                                               trials, train_ratio, pooled):
-        # the pool matrix has M^2 entries, a trial reads about train_ratio * M^2
-        grams = _record_calls(monkeypatch, "gram")
-        crosses = _record_calls(monkeypatch, "cross_gram")
-        svd = ExperimentConfig(feature="svd", r=3, kernel_kind="grassmann",
-                               trials=trials, train_ratio=train_ratio)
-        run_experiment(svd, small_gestures)
-        want = (1, 0) if pooled else (trials, trials)
-        assert (len(grams), len(crosses)) == want
+        # a single 80/20 trial pools too
+        run_experiment(replace(svd, trials=1), small_gestures)
+        assert (len(grams), len(crosses)) == (7, 0)
 
     def test_folds_are_charged_their_share_of_the_pool_gram(self, small_gestures,
                                                              monkeypatch):
@@ -505,13 +494,22 @@ class TestPoolGram:
             assert row.test_time_s >= 0.2 * n_test * n_train / M**2
 
     def test_pca_builds_kernels_per_fold(self, small_gestures, monkeypatch):
+        # a Gram and a cross-Gram per fold, one localized kernel per call
         grams = _record_calls(monkeypatch, "gram")
         crosses = _record_calls(monkeypatch, "cross_gram")
+        builds = []
+        build = kernels.build_localized_kernel
+
+        def counting(*args, **kwargs):
+            builds.append(kwargs)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "build_localized_kernel", counting)
         pca = ExperimentConfig(r=6, kernel_kind="localized", trials=3)
         holdout_subject(pca, small_gestures)
-        assert (len(grams), len(crosses)) == (6, 6)
+        assert (len(grams), len(crosses), len(builds)) == (6, 6, 1)
         run_experiment(pca, small_gestures)
-        assert (len(grams), len(crosses)) == (9, 9)
+        assert (len(grams), len(crosses), len(builds)) == (9, 9, 2)
 
     @pytest.mark.parametrize("seed, accuracies", [
         (1, [75.0, 85.0, 95.0, 100.0, 90.0, 75.0]),

@@ -231,17 +231,24 @@ class TestCrossGram:
         [("single", None), ("duplicates", None), ("blocks", 512), ("rows", 8),
          ("large", None)],
     )
-    @pytest.mark.parametrize("kind", ["euclidean_rbf", "localized"])
+    @pytest.mark.parametrize("kind", ["euclidean_rbf", "localized", "laplace_svd",
+                                      "gaussian_svd"])
     def test_flat_gram_is_exactly_symmetrised_cross_gram(self, kind, case, block_elems,
                                                           monkeypatch):
+        # the flat and SVD kinds' statistics are bitwise symmetric, so their
+        # triangle Gram is exactly the symmetrised full matrix
         rng = np.random.default_rng(34)
         sizes = {"single": (1, 4), "duplicates": (9, 4), "blocks": (30, 4),
                  "rows": (13, 3), "large": (200, 30)}
         M, dim = sizes[case]
-        pts = [rng.standard_normal(dim) for _ in range(M)]
+        if kind in ("laplace_svd", "gaussian_svd"):
+            # one-column bases: a basis difference has dim floats, as a flat one
+            pts = random_subspace_features(M, rng, p=dim, r=1)
+        else:
+            pts = [rng.standard_normal(dim) for _ in range(M)]
         if case == "duplicates":
-            pts[5] = pts[2].copy()
-            pts[8] = pts[2].copy()
+            pts[5] = pts[2]
+            pts[8] = pts[2]
         if block_elems is not None:
             monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block_elems)
         blocks = list(kernels._row_blocks(M, M * dim))
@@ -253,20 +260,54 @@ class TestCrossGram:
         G = gram(spec, pts).entries
         assert G.tobytes() == full_gram_oracle(spec, pts).tobytes()
 
+    @pytest.mark.parametrize("block_elems", [None, 360, 8])
+    def test_grassmann_gram_is_symmetrised_cross_gram(self, block_elems, monkeypatch):
+        # the projection overlaps' gemm depends on the block shape, so the
+        # triangle differs from the full matrix in the last bits only
+        rng = np.random.default_rng(36)
+        M = 30
+        pts = random_subspace_features(M, rng)  # 2 x 2 overlaps, 4 floats a pair
+        pts[7] = pts[3]
+        if block_elems is not None:
+            monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block_elems)
+        rows = []
+        statistic = kernels._statistic
+
+        def recorded(spec, FA, FB):
+            rows.append(len(FA[0]))
+            return statistic(spec, FA, FB)
+
+        monkeypatch.setattr(kernels, "_statistic", recorded)
+        spec = CROSS_GRAM_SPECS["grassmann"]
+        G = gram(spec, pts).entries
+        assert rows == {None: [M], 360: [3] * 10, 8: [1] * M}[block_elems]
+        np.testing.assert_array_equal(G, G.T)
+        np.testing.assert_allclose(G, full_gram_oracle(spec, pts), rtol=0,
+                                   atol=4 * np.finfo(float).eps)
+
     @pytest.mark.parametrize("M", [1, 2, 30])
     def test_localized_gram_evaluates_upper_triangle_once(self, M, monkeypatch):
+        # every kind: one profile call on the M(M+1)/2 pair statistics on and
+        # above the diagonal, over several row blocks at M = 30
         monkeypatch.setattr(kernels, "_BLOCK_ELEMS", 512)
-        calls = []
-        real = kernels.eval_localized
+        calls, profiles = [], []
+        real, real_profile = kernels.eval_localized, kernels._profile
 
         def counting(spec, x):
             calls.append(np.size(x))
             return real(spec, x)
 
+        def counting_profile(spec, s):
+            profiles.append((spec.kind, np.size(s)))
+            return real_profile(spec, s)
+
         monkeypatch.setattr(kernels, "eval_localized", counting)
+        monkeypatch.setattr(kernels, "_profile", counting_profile)
         rng = np.random.default_rng(35)
-        gram(CROSS_GRAM_SPECS["localized"], [rng.standard_normal(4) for _ in range(M)])
+        for kind, spec in CROSS_GRAM_SPECS.items():
+            gram(spec, cross_gram_points(kind, M, rng))
         assert calls == [M * (M + 1) // 2]
+        assert profiles == [(kind, M * (M + 1) // 2) for kind in CROSS_GRAM_SPECS]
 
     def test_rejects_non_orthonormal_basis(self):
         rng = np.random.default_rng(33)
