@@ -387,8 +387,8 @@ def gram(spec: KernelSpec, points: Sequence, point_ids=None) -> GramMatrix:
     pair_elems = (features[0].shape[1] ** 2 if spec.kind == "grassmann"
                   else features[0][0].size)
     blocks, upper_s = [], []
-    for rows, upper, stats in _upper_statistics(partial(_statistic, spec), features,
-                                                pair_elems):
+    statistic = partial(_statistic, spec)
+    for rows, upper, stats in _upper_statistics(statistic, features, pair_elems):
         upper_s.append(stats)
         blocks.append((rows, upper, len(stats)))
     values = np.concatenate(upper_s)

@@ -1,6 +1,6 @@
 """Reference bodies that the kernel layer replaced, kept as exact-equality
-oracles: the allocating Clenshaw pass, the full flat Gram symmetrised after
-the fact, the two-pass error profile, the minimal separation from the full
+oracles: the allocating Clenshaw pass, the full Gram symmetrised after the
+fact, the two-pass error profile, the minimal separation from the full
 distance matrix, the per-pair k-NN vote, the `eigvalsh`-only
 indefiniteness test, and the STFT frames cut one by one.
 """
