@@ -306,9 +306,10 @@ def _upper_statistics(statistic, F: tuple, pair_elems: int, k: int = 0):
 
     Each row block is paired with the columns from the block start, and is
     sized so the statistic's largest temporary, `pair_elems` floats a pair,
-    holds at most `_BLOCK_ELEMS` floats. Yields (rows, upper, values): `upper` masks
-    the wanted entries of that (rows, M - rows.start) block and `values` are
-    those entries in row-major order. Only block-sized temporaries are made.
+    holds at most `_BLOCK_ELEMS` floats. Yields (rows, upper, values):
+    `upper` masks the wanted entries of that (rows, M - rows.start) block
+    and `values` are those entries in row-major order. Only block-sized
+    temporaries are made.
     """
     M = len(F[0])
     for rows in _row_blocks(M, M * pair_elems):
