@@ -469,9 +469,30 @@ class TestPoolGram:
         assert (len(grams), len(crosses)) == (4, 0)
         sweep_train_fraction(svd, small_gestures, fractions=(0.6, 1.0))
         assert (len(grams), len(crosses)) == (6, 0)
-        # a single 80/20 trial pools too
-        run_experiment(replace(svd, trials=1), small_gestures)
-        assert (len(grams), len(crosses)) == (7, 0)
+
+    @pytest.mark.parametrize("trials, train_ratio, bound_pooled", [
+        (1, 0.8, False), (2, 0.5, True), (2, 0.4, False), (5, 0.2, True),
+    ])
+    def test_repeated_splits_pool_when_it_pays(self, small_gestures, monkeypatch,
+                                               trials, train_ratio, bound_pooled):
+        # the pool Gram's upper triangle costs about one 80/20 split's kernels,
+        # so it pays whether or not the trials read all of it
+        # (trials * train_ratio >= 1, the bound that `bound_pooled` gives)
+        assert bound_pooled == (trials * train_ratio >= 1)
+        grams = _record_calls(monkeypatch, "gram")
+        crosses = _record_calls(monkeypatch, "cross_gram")
+        slices = []
+        train_gram = experiments._PoolGram.train_gram
+
+        def recorded(pool, train_idx):
+            slices.append(len(train_idx))
+            return train_gram(pool, train_idx)
+
+        monkeypatch.setattr(experiments._PoolGram, "train_gram", recorded)
+        svd = ExperimentConfig(feature="svd", r=3, kernel_kind="grassmann",
+                               trials=trials, train_ratio=train_ratio)
+        run_experiment(svd, small_gestures)
+        assert (len(grams), len(crosses), len(slices)) == (1, 0, trials)
 
     def test_folds_are_charged_their_share_of_the_pool_gram(self, small_gestures,
                                                              monkeypatch):
