@@ -17,7 +17,7 @@ import numpy as np
 from . import diagnostics
 from .experiments import (
     ExperimentConfig,
-    ResultTable,
+    GestureSet,
     _preprocessed,
     gen_synthetic_gestures,
     holdout_subject,
@@ -129,9 +129,7 @@ def _load_dataset(args):
         raise DataError("manifest lists no samples")
     classes = len({s.label for s in samples})
     subjects = sorted({s.subject for s in samples})
-    from .experiments import SyntheticGestureSet
-
-    return SyntheticGestureSet(samples=samples, classes=classes, subjects=subjects)
+    return GestureSet(samples=samples, classes=classes, subjects=subjects)
 
 
 def _write_run_manifest(out_dir, args, config=None) -> None:
@@ -249,15 +247,16 @@ def _cmd_sweep_frac(args) -> int:
         fractions = [float(f) for f in args.fractions.split(",")]
     except ValueError as exc:
         raise UsageError("--fractions must be comma-separated numbers") from exc
+    names = [f"sweep_frac{round(100 * frac):03d}.csv" for frac in fractions]
+    if len(set(names)) < len(names):
+        raise UsageError(f"--fractions {args.fractions} name one output file twice "
+                         "(file names hold the percentage, rounded)")
     os.makedirs(args.out_dir, exist_ok=True)
-    for frac, table in sweep_train_fraction(config, dataset, fractions):
+    for name, (frac, table) in zip(names, sweep_train_fraction(config, dataset, fractions)):
         if isinstance(table, ValueError):
             print(f"fraction={frac}: failed ({table})")
             continue
-        table.write_csv(
-            os.path.join(args.out_dir, f"sweep_frac{int(100 * frac):03d}.csv"),
-            extra={"fraction": frac},
-        )
+        table.write_csv(os.path.join(args.out_dir, name), extra={"fraction": frac})
         print(f"fraction={frac}: {table.rows[0].accuracy_mean:.2f}%")
     _write_run_manifest(args.out_dir, args, config)
     return 0

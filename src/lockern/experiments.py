@@ -31,7 +31,7 @@ from .kernels import kernel_fn  # noqa: F401
 
 __all__ = [
     "SyntheticManifoldSet",
-    "SyntheticGestureSet",
+    "GestureSet",
     "ExperimentConfig",
     "MissingClassError",
     "ResultRow",
@@ -67,7 +67,9 @@ class SyntheticManifoldSet:
 
 
 @dataclass(frozen=True)
-class SyntheticGestureSet:
+class GestureSet:
+    """Labelled spectrograms: a synthetic set or one read from a manifest."""
+
     samples: list  # of Spectrogram with label/subject set
     classes: int
     subjects: list
@@ -106,10 +108,11 @@ class ResultRow:
     `test_time_s` the test cross-Gram and prediction. Per-call work runs
     once, before the folds, and is in neither: preprocessing, the kernel
     spec, and SVD features. Every call pools the SVD features' kernel
-    matrix (`_PoolGram`): each fold slices its training Gram and test rows
-    from it and is charged that matrix's seconds at its per-entry rate for
-    the entries it reads, the training block in `train_time_s` and the test
-    block in `test_time_s`."""
+    matrix (`_PoolGram`), whose rows are the pool's samples in pool order:
+    a fold, given as positions in the pool, slices its training Gram and
+    test rows from it and is charged that matrix's seconds at its per-entry
+    rate for the entries it reads, the training block in `train_time_s` and
+    the test block in `test_time_s`."""
 
     method: str
     r: int
@@ -205,7 +208,7 @@ def gen_synthetic_gestures(
     seed: int = 42,
     fft_size: int = 64,
     hop: int = 32,
-) -> SyntheticGestureSet:
+) -> GestureSet:
     """Synthetic chirp-mixture gesture set: class-specific templates, subject-
     specific multiplicative perturbations, varying spectrogram widths."""
     if classes < 1 or subjects < 1 or per_cell < 1:
@@ -224,7 +227,7 @@ def gen_synthetic_gestures(
                 spec = stft(sig, window, hop=hop, fft_size=fft_size,
                             label=label, subject=subject_ids[s])
                 samples.append(spec)
-    return SyntheticGestureSet(samples=samples, classes=classes, subjects=subject_ids)
+    return GestureSet(samples=samples, classes=classes, subjects=subject_ids)
 
 
 def _stratified_split(labels, train_ratio: float, rng):
@@ -272,62 +275,72 @@ def _blocks(samples, indices):
         yield block
 
 
-def _sample_features(config: ExperimentConfig, preprocessed) -> dict:
-    """Per-sample features from (index, preprocessed Spectrogram) pairs:
-    index -> the spectrogram itself for PCA features (the basis is fit per
-    fold), or its `svd_features` for SVD features."""
+def _check_config(config: ExperimentConfig) -> None:
+    """Refuse a config that no fold can run, before any per-sample work."""
+    if config.feature not in ("pca", "svd"):
+        raise ValueError(f"unknown feature kind {config.feature!r}")
+    if config.classifier not in ("svm", "knn"):
+        raise ValueError(f"unknown classifier {config.classifier!r}")
     if config.feature == "svd" and config.classifier == "knn":
         raise ValueError("classifier knn with feature svd: k-NN takes flat vectors "
                          "(feature pca), and SVD features are subspace bases")
-    if config.feature == "pca":
-        return dict(preprocessed)
+
+
+def _sample_features(config: ExperimentConfig, spectrograms) -> list:
+    """Per-sample features of preprocessed spectrograms, in their order: the
+    spectrograms themselves for PCA features (the basis is fit per fold), or
+    their `svd_features` for SVD features."""
     if config.feature == "svd":
-        return {i: svd_features(spec, config.r) for i, spec in preprocessed}
-    raise ValueError(f"unknown feature kind {config.feature!r}")
+        return [svd_features(spec, config.r) for spec in spectrograms]
+    return list(spectrograms)
 
 
 @dataclass(frozen=True)
 class _PoolGram:
-    """The kernel matrix of the SVD features of every pool sample, made once
-    per call, whatever the number of folds. SVD features are per-sample and
-    have no fitted parameters, so every kernel value a fold needs, training
-    or test, is an entry of it; PCA features are fit per fold and cannot
-    pool. Its upper triangle costs about what one 80/20 split's own Gram
-    and cross-Gram cost."""
+    """The kernel matrix of the SVD features of every pool sample, in pool
+    order, made once per call, whatever the number of folds. A fold's
+    positions in the pool are its rows. SVD features are per-sample and have
+    no fitted parameters, so every kernel value a fold needs, training or
+    test, is an entry of it; PCA features are fit per fold and cannot pool.
+    Its upper triangle costs about what one 80/20 split's own Gram and
+    cross-Gram cost."""
 
     gram: GramMatrix
-    rows: np.ndarray  # sample index -> row of gram.entries; absent: out of range
     seconds: float  # wall time of the `gram` call that built it
+
+    @classmethod
+    def timed(cls, spec: KernelSpec, features: list) -> _PoolGram:
+        t0 = time.perf_counter()
+        pool_gram = gram(spec, features)
+        return cls(pool_gram, time.perf_counter() - t0)
 
     def seconds_for(self, n_rows: int, n_cols: int) -> float:
         """The pool Gram's seconds at its per-entry rate for an n_rows x
         n_cols block: what a fold that reads the block is charged."""
         return self.seconds * n_rows * n_cols / len(self.gram.entries) ** 2
 
-    def train_gram(self, train_idx) -> GramMatrix:
+    def train_gram(self, train) -> GramMatrix:
         """Training Gram of a fold; exactly symmetric, as the pool's is."""
-        tr = self.rows[train_idx]
-        return GramMatrix(self.gram.entries[np.ix_(tr, tr)], self.gram.spec, list(train_idx))
+        return GramMatrix(self.gram.entries[np.ix_(train, train)], self.gram.spec)
 
-    def test_rows(self, test_idx, train_idx) -> np.ndarray:
+    def test_rows(self, test, train) -> np.ndarray:
         """Kernel values of each test sample against the training fold."""
-        return self.gram.entries[np.ix_(self.rows[test_idx], self.rows[train_idx])]
+        return self.gram.entries[np.ix_(test, train)]
 
 
-def _fold_features(config: ExperimentConfig, per_sample: dict, train_idx, test_idx,
+def _fold_features(config: ExperimentConfig, features: list, train, test,
                    target_frames: int):
     """PCA features of one fold from the per-sample spectrograms, the basis
     and its scale fit on the training fold only. Returns (train, test)
     lists."""
-    train = [per_sample[i] for i in train_idx]
-    test = [per_sample[i] for i in test_idx]
     # pad within the fold: padded vectors of every sample at once would
     # raise peak memory. Projection stays per sample: one matrix product
     # for the fold differs in the last bits.
-    train_mat = zero_pad_stack(train, target_frames)
+    train_mat = zero_pad_stack([features[i] for i in train], target_frames)
     basis = fit_pca(train_mat, config.r)
     train_f = [pca_project(basis, v) for v in train_mat]
-    test_f = [pca_project(basis, v) for v in zero_pad_stack(test, target_frames)]
+    test_f = [pca_project(basis, v)
+              for v in zero_pad_stack([features[i] for i in test], target_frames)]
     # put typical nearest-neighbor distances at the scale the localized
     # kernel's bump expects; the scale derives from the training fold only
     scale = _nn_scale(train_f)
@@ -366,134 +379,125 @@ def _kernel_spec(config: ExperimentConfig) -> KernelSpec | None:
     return KernelSpec(kind=config.kernel_kind, params=_kernel_params(config))
 
 
-def _run_single_trial(config: ExperimentConfig, dataset: SyntheticGestureSet, spec,
-                      shared, trial: int, pool):
-    rng = np.random.default_rng(config.seed + trial)
-    labels = [s.label for s in dataset.samples]
-    train_idx, test_idx = _stratified_split(np.asarray(labels)[pool], config.train_ratio, rng)
-    train_idx, test_idx = pool[train_idx], pool[test_idx]
-    return _fit_and_score(config, dataset, spec, shared, train_idx, test_idx)
+def _splits(config: ExperimentConfig, labels) -> list:
+    """The repeated-split protocol's folds of a pool with these labels:
+    `config.trials` seeded stratified splits, as positions in the pool."""
+    if config.trials < 1:
+        raise ValueError("trials must be >= 1")
+    return [_stratified_split(labels, config.train_ratio, np.random.default_rng(config.seed + t))
+            for t in range(config.trials)]
 
 
-def _shared(config: ExperimentConfig, spec: KernelSpec | None, per_sample: dict):
-    """What every fold of one call reads: the `_PoolGram` under `spec` of
-    the samples in `per_sample` (rows in its order, timed) for SVD
-    features, `per_sample` itself for PCA features."""
-    if config.feature != "svd":
-        return per_sample
-    t0 = time.perf_counter()
-    pool_gram = gram(spec, list(per_sample.values()), point_ids=list(per_sample))
-    seconds = time.perf_counter() - t0
-    index = np.fromiter(per_sample, dtype=int, count=len(per_sample))
-    # a sample outside the pool maps past the last row, so slicing it raises
-    rows = np.full(index.max() + 1, len(index))
-    rows[index] = np.arange(len(index))
-    return _PoolGram(pool_gram, rows, seconds)
+def _scores(config: ExperimentConfig, dataset: GestureSet, labels, spectrograms,
+            folds) -> list:
+    """(accuracy %, train seconds, test seconds) of each fold, scored in one
+    loop. `labels` and the preprocessed `spectrograms` are the pool's, in
+    pool order, and each fold is a (train, test) pair of positions in the
+    pool. Per-call work runs once, before the first fold: the pool's
+    features, the kernel spec, the padding width and, for SVD features, the
+    `_PoolGram`."""
+    features = _sample_features(config, spectrograms)
+    spec = _kernel_spec(config)
+    pool_gram = _PoolGram.timed(spec, features) if config.feature == "svd" else None
+    target_frames = max(s.data.shape[1] for s in dataset.samples)
+    return [_fit_and_score(config, spec, dataset.classes, target_frames, features, labels,
+                           pool_gram, train, test)
+            for train, test in folds]
 
 
-def _fit_and_score(config: ExperimentConfig, dataset: SyntheticGestureSet, spec, shared,
-                   train_idx, test_idx):
-    """Per-fold work on the `_kernel_spec` and `_shared` results of one
-    call. Returns (accuracy %, train seconds, test seconds)."""
-    samples = dataset.samples
-    target_frames = max(s.data.shape[1] for s in samples)
-    train_labels = [samples[i].label for i in train_idx]
-    test_labels = [samples[i].label for i in test_idx]
-    if len(set(train_labels)) < dataset.classes:
+def _fit_and_score(config: ExperimentConfig, spec, classes: int, target_frames: int,
+                   features: list, labels, pool_gram, train, test):
+    """Per-fold work on the per-call results of `_scores`. Returns
+    (accuracy %, train seconds, test seconds)."""
+    train_labels = labels[train].tolist()
+    if len(set(train_labels)) < classes:
         raise MissingClassError("a class is missing from the training fold")
 
     t0 = time.perf_counter()
-    pooled = isinstance(shared, _PoolGram)
-    if not pooled:
-        train_f, test_f = _fold_features(config, shared, train_idx, test_idx, target_frames)
+    if pool_gram is None:
+        train_f, test_f = _fold_features(config, features, train, test, target_frames)
 
     if config.classifier == "svm":
-        G = shared.train_gram(train_idx) if pooled else gram(spec, train_f)
+        G = gram(spec, train_f) if pool_gram is None else pool_gram.train_gram(train)
         model = one_vs_rest_train(G, train_labels, C=config.C)
         train_time = time.perf_counter() - t0
         t1 = time.perf_counter()
-        rows = (shared.test_rows(test_idx, train_idx) if pooled
-                else cross_gram(spec, test_f, train_f))
+        rows = (cross_gram(spec, test_f, train_f) if pool_gram is None
+                else pool_gram.test_rows(test, train))
         preds = [one_vs_rest_predict(model, row) for row in rows]
         test_time = time.perf_counter() - t1
-        if pooled:
+        if pool_gram is not None:
             # the kernel values this fold reads, at the pool Gram's rate, so
             # SVD rows count their kernel work as PCA rows do
-            train_time += shared.seconds_for(len(train_idx), len(train_idx))
-            test_time += shared.seconds_for(len(test_idx), len(train_idx))
-    elif config.classifier == "knn":
+            train_time += pool_gram.seconds_for(len(train), len(train))
+            test_time += pool_gram.seconds_for(len(test), len(train))
+    else:
         train_time = time.perf_counter() - t0
         t1 = time.perf_counter()
         preds = knn_predict(train_f, train_labels, test_f, config.knn_k)
         test_time = time.perf_counter() - t1
-    else:
-        raise ValueError(f"unknown classifier {config.classifier!r}")
 
-    acc = 100.0 * float(np.mean(np.asarray(preds) == np.asarray(test_labels)))
+    acc = 100.0 * float(np.mean(np.asarray(preds) == labels[test]))
     return acc, train_time, test_time
 
 
-def run_experiment(config: ExperimentConfig, dataset: SyntheticGestureSet,
-                   train_pool=None) -> ResultTable:
-    """Mean/variance accuracy and wall-clock times over repeated stratified
-    splits (one row)."""
-    pool = np.arange(len(dataset.samples)) if train_pool is None else np.asarray(train_pool)
-    pairs = _preprocessed(config.preprocessing, dataset.samples, pool)
-    per_sample = _sample_features(config, pairs)
-    return _repeated_splits(config, dataset, pool, per_sample)
-
-
-def _repeated_splits(config: ExperimentConfig, dataset: SyntheticGestureSet, pool,
-                     per_sample: dict) -> ResultTable:
-    """run_experiment on the pool, given the `_sample_features` of (at least)
-    every pool sample. The kernel spec is built once, and SVD features take
-    one kernel matrix of the pool, for all trials."""
-    if config.trials < 1:
-        raise ValueError("trials must be >= 1")
-    spec = _kernel_spec(config)
-    shared = _shared(config, spec, per_sample)
-    accs, t_train, t_test = [], 0.0, 0.0
-    for trial in range(config.trials):
-        acc, tt, te = _run_single_trial(config, dataset, spec, shared, trial, pool)
-        accs.append(acc)
-        t_train += tt
-        t_test += te
+def _split_table(config: ExperimentConfig, scores) -> ResultTable:
+    """One row: mean and variance of the folds' accuracies and their mean
+    times."""
+    accs, train_s, test_s = zip(*scores)
     accs = np.array(accs)
-    row = ResultRow(
+    return ResultTable(rows=[ResultRow(
         method=config.method_name(),
         r=config.r,
         accuracy_mean=float(accs.mean()),
         accuracy_var=float(accs.var()),
-        train_time_s=t_train / config.trials,
-        test_time_s=t_test / config.trials,
-    )
-    return ResultTable(rows=[row])
+        train_time_s=sum(train_s) / len(scores),
+        test_time_s=sum(test_s) / len(scores),
+    )])
+
+
+def _pool_spectrograms(config: ExperimentConfig, dataset: GestureSet):
+    """Preprocessed spectrograms of every sample, lazily, in sample order."""
+    pairs = _preprocessed(config.preprocessing, dataset.samples, range(len(dataset.samples)))
+    return (spec for _, spec in pairs)
+
+
+def run_experiment(config: ExperimentConfig, dataset: GestureSet) -> ResultTable:
+    """Mean/variance accuracy and wall-clock times over repeated stratified
+    splits (one row)."""
+    _check_config(config)
+    labels = np.array([s.label for s in dataset.samples])
+    folds = _splits(config, labels)
+    scores = _scores(config, dataset, labels, _pool_spectrograms(config, dataset), folds)
+    return _split_table(config, scores)
 
 
 # the errors a sweep records for its point and goes on past
 _SWEEP_SKIPS = (RankError, MissingClassError)
 
 
-def sweep_dimension(config: ExperimentConfig, dataset: SyntheticGestureSet, r_values):
+def sweep_dimension(config: ExperimentConfig, dataset: GestureSet, r_values):
     """(r, result) per feature dimension r: the ResultTable, or the
     RankError or MissingClassError that skipped this r. Any other error
     propagates. The localized kernel's q is clamped to r inside the run. Each
-    sample is preprocessed once per call; SVD features and their kernel
-    matrix are taken once per r."""
+    sample is preprocessed once per call and the splits are drawn once; SVD
+    features and their kernel matrix are taken once per r."""
+    _check_config(config)
+    labels = np.array([s.label for s in dataset.samples])
+    folds = _splits(config, labels)
+    spectrograms = list(_pool_spectrograms(config, dataset))
     out = []
-    pool = np.arange(len(dataset.samples))
-    preprocessed = dict(_preprocessed(config.preprocessing, dataset.samples, pool))
     for r in r_values:
+        config_r = replace(config, r=r)
         try:
-            config_r = replace(config, r=r)
-            per_sample = _sample_features(config_r, preprocessed.items())
-            out.append((r, _repeated_splits(config_r, dataset, pool, per_sample)))
+            scores = _scores(config_r, dataset, labels, spectrograms, folds)
+            out.append((r, _split_table(config_r, scores)))
         except _SWEEP_SKIPS as exc:
             out.append((r, exc))
     return out
 
 
-def sweep_train_fraction(config: ExperimentConfig, dataset: SyntheticGestureSet,
+def sweep_train_fraction(config: ExperimentConfig, dataset: GestureSet,
                          fractions=(0.2, 0.4, 0.6, 0.8)):
     """(fraction, result) per fraction: a stratified subsample of the
     training pool, then the usual repeated-split protocol on it. The result
@@ -501,26 +505,25 @@ def sweep_train_fraction(config: ExperimentConfig, dataset: SyntheticGestureSet,
     this fraction; any other error propagates. Each sample is preprocessed
     once per call; for SVD features, each fraction's pool takes one kernel
     matrix."""
-    labels = np.asarray([s.label for s in dataset.samples])
-    pools = []
-    for frac in fractions:
-        rng = np.random.default_rng(config.seed)
-        pool, _ = _stratified_split(labels, frac, rng) if frac < 1.0 else (
-            np.arange(len(labels)), np.array([], dtype=int))
-        pools.append(pool)
+    _check_config(config)
+    labels = np.array([s.label for s in dataset.samples])
+    pools = [_stratified_split(labels, frac, np.random.default_rng(config.seed))[0]
+             if frac < 1.0 else np.arange(len(labels)) for frac in fractions]
+    folds = [_splits(config, labels[pool]) for pool in pools]
     used = np.unique(np.concatenate(pools)) if pools else []
     preprocessed = dict(_preprocessed(config.preprocessing, dataset.samples, used))
     out = []
-    for frac, pool in zip(fractions, pools):
+    for frac, pool, pool_folds in zip(fractions, pools, folds):
         try:
-            per_sample = _sample_features(config, ((i, preprocessed[i]) for i in pool))
-            out.append((frac, _repeated_splits(config, dataset, pool, per_sample)))
+            scores = _scores(config, dataset, labels[pool], [preprocessed[i] for i in pool],
+                             pool_folds)
+            out.append((frac, _split_table(config, scores)))
         except _SWEEP_SKIPS as exc:
             out.append((frac, exc))
     return out
 
 
-def holdout_subject(config: ExperimentConfig, dataset: SyntheticGestureSet) -> ResultTable:
+def holdout_subject(config: ExperimentConfig, dataset: GestureSet) -> ResultTable:
     """Train on all subjects but one, test on the held-out subject; one row
     per fold. Each sample is preprocessed (and, for SVD features, decomposed)
     once per call, the kernel spec is built once, and SVD features take one
@@ -528,24 +531,15 @@ def holdout_subject(config: ExperimentConfig, dataset: SyntheticGestureSet) -> R
     fold."""
     if len(dataset.subjects) < 2:
         raise ValueError("need at least two subjects")
-    samples = dataset.samples
-    pairs = _preprocessed(config.preprocessing, samples, range(len(samples)))
-    spec = _kernel_spec(config)
-    shared = _shared(config, spec, _sample_features(config, pairs))
+    _check_config(config)
+    subjects = np.array([s.subject for s in dataset.samples])
+    folds = [(np.flatnonzero(subjects != subject), np.flatnonzero(subjects == subject))
+             for subject in dataset.subjects]
+    labels = np.array([s.label for s in dataset.samples])
+    scores = _scores(config, dataset, labels, _pool_spectrograms(config, dataset), folds)
     method = config.method_name()
-    rows = []
-    for subject in dataset.subjects:
-        train_idx = np.array([i for i, s in enumerate(dataset.samples) if s.subject != subject])
-        test_idx = np.array([i for i, s in enumerate(dataset.samples) if s.subject == subject])
-        acc, tt, te = _fit_and_score(config, dataset, spec, shared, train_idx, test_idx)
-        rows.append(
-            ResultRow(
-                method=f"{method} holdout={subject}",
-                r=config.r,
-                accuracy_mean=acc,
-                accuracy_var=0.0,
-                train_time_s=tt,
-                test_time_s=te,
-            )
-        )
-    return ResultTable(rows=rows)
+    return ResultTable(rows=[
+        ResultRow(method=f"{method} holdout={subject}", r=config.r, accuracy_mean=acc,
+                  accuracy_var=0.0, train_time_s=tt, test_time_s=te)
+        for subject, (acc, tt, te) in zip(dataset.subjects, scores)
+    ])

@@ -87,7 +87,6 @@ class KernelSpec:
 class GramMatrix:
     entries: np.ndarray
     spec: KernelSpec
-    point_ids: list
 
 
 @dataclass(frozen=True)
@@ -370,7 +369,7 @@ def _cross_gram_statistics(spec: KernelSpec, A: Sequence, B: Sequence) -> tuple:
     return K, s
 
 
-def gram(spec: KernelSpec, points: Sequence, point_ids=None) -> GramMatrix:
+def gram(spec: KernelSpec, points: Sequence) -> GramMatrix:
     """Symmetric Gram matrix: cross_gram of the points with themselves, with
     K[i, j] == K[j, i] exactly. Features are stacked and validated once.
 
@@ -406,8 +405,7 @@ def gram(spec: KernelSpec, points: Sequence, point_ids=None) -> GramMatrix:
         diag, lower = K[rows, rows], ~upper[:, :n]
         diag[lower] = diag.T[lower]
     _check_finite(spec, K)
-    ids = list(point_ids) if point_ids is not None else list(range(len(points)))
-    return GramMatrix(entries=K, spec=spec, point_ids=ids)
+    return GramMatrix(entries=K, spec=spec)
 
 
 def psi_kernel(spec: KernelSpec, quad: DiscreteQuadrature, x, y) -> float:

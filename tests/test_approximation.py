@@ -118,9 +118,9 @@ class TestFitEmpirical:
         calls = []
         real = approximation.gram
 
-        def counting(spec, points, point_ids=None):
+        def counting(spec, points):
             calls.append(len(points))
-            return real(spec, points, point_ids)
+            return real(spec, points)
 
         monkeypatch.setattr(approximation, "gram", counting)
         nodes, truth = circle_nodes(12)

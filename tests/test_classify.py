@@ -198,7 +198,7 @@ class TestSvmBinary:
                                              r"at entry \(1, 2\)"):
             svm_train_binary(K, [1.0, -1.0, 1.0], C=1.0)
         spec = KernelSpec("localized", {"N": 8.0, "q": 2, "gamma": 1.0})
-        G = GramMatrix(entries=K, spec=spec, point_ids=[0, 1, 2])
+        G = GramMatrix(entries=K, spec=spec)
         with pytest.raises(ValueError, match=r"localized kernel \(N=8, q=2"):
             one_vs_rest_train(G, [0, 1, 2], C=1.0)
 
@@ -416,7 +416,8 @@ def gesture_folds():
         ds = gen_synthetic_gestures(per_cell=10, seed=seed)
         config = ExperimentConfig(classifier="knn", seed=seed)
         pool = range(len(ds.samples))
-        per_sample = _sample_features(config, _preprocessed(config.preprocessing, ds.samples, pool))
+        pairs = _preprocessed(config.preprocessing, ds.samples, pool)
+        per_sample = _sample_features(config, (spectrogram for _, spectrogram in pairs))
         labels = np.array([s.label for s in ds.samples])
         frames = max(s.data.shape[1] for s in ds.samples)
         for trial in range(2):

@@ -247,13 +247,20 @@ class TestSweepCommands:
         assert code == 2
 
     def test_sweep_frac_default_grid(self, tmp_path, knn_config):
-        code = run(
-            ["--out-dir", str(tmp_path), "sweep-frac", "--synthetic", "--per-cell", "3",
-             "--config", knn_config]
-        )
-        assert code == 0
-        for pct in (20, 40, 60, 80):
-            assert (tmp_path / f"sweep_frac{pct:03d}.csv").exists()
+        # file names hold the rounded percentage; two fractions that name
+        # one file are a usage error, before any file is written
+        cases = [([], 0, (20, 40, 60, 80)),
+                 (["--fractions", "0.29,0.57"], 0, (29, 57)),
+                 (["--fractions", "0.5,0.501"], 2, ())]
+        for k, (fractions, exit_code, pcts) in enumerate(cases):
+            out = tmp_path / str(k)
+            code = run(
+                ["--out-dir", str(out), "sweep-frac", "--synthetic", "--per-cell", "3",
+                 "--config", knn_config] + fractions
+            )
+            assert code == exit_code
+            written = sorted(p.name for p in out.glob("sweep_frac*.csv")) if out.exists() else []
+            assert written == [f"sweep_frac{pct:03d}.csv" for pct in pcts]
 
     def test_holdout_outputs(self, tmp_path, knn_config):
         code = run(

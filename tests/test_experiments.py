@@ -16,6 +16,7 @@ from lockern.experiments import (
     run_experiment,
     sweep_dimension,
     sweep_train_fraction,
+    _check_config,
     _fold_features,
     _preprocessed,
     _sample_features,
@@ -143,7 +144,8 @@ class TestFeatureExtraction:
         ds = small_gestures
         config = ExperimentConfig(r=5)
         target = max(s.data.shape[1] for s in ds.samples)
-        per_sample = _sample_features(config, _preprocessed(config.preprocessing, ds.samples, range(70)))
+        pairs = _preprocessed(config.preprocessing, ds.samples, range(70))
+        per_sample = _sample_features(config, (spectrogram for _, spectrogram in pairs))
         train = range(40)
         fa, _ = _fold_features(config, per_sample, train, range(40, 44), target)
         fb, _ = _fold_features(config, per_sample, train, range(60, 70), target)
@@ -153,12 +155,12 @@ class TestFeatureExtraction:
     def test_svd_feature_shape(self, small_gestures):
         config = ExperimentConfig(feature="svd", r=4)
         pre = _preprocessed(config.preprocessing, small_gestures.samples, range(6))
-        per_sample = _sample_features(config, pre)
-        assert all(f.U.shape == (64, 4) and f.S.shape == (4,) for f in per_sample.values())
+        per_sample = _sample_features(config, (spectrogram for _, spectrogram in pre))
+        assert all(f.U.shape == (64, 4) and f.S.shape == (4,) for f in per_sample)
 
     def test_unknown_feature(self):
         with pytest.raises(ValueError):
-            _sample_features(ExperimentConfig(feature="wavelet"), [])
+            _check_config(ExperimentConfig(feature="wavelet"))
 
 
 def _record_calls(monkeypatch, name):
@@ -298,10 +300,20 @@ class TestRunExperiment:
 
     def test_svd_knn_rejected_before_preprocessing(self, small_gestures, monkeypatch):
         preprocessed = _record_calls(monkeypatch, "log_threshold")
-        config = ExperimentConfig(feature="svd", classifier="knn", r=3, trials=1)
-        for entry in (run_experiment, holdout_subject):
-            with pytest.raises(ValueError, match="classifier knn with feature svd"):
-                entry(config, small_gestures)
+        splits = (run_experiment,
+                  lambda config, ds: sweep_dimension(config, ds, [2, 3]),
+                  lambda config, ds: sweep_train_fraction(config, ds, (0.5, 1.0)))
+        cases = [
+            (ExperimentConfig(feature="svd", classifier="knn", r=3, trials=1),
+             "classifier knn with feature svd", splits + (holdout_subject,)),
+            (ExperimentConfig(classifier="svn", r=3, trials=1),
+             "unknown classifier 'svn'", splits + (holdout_subject,)),
+            (ExperimentConfig(feature="svd", r=3, trials=0), "trials must be >= 1", splits),
+        ]
+        for config, message, entries in cases:
+            for entry in entries:
+                with pytest.raises(ValueError, match=message):
+                    entry(config, small_gestures)
         assert preprocessed == []
 
     def test_localized_q_default_is_kernel_spec_default(self):
@@ -411,51 +423,37 @@ def _noised_gestures(seed):
 class TestPoolGram:
     @pytest.mark.parametrize("kind", ["grassmann", "laplace_svd", "gaussian_svd"])
     def test_slices_match_per_fold_kernels(self, small_gestures, kind):
-        config = ExperimentConfig(feature="svd", r=4, kernel_kind=kind)
+        # two pools: every sample with the subject-holdout folds, and a
+        # training-fraction sweep's strict, non-contiguous subset with its
+        # stratified splits; folds are positions in the pool
+        config = ExperimentConfig(feature="svd", r=4, kernel_kind=kind, trials=3)
         samples = small_gestures.samples
-        per_sample = _sample_features(
-            config, _preprocessed(config.preprocessing, samples, range(len(samples))))
+        labels = np.array([s.label for s in samples])
+        subjects = np.array([s.subject for s in samples])
+        subset, _ = _stratified_split(labels, 0.6, np.random.default_rng(config.seed))
+        pools = [
+            (np.arange(len(samples)), [(np.flatnonzero(subjects != subject),
+                                        np.flatnonzero(subjects == subject))
+                                       for subject in small_gestures.subjects]),
+            (subset, experiments._splits(config, labels[subset])),
+        ]
         spec = experiments._kernel_spec(config)
-        pool = experiments._shared(config, spec, per_sample)
         tol = 4 * np.finfo(float).eps
-        for subject in small_gestures.subjects:
-            train = np.array([i for i, s in enumerate(samples) if s.subject != subject])
-            test = np.array([i for i, s in enumerate(samples) if s.subject == subject])
-            train_f = [per_sample[i] for i in train]
-            G = pool.train_gram(train)
-            assert G.spec == spec
-            assert np.array_equal(G.entries, G.entries.T)
-            np.testing.assert_allclose(G.entries, kernels.gram(spec, train_f).entries,
-                                       rtol=0, atol=tol)
-            np.testing.assert_allclose(
-                pool.test_rows(test, train),
-                kernels.cross_gram(spec, [per_sample[i] for i in test], train_f),
-                rtol=0, atol=tol)
-
-    def test_rows_follow_a_subset_pool(self, small_gestures):
-        # a pool that is not 0..M-1 (a training-fraction sweep's) in any order
-        config = ExperimentConfig(feature="svd", r=3, kernel_kind="grassmann")
-        pool = [50, 7, 33, 90, 12]
-        pairs = _preprocessed(config.preprocessing, small_gestures.samples, pool)
-        per_sample = _sample_features(config, pairs)
-        spec = experiments._kernel_spec(config)
-        K = experiments._shared(config, spec, per_sample).test_rows(np.array([90, 7]),
-                                                                     np.array([12, 50]))
-        want = kernels.cross_gram(spec, [per_sample[90], per_sample[7]],
-                                  [per_sample[12], per_sample[50]])
-        np.testing.assert_allclose(K, want, rtol=0, atol=4 * np.finfo(float).eps)
-
-    def test_stray_sample_raises(self, small_gestures):
-        # a sample outside the pool must not read another sample's row
-        config = ExperimentConfig(feature="svd", r=3, kernel_kind="grassmann")
-        pairs = _preprocessed(config.preprocessing, small_gestures.samples, [4, 9, 2])
-        pool = experiments._shared(config, experiments._kernel_spec(config),
-                                   _sample_features(config, pairs))
-        for stray in (3, 5, 10):
-            with pytest.raises(IndexError):
-                pool.test_rows(np.array([stray]), np.array([4, 9]))
-            with pytest.raises(IndexError):
-                pool.train_gram(np.array([2, stray]))
+        for pool_idx, folds in pools:
+            pairs = _preprocessed(config.preprocessing, samples, pool_idx)
+            per_sample = _sample_features(config, (spectrogram for _, spectrogram in pairs))
+            pool = experiments._PoolGram.timed(spec, per_sample)
+            for train, test in folds:
+                train_f = [per_sample[i] for i in train]
+                G = pool.train_gram(train)
+                assert G.spec == spec
+                assert np.array_equal(G.entries, G.entries.T)
+                np.testing.assert_allclose(G.entries, kernels.gram(spec, train_f).entries,
+                                           rtol=0, atol=tol)
+                np.testing.assert_allclose(
+                    pool.test_rows(test, train),
+                    kernels.cross_gram(spec, [per_sample[i] for i in test], train_f),
+                    rtol=0, atol=tol)
 
     def test_one_gram_per_call_for_svd_features(self, small_gestures, monkeypatch):
         grams = _record_calls(monkeypatch, "gram")
@@ -531,6 +529,21 @@ class TestPoolGram:
         assert (len(grams), len(crosses), len(builds)) == (6, 6, 1)
         run_experiment(pca, small_gestures)
         assert (len(grams), len(crosses), len(builds)) == (9, 9, 2)
+
+    @pytest.mark.parametrize("seed, points", [
+        (1, [(95.83333333333333, 34.72222222222222), (93.75, 26.041666666666668),
+             (87.5, 11.574074074074021)]),
+        (2, [(83.33333333333333, 34.72222222222222), (83.33333333333333, 8.680555555555555),
+             (86.11111111111113, 3.858024691358007)]),
+    ])
+    def test_noised_grassmann_fraction_sweep_pinned(self, seed, points):
+        # (accuracy mean, variance) per fraction as computed at d6db0a5, where
+        # the fraction pools (strict, non-contiguous subsets at 0.4 and 0.7)
+        # were mapped to pool Gram rows by sample index
+        config = ExperimentConfig(feature="svd", r=5, kernel_kind="grassmann", trials=3)
+        out = sweep_train_fraction(config, _noised_gestures(seed), fractions=(0.4, 0.7, 1.0))
+        assert [frac for frac, _ in out] == [0.4, 0.7, 1.0]
+        assert [(t.rows[0].accuracy_mean, t.rows[0].accuracy_var) for _, t in out] == points
 
     @pytest.mark.parametrize("seed, accuracies", [
         (1, [75.0, 85.0, 95.0, 100.0, 90.0, 75.0]),
