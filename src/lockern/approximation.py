@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
-    FLAT_KINDS,
     DiscreteQuadrature,
     KernelSpec,
     _cross_gram_statistics,
@@ -27,7 +26,6 @@ from .kernels import kernel_fn, psi_kernel  # noqa: F401
 __all__ = [
     "CollocationModel",
     "ErrorProfile",
-    "euclidean_metric",
     "minimal_separation",
     "dominance_diagnostic",
     "fit_empirical",
@@ -38,10 +36,6 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
-
-
-def euclidean_metric(x, y) -> float:
-    return float(np.linalg.norm(np.asarray(x, float).ravel() - np.asarray(y, float).ravel()))
 
 
 @dataclass(frozen=True)
@@ -169,7 +163,7 @@ def error_profile(model: CollocationModel, truth, probes) -> ErrorProfile:
     truth = np.asarray(truth, dtype=float)
     if len(probes) == 0:
         raise ValueError("no probes")
-    if model.spec.kind not in FLAT_KINDS:
+    if model.spec.kind not in ("euclidean_rbf", "localized"):
         raise ValueError(f"{model.spec.kind} is not a kernel on flat vectors")
     K, d2 = _cross_gram_statistics(model.spec, probes, model.nodes)
     vals = K @ model.coeffs

@@ -18,6 +18,7 @@ from . import diagnostics
 from .experiments import (
     ExperimentConfig,
     GestureSet,
+    _check_fractions,
     _preprocessed,
     gen_synthetic_gestures,
     holdout_subject,
@@ -25,7 +26,7 @@ from .experiments import (
     sweep_dimension,
     sweep_train_fraction,
 )
-from .features import Spectrogram, svd_features, zero_pad_vectorize
+from .features import svd_features, zero_pad_stack
 from .hermite import build_localized_kernel, eval_localized
 from .io import read_manifest, read_spectrogram_csv
 
@@ -195,7 +196,7 @@ def _cmd_features(args) -> int:
                 for row in feat.U:
                     w.writerow([repr(float(v)) for v in row])
             else:
-                vec = zero_pad_vectorize(spec, target)
+                vec = zero_pad_stack([spec], target)[0]
                 w.writerow(["flat_vector"])
                 for v in vec:
                     w.writerow([repr(float(v))])
@@ -241,16 +242,20 @@ def _cmd_sweep_dim(args) -> int:
 
 
 def _cmd_sweep_frac(args) -> int:
-    dataset = _load_dataset(args)
-    config = _config_from_args(args)
     try:
         fractions = [float(f) for f in args.fractions.split(",")]
     except ValueError as exc:
         raise UsageError("--fractions must be comma-separated numbers") from exc
+    try:
+        _check_fractions(fractions)
+    except ValueError as exc:
+        raise UsageError(f"--fractions: {exc}") from exc
     names = [f"sweep_frac{round(100 * frac):03d}.csv" for frac in fractions]
     if len(set(names)) < len(names):
         raise UsageError(f"--fractions {args.fractions} name one output file twice "
                          "(file names hold the percentage, rounded)")
+    dataset = _load_dataset(args)
+    config = _config_from_args(args)
     os.makedirs(args.out_dir, exist_ok=True)
     for name, (frac, table) in zip(names, sweep_train_fraction(config, dataset, fractions)):
         if isinstance(table, ValueError):

@@ -497,6 +497,13 @@ def sweep_dimension(config: ExperimentConfig, dataset: GestureSet, r_values):
     return out
 
 
+def _check_fractions(fractions) -> None:
+    """Refuse a training fraction outside (0, 1], NaN included."""
+    for frac in fractions:
+        if not 0.0 < frac <= 1.0:
+            raise ValueError(f"training fraction {frac} is outside (0, 1]")
+
+
 def sweep_train_fraction(config: ExperimentConfig, dataset: GestureSet,
                          fractions=(0.2, 0.4, 0.6, 0.8)):
     """(fraction, result) per fraction: a stratified subsample of the
@@ -504,8 +511,10 @@ def sweep_train_fraction(config: ExperimentConfig, dataset: GestureSet,
     is the ResultTable, or the RankError or MissingClassError that skipped
     this fraction; any other error propagates. Each sample is preprocessed
     once per call; for SVD features, each fraction's pool takes one kernel
-    matrix."""
+    matrix. A fraction outside (0, 1], NaN included, is refused before any
+    sample is preprocessed."""
     _check_config(config)
+    _check_fractions(fractions)
     labels = np.array([s.label for s in dataset.samples])
     pools = [_stratified_split(labels, frac, np.random.default_rng(config.seed))[0]
              if frac < 1.0 else np.arange(len(labels)) for frac in fractions]

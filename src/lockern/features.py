@@ -28,7 +28,6 @@ __all__ = [
     "svd_features",
     "fit_pca",
     "pca_project",
-    "zero_pad_vectorize",
     "zero_pad_stack",
     "arma_fit",
     "grassmann_embed",
@@ -289,15 +288,10 @@ def pca_project(basis: PcaBasis, x: np.ndarray) -> np.ndarray:
     return basis.components.T @ (x - basis.mean)
 
 
-def zero_pad_vectorize(spec: Spectrogram, target_frames: int) -> np.ndarray:
-    """Pad with zero columns on the right to target_frames, then flatten
-    column-major."""
-    return zero_pad_stack([spec], target_frames)[0]
-
-
 def zero_pad_stack(specs, target_frames: int) -> np.ndarray:
-    """Row k is `zero_pad_vectorize(specs[k], target_frames)`. The rows are
-    written into one preallocated zero matrix, one copy per spectrogram."""
+    """Row k is specs[k] padded with zero columns on the right to
+    target_frames, then flattened column-major. The rows are written into
+    one preallocated zero matrix, one copy per spectrogram."""
     specs = list(specs)
     n_freq = specs[0].data.shape[0] if specs else 0
     out = np.zeros((len(specs), n_freq * target_frames))

@@ -15,7 +15,6 @@ from scipy.special import gammaln
 
 __all__ = [
     "LocalizedKernelSpec",
-    "proj_kernel_value",
     "cutoff",
     "localized_degree",
     "build_localized_kernel",
@@ -62,36 +61,6 @@ def cutoff(t: float) -> float:
     g_up = math.exp(-1.0 / (2.0 - 2.0 * t))
     g_dn = math.exp(-1.0 / (2.0 * t - 1.0))
     return g_up / (g_up + g_dn)
-
-
-def proj_kernel_value(m: int, q: int, x: float) -> float:
-    """Projection-kernel building block P_{m,q}(x).
-
-    q = 1 uses the single-term form; q >= 2 sums Gamma-ratio weighted even
-    Hermite functions. Gamma ratios go through log-space to avoid overflow.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if q < 1:
-        raise ValueError("q must be a positive integer")
-    psis = _psi_values(2 * m, float(x))
-    if q == 1:
-        # (-1)^m sqrt((2m)!)/(2^m m!) pi^{-1/4} equals pi^{1/4} psi_{2m}(0)
-        sign = -1.0 if m % 2 else 1.0
-        coeff = sign * math.exp(0.5 * gammaln(2 * m + 1) - m * math.log(2.0) - gammaln(m + 1))
-        val = _PI_QUARTER * coeff * psis[2 * m]
-    else:
-        a = (q - 1) / 2.0
-        total = 0.0
-        for ell in range(m + 1):
-            sign = -1.0 if ell % 2 else 1.0
-            w = math.exp(gammaln(a + m - ell) - gammaln(m - ell + 1))
-            c = math.exp(0.5 * gammaln(2 * ell + 1) - ell * math.log(2.0) - gammaln(ell + 1))
-            total += sign * w * c * psis[2 * ell]
-        val = total / (math.pi ** ((2 * q - 1) / 4.0) * math.gamma(a))
-    if not np.isfinite(val):
-        raise ValueError(f"P_{{m,q}} overflowed for m={m}, q={q}")
-    return float(val)
 
 
 @dataclass(frozen=True)

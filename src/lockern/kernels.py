@@ -9,15 +9,16 @@ normal equations.
 Every kind is a profile of one pair statistic of its embedding: the squared
 Euclidean distance (flat kinds: localized, `euclidean_rbf`), the projection
 distance (Grassmann), or an exponent built from the distances of the U and
-S features (SVD kinds). `cross_gram` and `gram` are the paths that compute
-kernel values in bulk; both refuse a matrix with a non-finite entry, and
-`gram` evaluates only the upper triangle, for every kind. The scalar
-per-pair functions (`grassmann_kernel`, ..., `kernel_fn`, `psi_kernel`) are
-kept as the reference the batched path is tested against.
+S features (SVD kinds). `cross_gram` and `gram` compute every kernel value
+the library returns; both refuse a matrix with a non-finite entry, and
+`gram` evaluates only the upper triangle, for every kind. The per-pair
+`kernel_fn(spec)(a, b)` is the one entry of `cross_gram(spec, [a], [b])`,
+and `psi_kernel` sums one `cross_gram` of its two points with the
+quadrature nodes. The scalar per-pair kernels that the batched path is
+tested against live in the test suite (`tests/kernel_oracle.py`).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
@@ -31,11 +32,6 @@ __all__ = [
     "GramMatrix",
     "DiscreteQuadrature",
     "canonicalize_signs",
-    "grassmann_kernel",
-    "laplace_svd_kernel",
-    "gaussian_svd_kernel",
-    "euclidean_rbf",
-    "localized_distance_kernel",
     "kernel_fn",
     "cross_gram",
     "gram",
@@ -43,8 +39,6 @@ __all__ = [
 ]
 
 KERNEL_KINDS = ("grassmann", "laplace_svd", "gaussian_svd", "euclidean_rbf", "localized")
-# kinds on flat vectors, whose pair statistic is the squared distance
-FLAT_KINDS = ("euclidean_rbf", "localized")
 
 # Defaults from the experimental protocol this library reproduces.
 DEFAULT_PARAMS = {
@@ -130,74 +124,6 @@ def _check_orthonormal(U: np.ndarray, tol: float = 1e-8) -> None:
     err = np.max(np.linalg.norm(np.swapaxes(U, -1, -2) @ U - np.eye(r), axis=(-2, -1)))
     if err > tol:
         raise ValueError(f"columns not orthonormal (||U'U - I|| = {err:.2e})")
-
-
-def grassmann_kernel(U1: np.ndarray, U2: np.ndarray, gamma: float = 0.2) -> float:
-    """exp(-gamma (r - ||U1' U2||_F^2)), the projection-distance kernel."""
-    U1 = np.asarray(U1, dtype=float)
-    U2 = np.asarray(U2, dtype=float)
-    if U1.shape != U2.shape:
-        raise ValueError("basis shape mismatch")
-    _check_orthonormal(U1)
-    _check_orthonormal(U2)
-    r = U1.shape[1]
-    # squared projection distance; clamp round-off so identical subspaces
-    # yield exactly 1
-    d = r - float(np.linalg.norm(U1.T @ U2) ** 2)
-    d = 0.0 if abs(d) < 1e-12 else max(d, 0.0)
-    return math.exp(-gamma * d)
-
-
-def laplace_svd_kernel(U1, S1, U2, S2, alpha: float = 0.2, beta: float = 0.0042) -> float:
-    """exp(-alpha ||U1-U2||_F - beta ||S1-S2||_2) on SVD features."""
-    U1, U2 = np.asarray(U1, float), np.asarray(U2, float)
-    S1, S2 = np.asarray(S1, float), np.asarray(S2, float)
-    if U1.shape != U2.shape or S1.shape != S2.shape:
-        raise ValueError("feature shape mismatch")
-    return math.exp(-alpha * np.linalg.norm(U1 - U2) - beta * np.linalg.norm(S1 - S2))
-
-
-def gaussian_svd_kernel(U1, S1, U2, S2, alpha: float = 0.2, beta: float = 0.12) -> float:
-    """exp(-alpha ||U1-U2||_F^2 - beta ||S1-S2||_2^2) on SVD features."""
-    U1, U2 = np.asarray(U1, float), np.asarray(U2, float)
-    S1, S2 = np.asarray(S1, float), np.asarray(S2, float)
-    if U1.shape != U2.shape or S1.shape != S2.shape:
-        raise ValueError("feature shape mismatch")
-    return math.exp(
-        -alpha * np.linalg.norm(U1 - U2) ** 2 - beta * np.linalg.norm(S1 - S2) ** 2
-    )
-
-
-def euclidean_rbf(x, y, gamma: float = 2.1e-7) -> float:
-    x = np.asarray(x, float).ravel()
-    y = np.asarray(y, float).ravel()
-    if x.shape != y.shape:
-        raise ValueError("vector length mismatch")
-    return math.exp(-gamma * float(np.sum((x - y) ** 2)))
-
-
-def localized_distance_kernel(spec: LocalizedKernelSpec, x, y) -> float:
-    """Localized kernel on the scaled Euclidean distance gamma*||x - y||."""
-    x = np.asarray(x, float).ravel()
-    y = np.asarray(y, float).ravel()
-    if x.shape != y.shape:
-        raise ValueError("vector length mismatch")
-    return float(eval_localized(spec, spec.gamma * np.linalg.norm(x - y)))
-
-
-def kernel_fn(spec: KernelSpec):
-    """Binary kernel callable for a KernelSpec, on the matching feature kind."""
-    p = spec.params
-    if spec.kind == "grassmann":
-        return lambda a, b: grassmann_kernel(a.U, b.U, p["gamma"])
-    if spec.kind == "laplace_svd":
-        return lambda a, b: laplace_svd_kernel(a.U, a.S, b.U, b.S, p["alpha"], p["beta"])
-    if spec.kind == "gaussian_svd":
-        return lambda a, b: gaussian_svd_kernel(a.U, a.S, b.U, b.S, p["alpha"], p["beta"])
-    if spec.kind == "euclidean_rbf":
-        return lambda a, b: euclidean_rbf(a, b, p["gamma"])
-    loc = spec.localized
-    return lambda a, b: localized_distance_kernel(loc, a, b)
 
 
 # Floats in the largest temporary of one row block (512 KiB): the
@@ -349,12 +275,17 @@ def cross_gram(spec: KernelSpec, A: Sequence, B: Sequence) -> np.ndarray:
     """Kernel matrix K[i, j] = k(A[i], B[j]) over two feature sequences: the
     profile of the pair statistics of A and B.
 
-    Features are what `kernel_fn(spec)` takes: objects with `U` (Grassmann),
-    `U` and `S` (SVD kernels), or flat vectors. Raises ValueError on an empty
-    sequence, on features of unequal shape, on a non-orthonormal Grassmann
-    basis, and on a non-finite kernel value.
+    Features are objects with `U` (Grassmann), `U` and `S` (SVD kernels), or
+    flat vectors. Raises ValueError on an empty sequence, on features of
+    unequal shape, on a non-orthonormal Grassmann basis, and on a non-finite
+    kernel value.
     """
     return _cross_gram_statistics(spec, A, B)[0]
+
+
+def kernel_fn(spec: KernelSpec):
+    """k(a, b) for one pair of features: the one entry of their cross_gram."""
+    return lambda a, b: float(cross_gram(spec, [a], [b])[0, 0])
 
 
 def _cross_gram_statistics(spec: KernelSpec, A: Sequence, B: Sequence) -> tuple:
@@ -409,8 +340,7 @@ def gram(spec: KernelSpec, points: Sequence) -> GramMatrix:
 
 
 def psi_kernel(spec: KernelSpec, quad: DiscreteQuadrature, x, y) -> float:
-    """Discrete Psi(x, y) = sum_z w_z f0(z) k(x, z) k(y, z)."""
-    k = kernel_fn(spec)
-    kx = np.array([k(x, z) for z in quad.nodes])
-    ky = np.array([k(y, z) for z in quad.nodes])
+    """Discrete Psi(x, y) = sum_z w_z f0(z) k(x, z) k(y, z), from one
+    cross_gram of x and y with the quadrature nodes."""
+    kx, ky = cross_gram(spec, [x, y], quad.nodes)
     return float(np.sum(quad.weights * quad.density_f0 * kx * ky))

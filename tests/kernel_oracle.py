@@ -1,8 +1,9 @@
-"""Reference bodies that the kernel layer replaced, kept as exact-equality
-oracles: the allocating Clenshaw pass, the full Gram symmetrised after the
-fact, the two-pass error profile, the minimal separation from the full
-distance matrix, the per-pair k-NN vote, the `eigvalsh`-only
-indefiniteness test, and the STFT frames cut one by one.
+"""Reference bodies that the kernel layer replaced, kept as oracles: the
+scalar per-pair kernels and the per-pair Psi sum, the allocating Clenshaw
+pass, the full Gram symmetrised after the fact, the two-pass error profile,
+the minimal separation from the full distance matrix, the per-pair k-NN
+vote, the `eigvalsh`-only indefiniteness test, and the STFT frames cut one
+by one.
 """
 from __future__ import annotations
 
@@ -10,10 +11,47 @@ import math
 
 import numpy as np
 
-from lockern.hermite import LocalizedKernelSpec
-from lockern.kernels import KernelSpec, _sq_dists, _stack, cross_gram
+from lockern.hermite import LocalizedKernelSpec, eval_localized
+from lockern.kernels import DiscreteQuadrature, KernelSpec, _sq_dists, _stack, cross_gram
 
 PI_QUARTER = math.pi ** (-0.25)
+
+
+def pair_oracle(spec: KernelSpec):
+    """k(a, b) of one pair by the scalar formula of its kind, every parameter
+    from spec.params, nothing validated: Grassmann and the SVD kernels take
+    objects with `U` (and `S`), the flat kinds take vectors."""
+    p = spec.params
+
+    def diff(a, b):
+        return np.asarray(a, float).ravel() - np.asarray(b, float).ravel()
+
+    def k(a, b):
+        if spec.kind == "grassmann":
+            # squared projection distance, round-off clamped as in the library
+            d = a.U.shape[1] - float(np.linalg.norm(a.U.T @ b.U) ** 2)
+            return math.exp(-p["gamma"] * (0.0 if abs(d) < 1e-12 else max(d, 0.0)))
+        if spec.kind == "laplace_svd":
+            dU, dS = np.linalg.norm(diff(a.U, b.U)), np.linalg.norm(diff(a.S, b.S))
+            return math.exp(-p["alpha"] * dU - p["beta"] * dS)
+        if spec.kind == "gaussian_svd":
+            dU, dS = np.linalg.norm(diff(a.U, b.U)), np.linalg.norm(diff(a.S, b.S))
+            return math.exp(-p["alpha"] * dU ** 2 - p["beta"] * dS ** 2)
+        if spec.kind == "euclidean_rbf":
+            return math.exp(-p["gamma"] * float(np.sum(diff(a, b) ** 2)))
+        loc = spec.localized
+        return float(eval_localized(loc, loc.gamma * np.linalg.norm(diff(a, b))))
+
+    return k
+
+
+def psi_oracle(spec: KernelSpec, quad: DiscreteQuadrature, x, y) -> float:
+    """Discrete Psi(x, y) = sum_z w_z f0(z) k(x, z) k(y, z), one `pair_oracle`
+    value per node."""
+    k = pair_oracle(spec)
+    kx = np.array([k(x, z) for z in quad.nodes])
+    ky = np.array([k(y, z) for z in quad.nodes])
+    return float(np.sum(quad.weights * quad.density_f0 * kx * ky))
 
 
 def clenshaw_oracle(spec: LocalizedKernelSpec, x):

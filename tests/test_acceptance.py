@@ -19,7 +19,7 @@ from lockern.hermite import (
     eval_localized,
     eval_localized_direct,
 )
-from lockern.kernels import KernelSpec, gram, grassmann_kernel
+from lockern.kernels import KernelSpec, gram, kernel_fn
 
 
 class Budget:
@@ -144,13 +144,13 @@ def test_criterion_09_grassmann_kernel_properties():
         Q2, _ = np.linalg.qr(rng.standard_normal((8, 3)))
         U1, U2 = Q1[:, :3], Q2[:, :3]
         R, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        assert abs(
-            grassmann_kernel(U1 @ R, U2) - grassmann_kernel(U1, U2)
-        ) < 1e-10
-        assert grassmann_kernel(U1, U1) == 1.0
         from lockern.features import SubspaceFeature
 
-        feats = [SubspaceFeature(U=U, S=np.ones(3)) for U in (U1, U2, U1 @ R)]
+        F1, F2, F1R = (SubspaceFeature(U=U, S=np.ones(3)) for U in (U1, U2, U1 @ R))
+        k = kernel_fn(KernelSpec("grassmann"))
+        assert abs(k(F1R, F2) - k(F1, F2)) < 1e-10
+        assert k(F1, F1) == 1.0
+        feats = [F1, F2, F1R]
         G = gram(KernelSpec("grassmann"), feats).entries
         assert np.array_equal(G, G.T)
 

@@ -3,7 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from kernel_oracle import error_profile_oracle, minimal_separation_oracle
+from kernel_oracle import (
+    error_profile_oracle,
+    minimal_separation_oracle,
+    pair_oracle,
+    psi_oracle,
+)
 from scipy.spatial.distance import pdist
 
 from lockern import approximation, kernels
@@ -12,14 +17,13 @@ from lockern.approximation import (
     _normal_equations,
     dominance_diagnostic,
     error_profile,
-    euclidean_metric,
     evaluate,
     fit_empirical,
     fit_theoretical,
     minimal_separation,
     sigma_n,
 )
-from lockern.kernels import DiscreteQuadrature, KernelSpec, kernel_fn, psi_kernel
+from lockern.kernels import DiscreteQuadrature, KernelSpec
 
 
 def circle_nodes(M):
@@ -241,9 +245,9 @@ class TestFitTheoretical:
         )
         nodes, _ = circle_nodes(7)
         P, rhs = _normal_equations(spec, nodes, f, quad)
-        expect_P = np.array([[psi_kernel(spec, quad, a, b) for b in nodes] for a in nodes])
+        expect_P = np.array([[psi_oracle(spec, quad, a, b) for b in nodes] for a in nodes])
         np.testing.assert_allclose(P, expect_P, rtol=1e-12, atol=1e-12)
-        k = kernel_fn(spec)
+        k = pair_oracle(spec)
         wff0 = quad.weights * f * quad.density_f0
         expect_rhs = [sum(c * k(y, z) for c, z in zip(wff0, quad.nodes)) for y in nodes]
         np.testing.assert_allclose(rhs, expect_rhs, rtol=1e-12, atol=1e-12)
@@ -325,7 +329,7 @@ class TestEvaluateAndProfile:
             eta=minimal_separation(nodes),
             dominance_ratio=0.0,
         )
-        oracle = np.array([min(euclidean_metric(x, y) for y in nodes) for x in probes])
+        oracle = np.array([min(np.linalg.norm(x - y) for y in nodes) for x in probes])
         assert len(np.unique(oracle)) == len(oracle)  # distinct, so the order is unique
         order = np.argsort(oracle)
         prof = error_profile(model, np.zeros(40), probes)
@@ -375,6 +379,3 @@ class TestEvaluateAndProfile:
                                  spec=KernelSpec("grassmann"), eta=np.inf, dominance_ratio=0.0)
         with pytest.raises(ValueError, match="grassmann is not a kernel on flat vectors"):
             error_profile(model, np.zeros(1), [np.eye(3)[:, :1]])
-
-    def test_euclidean_metric(self):
-        assert euclidean_metric([0.0, 0.0], [3.0, 4.0]) == 5.0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -120,6 +121,25 @@ class TestFeaturesCommand:
         assert len(batched) == 4 * 6 * 25
         for path in batched:
             assert path.read_bytes() == (tmp_path / "oracle" / path.name).read_bytes()
+
+    def test_pca_input_bytes_pinned(self, tmp_path):
+        # zero-padded flat vectors of spectrograms of unequal widths: the
+        # digest of every output file's bytes, as computed at 567db93
+        rng = np.random.default_rng(5)
+        entries = []
+        for i, cols in enumerate((3, 7, 5, 7, 4)):
+            name = f"s{i}.csv"
+            data = np.abs(rng.standard_normal((8, cols)) + 2.0 * (i % 2))
+            write_spectrogram_csv(Spectrogram(data=data), tmp_path / name)
+            entries.append((name, i % 2, "AB"[i % 2]))
+        write_manifest(entries, tmp_path / "manifest.csv")
+        out = tmp_path / "out"
+        assert run(["--out-dir", str(out), "features", "--manifest",
+                    str(tmp_path / "manifest.csv"), "--feature", "pca-input"]) == 0
+        files = sorted(out.glob("sample*.csv"))
+        assert [len(p.read_text().splitlines()) for p in files] == [1 + 8 * 7] * 5
+        digest = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
+        assert digest == "e9e2238838f80910ef027e92cf8c87acb93f553cc4b1215bc844f635695b3ce6"
 
     def test_requires_dataset_flag(self, capsys):
         assert run(["features"]) == 2
@@ -248,10 +268,13 @@ class TestSweepCommands:
 
     def test_sweep_frac_default_grid(self, tmp_path, knn_config):
         # file names hold the rounded percentage; two fractions that name
-        # one file are a usage error, before any file is written
+        # one file, and a fraction outside (0, 1], are usage errors, before
+        # any file is written
         cases = [([], 0, (20, 40, 60, 80)),
                  (["--fractions", "0.29,0.57"], 0, (29, 57)),
-                 (["--fractions", "0.5,0.501"], 2, ())]
+                 (["--fractions", "0.5,0.501"], 2, ()),
+                 (["--fractions=-0.5,1.5,0"], 2, ()),
+                 (["--fractions", "0.5,nan"], 2, ())]
         for k, (fractions, exit_code, pcts) in enumerate(cases):
             out = tmp_path / str(k)
             code = run(
@@ -259,6 +282,7 @@ class TestSweepCommands:
                  "--config", knn_config] + fractions
             )
             assert code == exit_code
+            assert code == 0 or not out.exists()
             written = sorted(p.name for p in out.glob("sweep_frac*.csv")) if out.exists() else []
             assert written == [f"sweep_frac{pct:03d}.csv" for pct in pcts]
 

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from collections import Counter
 from dataclasses import replace
@@ -80,13 +81,13 @@ class TestGenGestures:
 
     def test_classes_are_separated(self, small_gestures):
         # mean within-class feature distance below mean between-class distance
-        from lockern.features import zero_pad_vectorize
+        from lockern.features import zero_pad_stack
 
         ds = small_gestures
         target = max(s.data.shape[1] for s in ds.samples)
         feats, labels = [], []
         for i, spec in _preprocessed("binary", ds.samples, range(0, len(ds.samples), 4)):
-            feats.append(zero_pad_vectorize(spec, target))
+            feats.append(zero_pad_stack([spec], target)[0])
             labels.append(ds.samples[i].label)
         feats = np.stack(feats)
         labels = np.array(labels)
@@ -310,6 +311,10 @@ class TestRunExperiment:
              "unknown classifier 'svn'", splits + (holdout_subject,)),
             (ExperimentConfig(feature="svd", r=3, trials=0), "trials must be >= 1", splits),
         ]
+        for frac in (-0.5, 0.0, 1.5, float("nan")):
+            sweep = (lambda config, ds, frac=frac: sweep_train_fraction(config, ds, (0.5, frac)))
+            cases.append((ExperimentConfig(r=3, trials=1),
+                          re.escape(f"training fraction {frac} is outside (0, 1]"), (sweep,)))
         for config, message, entries in cases:
             for entry in entries:
                 with pytest.raises(ValueError, match=message):

@@ -22,7 +22,6 @@ from lockern.features import (
     svd_features,
     yen_threshold,
     zero_pad_stack,
-    zero_pad_vectorize,
 )
 from kernel_oracle import stft_oracle
 from preprocess_oracle import db_oracle, log_threshold_oracle, yen_oracle
@@ -388,16 +387,16 @@ class TestZeroPad:
     def test_column_major_order(self):
         spec = Spectrogram(data=np.array([[1.0, 3.0], [2.0, 4.0]]))
         np.testing.assert_array_equal(
-            zero_pad_vectorize(spec, 3), [1.0, 2.0, 3.0, 4.0, 0.0, 0.0]
+            zero_pad_stack([spec], 3)[0], [1.0, 2.0, 3.0, 4.0, 0.0, 0.0]
         )
 
     def test_exact_width(self):
         spec = Spectrogram(data=np.eye(3))
-        assert len(zero_pad_vectorize(spec, 3)) == 9
+        assert len(zero_pad_stack([spec], 3)[0]) == 9
 
     def test_too_wide(self):
         with pytest.raises(ValueError):
-            zero_pad_vectorize(Spectrogram(data=np.ones((2, 5))), 4)
+            zero_pad_stack([Spectrogram(data=np.ones((2, 5)))], 4)
 
     def test_stack_rows_match_padding_oracle(self):
         rng = np.random.default_rng(4)

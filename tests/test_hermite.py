@@ -15,7 +15,6 @@ from lockern.hermite import (
     eval_localized,
     eval_localized_direct,
     localized_degree,
-    proj_kernel_value,
 )
 
 PI_QUARTER = math.pi ** -0.25
@@ -129,21 +128,10 @@ def proj_naive(m, q, x):
 
 class TestProjKernel:
     def test_m0_q1(self):
-        assert proj_kernel_value(0, 1, 0.0) == pytest.approx(math.pi**-0.5, abs=1e-14)
+        assert proj_naive(0, 1, 0.0) == pytest.approx(math.pi**-0.5, abs=1e-14)
 
     def test_m0_q2(self):
-        assert proj_kernel_value(0, 2, 0.0) == pytest.approx(1.0 / math.pi, abs=1e-14)
-
-    def test_m3_q2_naive_sum(self):
-        assert proj_kernel_value(3, 2, 1.5) == pytest.approx(proj_naive(3, 2, 1.5), abs=1e-12)
-
-    @pytest.mark.parametrize("m,q,x", [(5, 3, 0.7), (10, 18, 2.2), (20, 2, 4.0)])
-    def test_matches_naive(self, m, q, x):
-        assert proj_kernel_value(m, q, x) == pytest.approx(proj_naive(m, q, x), rel=1e-10)
-
-    def test_bad_q(self):
-        with pytest.raises(ValueError):
-            proj_kernel_value(1, 0, 0.0)
+        assert proj_naive(0, 2, 0.0) == pytest.approx(1.0 / math.pi, abs=1e-14)
 
 
 class TestBuildLocalizedKernel:
@@ -181,7 +169,7 @@ class TestBuildLocalizedKernel:
         L = int(N * N / 2)
         for x in (0.0, 0.7, 2.3):
             direct = sum(
-                cutoff(math.sqrt(2 * m) / N) * proj_kernel_value(m, q, x) for m in range(L + 1)
+                cutoff(math.sqrt(2 * m) / N) * proj_naive(m, q, x) for m in range(L + 1)
             )
             assert eval_localized(spec, x) == pytest.approx(direct, rel=1e-12)
 

@@ -4,23 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_oracle import full_gram_oracle
+from kernel_oracle import full_gram_oracle, pair_oracle
 
 from lockern import kernels
 from lockern.features import SubspaceFeature
-from lockern.hermite import build_localized_kernel
 from lockern.kernels import (
     DiscreteQuadrature,
     KernelSpec,
     canonicalize_signs,
     cross_gram,
-    euclidean_rbf,
-    gaussian_svd_kernel,
     gram,
-    grassmann_kernel,
     kernel_fn,
-    laplace_svd_kernel,
-    localized_distance_kernel,
     psi_kernel,
 )
 
@@ -28,6 +22,19 @@ from lockern.kernels import (
 def random_orthonormal(p, r, rng):
     Q, _ = np.linalg.qr(rng.standard_normal((p, r)))
     return Q[:, :r]
+
+
+def subspace(U, S=None):
+    """A SubspaceFeature; the Grassmann kernel does not read S."""
+    return SubspaceFeature(U=U, S=np.ones(np.shape(U)[1]) if S is None else S)
+
+
+def grassmann_kernel(U1, U2, gamma=0.2):
+    return kernel_fn(KernelSpec("grassmann", {"gamma": gamma}))(subspace(U1), subspace(U2))
+
+
+def svd_kernel(kind, U1, S1, U2, S2, **params):
+    return kernel_fn(KernelSpec(kind, params))(subspace(U1, S1), subspace(U2, S2))
 
 
 class TestGrassmann:
@@ -66,24 +73,24 @@ class TestGrassmann:
 class TestSvdKernels:
     def test_laplace_sigma_only(self):
         U = np.eye(3)[:, :2]
-        val = laplace_svd_kernel(U, [7.0, 2.0], U, [2.0, 2.0], alpha=0.2, beta=0.0042)
+        val = svd_kernel("laplace_svd", U, [7.0, 2.0], U, [2.0, 2.0], alpha=0.2, beta=0.0042)
         assert val == pytest.approx(math.exp(-0.0042 * 5.0), rel=1e-12)
 
     def test_gaussian_sigma_only(self):
         U = np.eye(3)[:, :2]
-        val = gaussian_svd_kernel(U, [3.0, 1.0], U, [2.0, 1.0], alpha=0.2, beta=0.12)
+        val = svd_kernel("gaussian_svd", U, [3.0, 1.0], U, [2.0, 1.0], alpha=0.2, beta=0.12)
         assert val == pytest.approx(math.exp(-0.12), rel=1e-12)
 
     def test_gaussian_basis_term(self):
         U1 = np.eye(2)
         U2 = np.eye(2)[:, ::-1]
         # ||U1 - U2||_F^2 = 4
-        val = gaussian_svd_kernel(U1, [1.0], U2, [1.0], alpha=0.06, beta=0.12)
+        val = svd_kernel("gaussian_svd", U1, [1.0], U2, [1.0], alpha=0.06, beta=0.12)
         assert val == pytest.approx(math.exp(-0.24), rel=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            laplace_svd_kernel(np.eye(3), [1, 1, 1], np.eye(2), [1, 1])
+            svd_kernel("laplace_svd", np.eye(3), [1, 1, 1], np.eye(2), [1, 1])
 
 
 class TestEuclideanRbf:
@@ -92,29 +99,30 @@ class TestEuclideanRbf:
         x = rng.standard_normal(20)
         y = rng.standard_normal(20)
         sq = sum((a - b) ** 2 for a, b in zip(x, y))
-        assert euclidean_rbf(x, y, gamma=0.03) == pytest.approx(math.exp(-0.03 * sq), rel=1e-12)
+        k = kernel_fn(KernelSpec("euclidean_rbf", {"gamma": 0.03}))
+        assert k(x, y) == pytest.approx(math.exp(-0.03 * sq), rel=1e-12)
 
     def test_identity(self):
-        assert euclidean_rbf([1.0, 2.0], [1.0, 2.0]) == 1.0
+        assert kernel_fn(KernelSpec("euclidean_rbf"))([1.0, 2.0], [1.0, 2.0]) == 1.0
 
 
 class TestLocalizedDistance:
     def test_gaussian_at_n1(self):
         # N=1 collapses to a pure Gaussian of the scaled distance
-        spec = build_localized_kernel(1.0, 2, gamma=0.5)
+        k = kernel_fn(KernelSpec("localized", {"N": 1.0, "q": 2, "gamma": 0.5}))
         x = np.array([1.0, 0.0, 2.0])
         y = np.array([0.0, 2.0, 0.0])
         d = np.linalg.norm(x - y)
-        v0 = localized_distance_kernel(spec, x, x)
+        v0 = k(x, x)
         expect = v0 * math.exp(-((0.5 * d) ** 2) / 2.0)
-        assert localized_distance_kernel(spec, x, y) == pytest.approx(expect, rel=1e-10)
+        assert k(x, y) == pytest.approx(expect, rel=1e-10)
 
     def test_symmetry(self):
-        spec = build_localized_kernel(4.0, 2, gamma=0.8)
+        k = kernel_fn(KernelSpec("localized", {"N": 4.0, "q": 2, "gamma": 0.8}))
         rng = np.random.default_rng(5)
         for _ in range(100):
             x, y = rng.standard_normal(6), rng.standard_normal(6)
-            assert localized_distance_kernel(spec, x, y) == localized_distance_kernel(spec, y, x)
+            assert k(x, y) == k(y, x)
 
 
 class TestCanonicalizeSigns:
@@ -155,7 +163,7 @@ class TestGram:
         pts = [rng.standard_normal(4) for _ in range(12)]
         spec = KernelSpec("localized", {"N": 4.0, "q": 2, "gamma": 0.8})
         g = gram(spec, pts)
-        k = kernel_fn(spec)
+        k = pair_oracle(spec)
         expect = np.array([[k(a, b) for b in pts] for a in pts])
         np.testing.assert_allclose(g.entries, expect, atol=1e-10)
 
@@ -211,11 +219,21 @@ class TestCrossGram:
         spec = CROSS_GRAM_SPECS[kind]
         A = cross_gram_points(kind, 7, rng)
         B = cross_gram_points(kind, 5, rng) + A[:1]
-        k = kernel_fn(spec)
+        k = pair_oracle(spec)
         expect = np.array([[k(a, b) for b in B] for a in A])
         K = cross_gram(spec, A, B)
         assert K.shape == (7, 6)
         np.testing.assert_allclose(K, expect, rtol=1e-12, atol=1e-12)
+        # kernel_fn is a 1 x 1 cross_gram. The projection overlaps' gemm
+        # depends on the block shape, so a Grassmann pair may differ from
+        # its entry of the full matrix in the last bits; the other kinds are
+        # bitwise equal
+        k = kernel_fn(spec)
+        pairs = np.array([[k(a, b) for b in B] for a in A])
+        if kind == "grassmann":
+            np.testing.assert_allclose(pairs, K, rtol=0, atol=4 * np.finfo(float).eps)
+        else:
+            assert pairs.tobytes() == K.tobytes()
 
     @pytest.mark.parametrize("kind", list(CROSS_GRAM_SPECS))
     def test_gram_is_symmetrised_cross_gram(self, kind):
