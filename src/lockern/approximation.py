@@ -117,14 +117,13 @@ def sigma_n(spec: KernelSpec, f_values, quad: DiscreteQuadrature, x) -> float:
     return float(cross_gram(spec, [x], quad.nodes)[0] @ (quad.weights * f_values))
 
 
-def _normal_equations(spec: KernelSpec, nodes, f_values, quad: DiscreteQuadrature):
-    """Psi matrix and right-hand side of the theoretical normal equations.
-
-    With K_q[j, z] = K(y_j, z) over the quadrature nodes z,
+def _normal_equations(Kq: np.ndarray, f_values, quad: DiscreteQuadrature):
+    """Psi matrix and right-hand side of the theoretical normal equations,
+    from the kernel values K_q[j, z] = K(y_j, z) of the nodes y_j at the
+    quadrature nodes z:
         Psi = K_q diag(w f0) K_q'   and   rhs = K_q (w f f0),
     that is Psi[j, l] = psi_kernel(y_j, y_l) and rhs[j] = sigma_n(f f0, y_j).
     """
-    Kq = cross_gram(spec, nodes, quad.nodes)
     wf0 = quad.weights * quad.density_f0
     P = (Kq * wf0) @ Kq.T
     return 0.5 * (P + P.T), Kq @ (wf0 * f_values)
@@ -134,19 +133,26 @@ def fit_theoretical(spec: KernelSpec, nodes, f_values, quad: DiscreteQuadrature)
     """Solve the normal equations of the least-squares problem in the span of
     kernel translates:  sum_l a_l Psi(y_l, y_j) = smoothing of f * f0 at y_j,
     with both sides realized on the same quadrature.
+
+    One cross_gram of the nodes with the nodes and the quadrature nodes gives
+    both the normal equations and the collocation matrix of the dominance
+    ratio. For the flat kinds its node block is bitwise the `gram` of the
+    nodes: their squared distances are exactly symmetric and the profile is
+    elementwise.
     """
     nodes = list(nodes)
     f_values = np.asarray(f_values, dtype=float)
     if len(f_values) != len(quad.nodes):
         raise ValueError("f values must align with quadrature nodes")
     M = len(nodes)
-    P, rhs = _normal_equations(spec, nodes, f_values, quad)
+    K = cross_gram(spec, nodes, nodes + list(quad.nodes))
+    P, rhs = _normal_equations(K[:, M:], f_values, quad)
     cond = np.linalg.cond(P)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ValueError(f"normal-equation matrix condition {cond:.2e} exceeds {COND_LIMIT:.0e}")
     coeffs = np.linalg.solve(P, rhs)
     eta = minimal_separation(nodes) if M > 1 else np.inf
-    ratio = dominance_diagnostic(spec, nodes) if M > 1 else 0.0
+    ratio = _dominance_ratio(K[:, :M]) if M > 1 else 0.0
     return CollocationModel(nodes=nodes, coeffs=coeffs, spec=spec, eta=eta, dominance_ratio=ratio)
 
 

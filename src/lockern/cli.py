@@ -18,6 +18,7 @@ from . import diagnostics
 from .experiments import (
     ExperimentConfig,
     GestureSet,
+    _check_dimensions,
     _check_fractions,
     _preprocessed,
     gen_synthetic_gestures,
@@ -224,12 +225,16 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _cmd_sweep_dim(args) -> int:
-    dataset = _load_dataset(args)
-    config = _config_from_args(args)
     try:
         r_values = [int(r) for r in args.r_values.split(",")]
     except ValueError as exc:
         raise UsageError("--r-values must be comma-separated integers") from exc
+    try:
+        _check_dimensions(r_values)
+    except ValueError as exc:
+        raise UsageError(f"--r-values: {exc}") from exc
+    dataset = _load_dataset(args)
+    config = _config_from_args(args)
     os.makedirs(args.out_dir, exist_ok=True)
     for r, table in sweep_dimension(config, dataset, r_values):
         if isinstance(table, ValueError):

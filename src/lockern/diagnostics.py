@@ -1,7 +1,7 @@
 """Numerical checks of the kernel's stated properties: Gaussian reduction at
-N=1, Clenshaw-vs-direct agreement, Hermite-function orthonormality, the
-localization envelope, interpolation exactness on the circle benchmark,
-far-field decay and diagonal dominance.
+N=1, Clenshaw-vs-direct agreement, finite values far out at high N,
+Hermite-function orthonormality, the localization envelope, interpolation
+exactness on the circle benchmark, far-field decay and diagonal dominance.
 
 Each benchmark returns (name, passed, detail) tuples so both the test suite
 and the CLI `verify` command can consume them.
@@ -80,6 +80,12 @@ def _bench_clenshaw():
             b = eval_localized_direct(spec, xs)
             worst = max(worst, float(np.max(np.abs(a - b)) / np.max(np.abs(b))))
         out.append((f"clenshaw-vs-direct N={N}", worst < 1e-10, f"max rel dev {worst:.3e}"))
+    far = np.linspace(0.0, 80.0, 801)
+    for N in (24.0, 32.0):
+        vals = [eval_localized(build_localized_kernel(N, q), far) for q in (1, 18)]
+        bad = int(np.count_nonzero(~np.isfinite(vals)))
+        out.append((f"clenshaw-finite N={N} on x in [0, 80]", bad == 0,
+                    f"{bad} non-finite of {2 * far.size} (q = 1, 18)"))
     return out
 
 

@@ -284,6 +284,14 @@ def _check_config(config: ExperimentConfig) -> None:
     if config.feature == "svd" and config.classifier == "knn":
         raise ValueError("classifier knn with feature svd: k-NN takes flat vectors "
                          "(feature pca), and SVD features are subspace bases")
+    _check_dimensions([config.r])
+
+
+def _check_dimensions(r_values) -> None:
+    """Refuse a feature dimension r below 1."""
+    for r in r_values:
+        if r < 1:
+            raise ValueError(f"feature dimension r={r} is below 1")
 
 
 def _sample_features(config: ExperimentConfig, spectrograms) -> list:
@@ -481,8 +489,10 @@ def sweep_dimension(config: ExperimentConfig, dataset: GestureSet, r_values):
     RankError or MissingClassError that skipped this r. Any other error
     propagates. The localized kernel's q is clamped to r inside the run. Each
     sample is preprocessed once per call and the splits are drawn once; SVD
-    features and their kernel matrix are taken once per r."""
+    features and their kernel matrix are taken once per r. An r below 1 is
+    refused before any sample is preprocessed."""
     _check_config(config)
+    _check_dimensions(r_values)
     labels = np.array([s.label for s in dataset.samples])
     folds = _splits(config, labels)
     spectrograms = list(_pool_spectrograms(config, dataset))

@@ -1,14 +1,53 @@
 """Univariate Hermite functions and the localized kernel built from them.
 
-The kernel is a finite even expansion sum_l c_l * psi_{2l}(x) whose
+The kernel is a finite even expansion Phi(x) = sum_{l=0}^{L} c_l psi_{2l}(x),
+psi_k = h_k e^{-x^2/2} with h_k the orthonormal Hermite polynomials, whose
 coefficients depend on a bandwidth N, a dimension parameter q and a smooth
 cutoff. Evaluation goes through Clenshaw summation; a direct
 coefficient-times-basis evaluator is kept alongside as a cross-check.
+
+Even-only recurrence. With p_l = h_{2l} and t = x^2, two steps of the h_k
+recurrence fuse into
+    p_{l+1} = alpha_l(t) p_l + beta_l p_{l-1},
+    alpha_l = (2t - (4l+1)) / sqrt((2l+1)(2l+2)),
+    beta_l = -sqrt(2l(2l-1) / ((2l+1)(2l+2))),
+so Clenshaw's b_l = alpha_l b_{l+1} + beta_{l+1} b_{l+2} + c_l sums
+sum_l c_l p_l = pi^{-1/4} b_0 in L+1 steps, not the 2L+1 of the full psi_k
+recurrence with zero odd coefficients.
+
+Gaussian split. Phi = pi^{-1/4} e^{-t/2} b_0, but b_0 grows like e^{t/2} and
+overflows for N >= 24 at x near 40, where e^{-t/2} is already subnormal.
+Carrying all of e^{-t/2} in the coefficients instead makes the c_l e^{-t/2}
+subnormal from x = 37.6, and they lose digits where Phi still depends on
+them. So g = e^{-t/4} goes into the recurrence (each step adds c_l g) and
+the other e^{-t/4} multiplies b_0 at the end.
+
+Rescaling. Past N of about 37, g b can still leave the float range near
+x = 53, and g is subnormal for t in (2832, 2981) and 0 beyond. So a point
+whose g is below the least normal float starts at g = 2^512 e^{-t/4} (one
+exp), and the step table (`LocalizedKernelSpec._steps`) bounds max|b| step by
+step from |c_l|, |beta_{l+1}| and the largest |alpha_l(t)| on [0, _T_MAX],
+with g <= 1. Where that bound could pass 2^1020 it places a check, which
+multiplies b_{l+1}, b_{l+2} and g by 2^-512 at every point where a |b|
+exceeds 2^512. So no intermediate passes 2^1020. A point scaled k times
+(k = -1 for the raised start), with b_0 = m 2^e, ends as
+pi^{-1/4} m exp((e + 512 k) ln 2 - t/4). Every other point gets exactly the
+plain split recurrence: rescales start past x = 45 at N = 32, and the raised
+start past x = 53.2 at any N.
+
+Clamp. t is clamped to _T_MAX = 4480 (|x| = 66.9). For t >= 4480,
+2^512 e^{-t/4} <= e^{354.9 - 1120} < 2^-1103, far below half the least
+subnormal (2^-1075), so both the plain and the raised g are exactly 0; then
+every c_l g is 0, the b_l stay 0 (alpha_l is finite for finite t) and the
+result is 0 whether t is clamped or not. The clamp only sends t = inf (|x|
+above about 1.34e154, where x^2 overflows) to that same 0 instead of
+inf * 0 = NaN, and np.minimum keeps a NaN t NaN.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -23,6 +62,12 @@ __all__ = [
 ]
 
 _PI_QUARTER = math.pi ** (-0.25)
+# See "Rescaling" and "Clamp" in the module docstring.
+_T_MAX = 4480.0
+_RESCALE_BITS = 512
+_RESCALE_AT = 2.0 ** _RESCALE_BITS
+_B_LIMIT = 2.0 ** 1020
+_TINY = np.finfo(float).tiny
 
 
 def _hermite_values(k_max: int, x):
@@ -80,6 +125,30 @@ class LocalizedKernelSpec:
     def degree(self) -> int:
         return 2 * (len(self.coeffs) - 1)
 
+    @cached_property
+    def _steps(self) -> tuple:
+        """The Clenshaw steps of `eval_localized`, l = L down to 0: (a_l,
+        s_l, beta_{l+1}, c_l, check) with alpha_l(t) = a_l t - s_l, and
+        check true where a rescale must come first.
+
+        A check goes wherever a bound on max(|b_{l+1}|, |b_{l+2}|), carried
+        from the last check (after which it is 2^512) with g <= 1 and
+        t in [0, _T_MAX], would pass 2^1020 at step l.
+        """
+        steps, bound = [], 0.0
+        for ell in range(len(self.coeffs) - 1, -1, -1):
+            r = 1.0 / math.sqrt((2 * ell + 1) * (2 * ell + 2))
+            a, shift = 2.0 * r, (4 * ell + 1) * r
+            beta = -math.sqrt((2 * ell + 1) * (2 * ell + 2) / ((2 * ell + 3) * (2 * ell + 4)))
+            c = float(self.coeffs[ell])
+            growth = max(a * _T_MAX - shift, shift) - beta
+            check = abs(c) + growth * bound > _B_LIMIT
+            if check:
+                bound = _RESCALE_AT
+            bound = max(bound, abs(c) + growth * bound)
+            steps.append((a, shift, beta, c, check))
+        return tuple(steps)
+
 
 def localized_degree(N: float, q: int) -> int:
     """Polynomial degree 2*floor(N^2/2) of the localized kernel with
@@ -124,36 +193,75 @@ def build_localized_kernel(N: float, q: int, gamma: float = 0.8) -> LocalizedKer
 def eval_localized(spec: LocalizedKernelSpec, x):
     """Evaluate the localized kernel at x (scalar or array) by Clenshaw.
 
-    The even expansion is run through the full psi_k three-term recurrence
-    with zero odd coefficients:
-        psi_{k+1} = sqrt(2/(k+1)) x psi_k - sqrt(k/(k+1)) psi_{k-1}.
-    Each step forms b_k = (a_k x) b_{k+1} + c_k + beta_{k+1} b_{k+2} in three
-    buffers that rotate, so no step allocates.
+    A float for scalar input, an array of x's shape otherwise. The pass runs
+    over the L+1 even terms only, in t = x^2 (see the module docstring), and
+    forms each b_l = alpha_l(t) b_{l+1} + beta_{l+1} b_{l+2} + c_l g in three
+    buffers that rotate, so no step allocates. Finite for every N and every
+    finite x; NaN input gives NaN.
     """
     x_arr = np.asarray(x, dtype=float)
-    n = spec.degree
-    full = np.zeros(n + 1)
-    full[::2] = spec.coeffs
-    b1 = np.zeros_like(x_arr)
-    b2 = np.zeros_like(x_arr)
     t = np.empty_like(x_arr)
-    for k in range(n, -1, -1):
-        np.multiply(x_arr, math.sqrt(2.0 / (k + 1)), out=t)
-        t *= b1
-        t += full[k]
-        b2 *= -math.sqrt((k + 1) / (k + 2))
-        t += b2
-        b1, b2, t = t, b1, b2
-    # b1 * pi^{-1/4} * exp(-x^2 / 2), in t
-    np.negative(x_arr, out=t)
-    t *= x_arr
-    t /= 2.0
-    np.exp(t, out=t)
+    with np.errstate(over="ignore"):  # x^2 = inf is clamped next
+        np.multiply(x_arr, x_arr, out=t)
+    np.minimum(t, _T_MAX, out=t)  # NaN stays NaN
+    g = np.multiply(t, -0.25, out=np.empty_like(t))
+    np.exp(g, out=g)
+    # per-point count of 2^-512 rescales, made once one happens; a point
+    # whose e^{-t/4} is subnormal or 0 starts one rescale up, at -1
+    halvings = None
+    low = g < _TINY
+    if low.any():
+        halvings = -low.astype(np.int64)
+        g[low] = np.exp(_RESCALE_BITS * math.log(2.0) - t[low] / 4.0)
+    b1 = np.zeros_like(t)
+    b2 = np.zeros_like(t)
+    tmp = np.empty_like(t)
+    for a, shift, beta, c, check in spec._steps:
+        if check:
+            halvings = _rescale(b1, b2, g, tmp, halvings)
+        np.multiply(t, a, out=tmp)
+        tmp -= shift
+        tmp *= b1
+        b2 *= beta
+        tmp += b2
+        np.multiply(g, c, out=b2)
+        tmp += b2
+        b1, b2, tmp = tmp, b1, b2
+    scaled = None
+    if halvings is not None:
+        # b_0 2^(512 k) e^{-t/4} pi^{-1/4}, the power of two in the exponent
+        scaled = low | (halvings != 0)
+        mant, expo = np.frexp(b1[scaled])
+        expo = expo + _RESCALE_BITS * halvings[scaled]
+        scaled_values = _PI_QUARTER * mant * np.exp(expo * math.log(2.0) - t[scaled] / 4.0)
+    b1 *= g
     b1 *= _PI_QUARTER
-    b1 *= t
+    if scaled is not None:
+        b1[scaled] = scaled_values
     if np.isscalar(x) or x_arr.ndim == 0:
         return float(b1)
     return b1
+
+
+def _rescale(b1, b2, g, tmp, halvings):
+    """Multiply b1, b2 and g by 2^-512 at every point where |b1| or |b2|
+    exceeds 2^512, counting the rescales in `halvings` (made on first use).
+    Exact unless a result is subnormal, which only the already negligible
+    terms can be."""
+    np.abs(b1, out=tmp)
+    over = tmp > _RESCALE_AT
+    np.abs(b2, out=tmp)
+    over |= tmp > _RESCALE_AT
+    if not over.any():
+        return halvings
+    if halvings is None:
+        halvings = np.zeros(over.shape, dtype=np.int64)
+    halvings += over
+    factor = np.where(over, 1.0 / _RESCALE_AT, 1.0)
+    b1 *= factor
+    b2 *= factor
+    g *= factor
+    return halvings
 
 
 def eval_localized_direct(spec: LocalizedKernelSpec, x):

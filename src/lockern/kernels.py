@@ -264,8 +264,9 @@ def _check_finite(spec: KernelSpec | None, K: np.ndarray) -> None:
         loc = spec.localized
         raise ValueError(
             f"localized kernel (N={loc.N:g}, q={loc.q}, gamma={loc.gamma:g}, degree "
-            f"{loc.degree}) gave a non-finite value {K[idx]} {where}: its Hermite "
-            "recurrence overflows far from the origin; lower N or gamma"
+            f"{loc.degree}) gave a non-finite value {K[idx]} {where}: the kernel is "
+            "finite wherever gamma times the distance is a number, so gamma or a "
+            "coordinate of that pair is not finite"
         )
     params = ", ".join(f"{k}={v!r}" for k, v in sorted(spec.params.items()))
     raise ValueError(f"{spec.kind} kernel ({params}) gave a non-finite value {K[idx]} {where}")

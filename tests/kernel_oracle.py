@@ -1,6 +1,7 @@
 """Reference bodies that the kernel layer replaced, kept as oracles: the
 scalar per-pair kernels and the per-pair Psi sum, the allocating Clenshaw
-pass, the full Gram symmetrised after the fact, the two-pass error profile,
+pass and a 50-digit sum of the localized kernel's expansion, the full Gram
+symmetrised after the fact, the two-pass error profile,
 the minimal separation from the full distance matrix, the per-pair k-NN
 vote, the `eigvalsh`-only indefiniteness test, and the STFT frames cut one
 by one.
@@ -8,10 +9,12 @@ by one.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 
-from lockern.hermite import LocalizedKernelSpec, eval_localized
+from lockern.hermite import _T_MAX, LocalizedKernelSpec, eval_localized
 from lockern.kernels import DiscreteQuadrature, KernelSpec, _sq_dists, _stack, cross_gram
 
 PI_QUARTER = math.pi ** (-0.25)
@@ -55,21 +58,62 @@ def psi_oracle(spec: KernelSpec, quad: DiscreteQuadrature, x, y) -> float:
 
 
 def clenshaw_oracle(spec: LocalizedKernelSpec, x):
-    """eval_localized with a new array for every term of every step."""
+    """eval_localized without its buffers or rescales: the even-only
+    Clenshaw pass in t = x^2 with a new array for every term of every step,
+        b_l = alpha_l b_{l+1} + beta_{l+1} b_{l+2} + c_l e^{-t/4},
+    alpha_l = (2t - (4l+1)) / sqrt((2l+1)(2l+2)),
+    beta_l = -sqrt(2l(2l-1) / ((2l+1)(2l+2))),
+    then b_0 e^{-t/4} pi^{-1/4}."""
     x_arr = np.asarray(x, dtype=float)
-    n = spec.degree
-    full = np.zeros(n + 1)
-    full[::2] = spec.coeffs
+    t = np.minimum(x_arr * x_arr, _T_MAX)
+    g = np.exp(t * -0.25)
     b1 = np.zeros_like(x_arr)
     b2 = np.zeros_like(x_arr)
-    for k in range(n, -1, -1):
-        a_k = math.sqrt(2.0 / (k + 1)) * x_arr
-        beta_next = -math.sqrt((k + 1) / (k + 2))
-        b1, b2 = full[k] + a_k * b1 + beta_next * b2, b1
-    result = b1 * PI_QUARTER * np.exp(-x_arr * x_arr / 2.0)
+    for ell in range(len(spec.coeffs) - 1, -1, -1):
+        r = 1.0 / math.sqrt((2 * ell + 1) * (2 * ell + 2))
+        alpha = t * (2.0 * r) - (4 * ell + 1) * r
+        beta_next = -math.sqrt((2 * ell + 1) * (2 * ell + 2) / ((2 * ell + 3) * (2 * ell + 4)))
+        b1, b2 = alpha * b1 + beta_next * b2 + g * spec.coeffs[ell], b1
+    result = b1 * g * PI_QUARTER
     if np.isscalar(x) or x_arr.ndim == 0:
         return float(result)
     return result
+
+
+MP_DIGITS = 50
+
+
+@lru_cache(maxsize=None)
+def _mp_steps(degree: int) -> tuple:
+    """(sqrt(2/k), sqrt((k-1)/k)) for k = 1..degree, at MP_DIGITS digits."""
+    with mpmath.workdps(MP_DIGITS):
+        return tuple((mpmath.sqrt(mpmath.mpf(2) / k), mpmath.sqrt(mpmath.mpf(k - 1) / k))
+                     for k in range(1, degree + 1))
+
+
+@lru_cache(maxsize=None)
+def _mp_even_psi(degree: int, x: float) -> tuple:
+    """psi_0(x), psi_2(x), ..., psi_degree(x) at MP_DIGITS digits, from the
+    full three-term recurrence of the orthonormal h_k (odd ones included)
+    times exp(-x^2/2)."""
+    with mpmath.workdps(MP_DIGITS):
+        xm = mpmath.mpf(x)
+        prev, h = mpmath.mpf(0), mpmath.pi ** mpmath.mpf(-0.25)
+        even = [h]
+        for k, (a, b) in enumerate(_mp_steps(degree), 1):
+            prev, h = h, a * xm * h - b * prev
+            if k % 2 == 0:
+                even.append(h)
+        gauss = mpmath.exp(-xm * xm / 2)
+        return tuple(v * gauss for v in even)
+
+
+def mpmath_oracle(spec: LocalizedKernelSpec, x: float) -> float:
+    """Phi(x) = sum_l c_l psi_{2l}(x) at MP_DIGITS digits from the same
+    float64 coefficients, rounded once to float."""
+    psi = _mp_even_psi(spec.degree, float(x))
+    with mpmath.workdps(MP_DIGITS):
+        return float(mpmath.fsum(mpmath.mpf(float(c)) * p for c, p in zip(spec.coeffs, psi)))
 
 
 def full_gram_oracle(spec: KernelSpec, points) -> np.ndarray:

@@ -266,6 +266,14 @@ class TestSweepCommands:
         )
         assert code == 2
 
+    def test_sweep_dim_r_below_one_refused_before_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(["--out-dir", str(out), "sweep-dim", "--synthetic", "--per-cell", "3",
+                    "--r-values=0,-2,2"])
+        assert code == 2
+        assert "feature dimension r=0 is below 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_frac_default_grid(self, tmp_path, knn_config):
         # file names hold the rounded percentage; two fractions that name
         # one file, and a fraction outside (0, 1], are usage errors, before

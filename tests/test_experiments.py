@@ -310,7 +310,13 @@ class TestRunExperiment:
             (ExperimentConfig(classifier="svn", r=3, trials=1),
              "unknown classifier 'svn'", splits + (holdout_subject,)),
             (ExperimentConfig(feature="svd", r=3, trials=0), "trials must be >= 1", splits),
+            (ExperimentConfig(r=0, trials=1), re.escape("feature dimension r=0 is below 1"),
+             splits + (holdout_subject,)),
         ]
+        for r in (0, -2):
+            sweep = (lambda config, ds, r=r: sweep_dimension(config, ds, [2, r]))
+            cases.append((ExperimentConfig(r=3, trials=1),
+                          re.escape(f"feature dimension r={r} is below 1"), (sweep,)))
         for frac in (-0.5, 0.0, 1.5, float("nan")):
             sweep = (lambda config, ds, frac=frac: sweep_train_fraction(config, ds, (0.5, frac)))
             cases.append((ExperimentConfig(r=3, trials=1),

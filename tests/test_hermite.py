@@ -1,13 +1,17 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_oracle import clenshaw_oracle
+from kernel_oracle import clenshaw_oracle, mpmath_oracle
 
+from lockern import hermite
 from lockern.hermite import (
+    _RESCALE_BITS,
+    _T_MAX,
     _hermite_values,
     _psi_values,
     build_localized_kernel,
@@ -249,3 +253,77 @@ class TestEvalLocalized:
             d = (eval_localized(spec, xs + h) - eval_localized(spec, xs - h)) / (2 * h)
             consts[N] = np.max(np.abs(d)) / N ** (q + 1)
         assert max(consts.values()) / min(consts.values()) < 3.0
+
+
+@lru_cache(maxsize=None)
+def cached_kernel(N, q):
+    return build_localized_kernel(N, q, 1.0)
+
+
+def oracle_bound_ratio(spec, xs):
+    """max |eval_localized - mpmath_oracle| over xs, in units of
+    max(degree, 1) * eps * |Phi(0)|."""
+    got = eval_localized(spec, np.asarray(xs, dtype=float))
+    want = np.array([mpmath_oracle(spec, x) for x in xs])
+    unit = max(spec.degree, 1) * np.finfo(float).eps * abs(mpmath_oracle(spec, 0.0))
+    return float(np.max(np.abs(got - want))) / unit
+
+
+class TestHighPrecisionOracle:
+    # c = 4 in |eval_localized - oracle| <= c * max(degree, 1) * eps * |Phi(0)|
+    C = 4.0
+    # x in [0, 80]: steps of 4, of 0.25 on [36, 40] (where e^{-x^2/2} is
+    # subnormal), the subnormal-e^{-x^2/4} band [53.25, 54.75], and the
+    # kernel's turning point sqrt(2 degree + 1) +- {0.1, 1, 5}
+    GRID = sorted(set(np.r_[np.arange(0.0, 80.01, 4.0), np.arange(36.0, 40.01, 0.25),
+                            np.arange(53.25, 54.8, 0.5)].tolist()))
+
+    @pytest.mark.parametrize("N", [1.0, 8.0, 24.0, 32.0])
+    @pytest.mark.parametrize("q", [1, 18, 32])
+    def test_within_bound(self, N, q):
+        spec = cached_kernel(N, q)
+        turn = math.sqrt(2 * spec.degree + 1)
+        xs = self.GRID + [turn + d for d in (-5.0, -1.0, -0.1, 0.1, 1.0, 5.0) if turn + d > 0]
+        assert oracle_bound_ratio(spec, xs) <= self.C
+
+    def test_rescaled_points_within_bound(self, monkeypatch):
+        # at N = 40 the pass rescales points by 2^-512 from about x = 50
+        rescaled, real = [], hermite._rescale
+
+        def spy(*args):
+            halvings = real(*args)
+            rescaled.append(halvings is not None and bool(np.any(halvings > 0)))
+            return halvings
+
+        monkeypatch.setattr(hermite, "_rescale", spy)
+        spec = cached_kernel(40.0, 1)
+        assert oracle_bound_ratio(spec, np.arange(50.0, 56.01, 0.5)) <= self.C
+        assert any(rescaled)
+
+
+class TestFinite:
+    @given(N=st.floats(min_value=1.0, max_value=32.0), q=st.integers(min_value=1, max_value=32),
+           xs=st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_finite_for_finite_x(self, N, q, xs):
+        spec = cached_kernel(round(N * 4) / 4, q)
+        assert np.all(np.isfinite(eval_localized(spec, np.array(xs))))
+        assert math.isfinite(eval_localized(spec, xs[0]))
+
+    @pytest.mark.parametrize("N", [40.0, 64.0, 100.0])
+    def test_finite_past_n32(self, N):
+        spec = cached_kernel(N, 18)
+        xs = np.linspace(0.0, 100.0, 2001)
+        assert np.all(np.isfinite(eval_localized(spec, xs)))
+
+    def test_clamp_is_past_underflow(self):
+        # at t >= _T_MAX even the 2^512-raised e^{-t/4} is exactly 0, in the
+        # scalar and the vectorised exp, so clamping t changes no value
+        arg = _RESCALE_BITS * math.log(2.0) - _T_MAX / 4.0
+        assert np.exp(arg) == 0.0
+        assert not np.any(np.exp(np.full(67, arg)))
+        spec = cached_kernel(32.0, 18)
+        edge = math.sqrt(_T_MAX)
+        far = np.array([edge, np.nextafter(edge, np.inf), 1e100, 1e200, np.inf, -np.inf])
+        assert not np.any(eval_localized(spec, far))
+        assert np.isnan(eval_localized(spec, np.nan))

@@ -363,23 +363,31 @@ class TestCrossGram:
             cross_gram(KernelSpec("euclidean_rbf"), [np.zeros(2)], [])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 class TestNonFinite:
-    # the unscaled Clenshaw pass of N=32 overflows to NaN at distance >= 40
+    # the localized kernel is finite at every finite distance, so a NaN
+    # coordinate is what makes its value NaN
     SPEC = KernelSpec("localized", {"N": 32.0, "q": 18, "gamma": 1.0})
-    PTS = [np.array([0.0]), np.array([1.0]), np.array([41.0])]
+    PTS = [np.array([0.0]), np.array([1.0]), np.array([np.nan])]
 
     def test_gram_names_kernel_and_entry(self):
         with pytest.raises(ValueError, match=r"localized kernel \(N=32, q=18, gamma=1, "
                                              r"degree 1024\) gave a non-finite value nan "
-                                             r"at entry \(0, 2\)"):
+                                             r"at entry \(0, 2\): .* a coordinate of that "
+                                             r"pair is not finite"):
             gram(self.SPEC, self.PTS)
 
     def test_cross_gram_names_kernel_and_entry(self):
         with pytest.raises(ValueError, match=r"N=32, q=18.* at entry \(1, 0\)"):
-            cross_gram(self.SPEC, self.PTS[:1] + [np.array([60.0])], self.PTS[:1])
+            cross_gram(self.SPEC, self.PTS[:1] + [np.array([np.nan])], self.PTS[:1])
 
+    def test_far_distances_finite_at_n32(self):
+        # distances 41 and 60 overflowed the unscaled degree-1024 pass to NaN
+        pts = [np.array([0.0]), np.array([1.0]), np.array([41.0]), np.array([60.0])]
+        G = gram(self.SPEC, pts)
+        assert np.all(np.isfinite(G.entries))
+        assert np.all(np.isfinite(cross_gram(self.SPEC, pts[2:], pts[:1])))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_other_kinds_name_their_parameters(self):
         spec = KernelSpec("euclidean_rbf", {"gamma": -1.0})
         with pytest.raises(ValueError, match=r"euclidean_rbf kernel \(gamma=-1.0\) gave a "
@@ -387,7 +395,8 @@ class TestNonFinite:
             gram(spec, [np.array([0.0]), np.array([30.0])])
 
     def test_finite_far_field_accepted(self):
-        G = gram(KernelSpec("localized", {"N": 8.0, "q": 18, "gamma": 1.0}), self.PTS)
+        pts = [np.array([0.0]), np.array([1.0]), np.array([41.0])]
+        G = gram(KernelSpec("localized", {"N": 8.0, "q": 18, "gamma": 1.0}), pts)
         assert np.all(np.isfinite(G.entries))
 
 
