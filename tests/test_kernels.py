@@ -381,7 +381,7 @@ class TestNonFinite:
             cross_gram(self.SPEC, self.PTS[:1] + [np.array([np.nan])], self.PTS[:1])
 
     def test_far_distances_finite_at_n32(self):
-        # distances 41 and 60 overflowed the unscaled degree-1024 pass to NaN
+        # past x = 40, where an unscaled degree-1024 recurrence overflows
         pts = [np.array([0.0]), np.array([1.0]), np.array([41.0]), np.array([60.0])]
         G = gram(self.SPEC, pts)
         assert np.all(np.isfinite(G.entries))
