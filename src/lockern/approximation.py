@@ -14,8 +14,8 @@ from .kernels import (
     DiscreteQuadrature,
     KernelSpec,
     _cross_gram_statistics,
+    _flat_rows,
     _min_separation,
-    _stack,
     cross_gram,
     gram,
 )
@@ -63,10 +63,11 @@ class ErrorProfile:
 
 
 def minimal_separation(points) -> float:
-    """Smallest Euclidean distance between two distinct points of the set."""
+    """Smallest Euclidean distance between two distinct points of the set
+    (a sequence of same-shape arrays, or an (n, d) matrix of rows)."""
     if len(points) < 2:
         raise ValueError("need at least two points")
-    return _min_separation(_stack([np.ravel(p) for p in points]))
+    return _min_separation(_flat_rows(points))
 
 
 def _collocation_matrix(spec: KernelSpec, nodes) -> np.ndarray:

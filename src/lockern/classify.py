@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GramMatrix, KernelSpec, _check_finite, _sq_dists, _stack
+from .kernels import GramMatrix, KernelSpec, _check_finite, _flat_rows, _sq_dists
 
 __all__ = [
     "SvmModel",
@@ -220,7 +220,8 @@ def one_vs_rest_predict(mc: MulticlassModel, kernel_row: np.ndarray):
 
 def knn_predict(train_features, train_labels, test_features, k: int) -> list:
     """Majority vote among the k nearest training points (Euclidean), one
-    label per test vector.
+    label per test vector. Each feature set is a sequence of same-shape
+    arrays, each ravelled, or an (n, d) matrix of rows.
 
     Ties break by smaller mean distance among tied classes, then by lowest
     `str(label)`; fully deterministic.
@@ -230,8 +231,12 @@ def knn_predict(train_features, train_labels, test_features, k: int) -> list:
         raise ValueError("empty training set")
     if k < 1 or k > n_train:
         raise ValueError("k out of range")
-    X = _stack([np.ravel(v) for v in (*train_features, *test_features)])
-    dists = np.sqrt(_sq_dists(X[n_train:], X[:n_train]))
+    if len(test_features) == 0:
+        return []
+    X_train, X_test = _flat_rows(train_features), _flat_rows(test_features)
+    if X_train.shape[1] != X_test.shape[1]:
+        raise ValueError("feature shape mismatch")
+    dists = np.sqrt(_sq_dists(X_test, X_train))
     preds = []
     for row, order in zip(dists, np.argsort(dists, axis=1, kind="stable")[:, :k]):
         votes = {}

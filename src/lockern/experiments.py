@@ -339,28 +339,27 @@ class _PoolGram:
 def _fold_features(config: ExperimentConfig, features: list, train, test,
                    target_frames: int):
     """PCA features of one fold from the per-sample spectrograms, the basis
-    and its scale fit on the training fold only. Returns (train, test)
-    lists."""
+    and its scale fit on the training fold only. Returns the (train, test)
+    feature matrices, one row per sample."""
     # pad within the fold: padded vectors of every sample at once would
-    # raise peak memory. Projection stays per sample: one matrix product
-    # for the fold differs in the last bits.
+    # raise peak memory. Each fold side is projected by its own matrix
+    # product, so the training features never depend on the test fold.
     train_mat = zero_pad_stack([features[i] for i in train], target_frames)
     basis = fit_pca(train_mat, config.r)
-    train_f = [pca_project(basis, v) for v in train_mat]
-    test_f = [pca_project(basis, v)
-              for v in zero_pad_stack([features[i] for i in test], target_frames)]
+    train_f = pca_project(basis, train_mat)
+    test_f = pca_project(basis, zero_pad_stack([features[i] for i in test], target_frames))
     # put typical nearest-neighbor distances at the scale the localized
     # kernel's bump expects; the scale derives from the training fold only
     scale = _nn_scale(train_f)
-    train_f = [v * scale for v in train_f]
-    test_f = [v * scale for v in test_f]
+    train_f *= scale
+    test_f *= scale
     return train_f, test_f
 
 
-def _nn_scale(features) -> float:
-    """1 / median nearest-neighbor distance of the training features."""
+def _nn_scale(X: np.ndarray) -> float:
+    """1 / median nearest-neighbor distance of the rows of the training
+    feature matrix X."""
     # Gram trick, not kernels._sq_dists: 0.9 vs 3.1 ms at M = 192, d = 30 (2-core x86)
-    X = np.stack(features)
     sq = np.sum(X * X, axis=1)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * X @ X.T, 0.0)
     np.fill_diagonal(d2, np.inf)

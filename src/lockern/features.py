@@ -282,10 +282,16 @@ def fit_pca(train_matrix: np.ndarray, r: int) -> PcaBasis:
 
 
 def pca_project(basis: PcaBasis, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape != basis.mean.shape:
-        raise ValueError("vector length mismatch")
-    return basis.components.T @ (x - basis.mean)
+    """Coordinates (x - mean) @ components of one D-vector, shape (r,), or
+    of each row of an (n, D) matrix, shape (n, r), in one matrix product.
+
+    The product for a matrix may differ from one-vector calls on its rows in
+    the last bits, as the two products may sum in different orders.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != basis.mean.size:
+        raise ValueError(f"expected vectors of length {basis.mean.size}, got shape {x.shape}")
+    return (x - basis.mean) @ basis.components
 
 
 def zero_pad_stack(specs, target_frames: int) -> np.ndarray:

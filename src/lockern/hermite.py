@@ -68,30 +68,76 @@ _RESCALE_BITS = 512
 _RESCALE_AT = 2.0 ** _RESCALE_BITS
 _B_LIMIT = 2.0 ** 1020
 _TINY = np.finfo(float).tiny
+# See `_psi_values`.
+_PSI_X_MAX = 2.0 ** 20
 
 
 def _hermite_values(k_max: int, x):
-    """Orthonormal Hermite polynomials h_0..h_{k_max} at x (scalar or array).
-
-    Upward three-term recurrence:
-        h_k = sqrt(2/k) x h_{k-1} - sqrt((k-1)/k) h_{k-2}
-    with h_0 = pi^{-1/4}, h_1 = sqrt(2) pi^{-1/4} x.
+    """Orthonormal Hermite polynomials h_0..h_{k_max} at x (scalar or array),
+    by the three-term recurrence of `_scaled_recurrence` from h_0 = pi^{-1/4}.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty((k_max + 1,) + x.shape, dtype=float)
-    out[0] = _PI_QUARTER
-    if k_max >= 1:
-        out[1] = math.sqrt(2.0) * _PI_QUARTER * x
-    for k in range(2, k_max + 1):
-        out[k] = math.sqrt(2.0 / k) * x * out[k - 1] - math.sqrt((k - 1) / k) * out[k - 2]
-    return out
+    return _scaled_recurrence(k_max, x, np.full(x.shape, _PI_QUARTER),
+                              np.zeros(x.shape, dtype=np.int64))
 
 
 def _psi_values(k_max: int, x):
     """Hermite functions psi_k(x) = h_k(x) exp(-x^2/2), k = 0..k_max, at x
-    (scalar or array)."""
-    x = np.asarray(x, dtype=float)
-    return _hermite_values(k_max, x) * np.exp(-x * x / 2.0)
+    (scalar or array), with the Gaussian carried inside the recurrence.
+
+    The start psi_0 = pi^{-1/4} e^{-x^2/2} is split as pi^{-1/4} 2^f times
+    2^e, with e the integer nearest to log2 e^{-x^2/2} and |f| <= 1/2, so no
+    point starts subnormal or at 0 (e^{-x^2/2} alone is subnormal from
+    |x| = 37.6 and 0 from 38.6, where the h_k of a high degree overflow).
+    |x| is clamped to _PSI_X_MAX first: past it every psi_k of a degree
+    below 2^30 is exactly 0 in floating point, at x and at the clamp
+    (log2 of the start is below -7.9e11, and each step multiplies by at most
+    2^21), so the clamp only keeps x^2 and the steps finite.
+    """
+    x = np.clip(np.asarray(x, dtype=float), -_PSI_X_MAX, _PSI_X_MAX)  # NaN stays NaN
+    log2_gauss = x * x * (-0.5 / math.log(2.0))
+    e = np.rint(log2_gauss)
+    start = _PI_QUARTER * np.exp2(log2_gauss - e)
+    # a NaN point's exponent is never used: its values are NaN
+    return _scaled_recurrence(k_max, x, start, np.nan_to_num(e).astype(np.int64))
+
+
+def _even_psi_at_zero(L: int) -> list:
+    """psi_0(0), psi_2(0), ..., psi_{2L}(0) as floats: at x = 0 the
+    recurrence of `_scaled_recurrence` is psi_k = -sqrt((k-1)/k) psi_{k-2},
+    and this loop gives its values bitwise."""
+    values = [_PI_QUARTER]
+    for k in range(2, 2 * L + 1, 2):
+        values.append(-math.sqrt((k - 1) / k) * values[-1])
+    return values
+
+
+def _scaled_recurrence(k_max: int, x, start, exponent):
+    """v_0..v_{k_max} of the orthonormal Hermite recurrence
+        v_k = sqrt(2/k) x v_{k-1} - sqrt((k-1)/k) v_{k-2},  v_{-1} = 0,
+    from v_0 = start 2^exponent (an integer array of x's shape).
+
+    The recurrence runs on v_k 2^-E with a per-point integer E, which starts
+    at `exponent` and grows by 512 at every point whose |v_k 2^-E| passes
+    2^512 (that value and the one before it are multiplied by 2^-512, which
+    is exact unless the one before becomes subnormal, and it is then
+    negligible). Each v_k is returned as ldexp(v_k 2^-E, E): it overflows
+    to inf or underflows to 0 only where v_k itself leaves the float range.
+    """
+    out = np.empty((k_max + 1,) + x.shape, dtype=float)
+    E = exponent.copy()
+    prev, cur = np.zeros_like(start), start
+    out[0] = np.ldexp(cur, E)
+    for k in range(1, k_max + 1):
+        prev, cur = cur, math.sqrt(2.0 / k) * x * cur - math.sqrt((k - 1) / k) * prev
+        over = np.abs(cur) > _RESCALE_AT
+        if over.any():
+            factor = np.where(over, 1.0 / _RESCALE_AT, 1.0)
+            cur *= factor
+            prev *= factor
+            E += _RESCALE_BITS * over
+        out[k] = np.ldexp(cur, E)
+    return out
 
 
 def cutoff(t: float) -> float:
@@ -172,21 +218,21 @@ def build_localized_kernel(N: float, q: int, gamma: float = 0.8) -> LocalizedKer
     cutoff-weighted P_{m,q} terms exactly.
     """
     L = localized_degree(N, q) // 2
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    psi0 = _psi_values(2 * L, 0.0)  # psi_{2l}(0) carries the (-1)^l sign
+    if not 0 < gamma < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    psi0 = _even_psi_at_zero(L)  # psi_{2l}(0) carries the (-1)^l sign
     h_vals = np.array([cutoff(math.sqrt(2.0 * m) / N) for m in range(L + 1)])
     coeffs = np.empty(L + 1)
     if q == 1:
         for ell in range(L + 1):
-            coeffs[ell] = h_vals[ell] * psi0[2 * ell]
+            coeffs[ell] = h_vals[ell] * psi0[ell]
     else:
         a = (q - 1) / 2.0
         prefactor = math.pi ** (-(q - 1) / 2.0) / math.gamma(a)
         for ell in range(L + 1):
             ms = np.arange(ell, L + 1)
             w = np.exp(gammaln(a + ms - ell) - gammaln(ms - ell + 1))
-            coeffs[ell] = prefactor * float(np.dot(h_vals[ell:], w)) * psi0[2 * ell]
+            coeffs[ell] = prefactor * float(np.dot(h_vals[ell:], w)) * psi0[ell]
     return LocalizedKernelSpec(N=float(N), q=int(q), gamma=float(gamma), coeffs=coeffs)
 
 

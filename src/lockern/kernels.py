@@ -139,26 +139,39 @@ def _row_blocks(n_rows: int, row_elems: int):
 
 
 def _stack(values) -> np.ndarray:
-    """Stack same-shape feature arrays along a new first axis."""
-    arrays = [np.asarray(v, dtype=float) for v in values]
-    if not arrays:
+    """Same-shape feature arrays as one float array along a new first axis,
+    from one conversion: a sequence of them, or an array whose first axis
+    runs over them, which passes through without a copy when it is already
+    float."""
+    try:
+        stacked = np.asarray(values, dtype=float)
+    except ValueError as exc:
+        # numpy's "setting an array element with a sequence" for ragged input
+        if "sequence" not in str(exc):
+            raise
+        raise ValueError("feature shape mismatch") from exc
+    if len(stacked) == 0:
         raise ValueError("no points")
-    if any(a.shape != arrays[0].shape for a in arrays):
-        raise ValueError("feature shape mismatch")
-    return np.stack(arrays)
+    return stacked
+
+
+def _flat_rows(points) -> np.ndarray:
+    """The points, each ravelled, as the rows of one (n, d) float matrix."""
+    X = _stack(points)
+    return X.reshape(len(X), -1)
 
 
 def _stacked_features(spec: KernelSpec, points: Sequence) -> tuple:
     """The points' features as stacked float arrays, each point validated
-    once: transposed bases U' (Grassmann), U and S (SVD kernels), or flat
-    vectors."""
+    once: transposed bases U' (Grassmann), U and S (SVD kernels), or the
+    rows of flat vectors (`_flat_rows`: an (n, d) array passes through)."""
     if spec.kind == "grassmann":
         Ut = _stack([np.transpose(pt.U) for pt in points])
         _check_orthonormal(np.swapaxes(Ut, 1, 2))
         return (Ut,)
     if spec.kind in ("laplace_svd", "gaussian_svd"):
         return _stack([pt.U for pt in points]), _stack([pt.S for pt in points])
-    return (_stack([np.ravel(pt) for pt in points]),)
+    return (_flat_rows(points),)
 
 
 def _sq_dists(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
@@ -277,7 +290,8 @@ def cross_gram(spec: KernelSpec, A: Sequence, B: Sequence) -> np.ndarray:
     profile of the pair statistics of A and B.
 
     Features are objects with `U` (Grassmann), `U` and `S` (SVD kernels), or
-    flat vectors. Raises ValueError on an empty sequence, on features of
+    flat vectors: a sequence of same-shape arrays, each ravelled, or an
+    (n, d) matrix of rows. Raises ValueError on an empty sequence, on features of
     unequal shape, on a non-orthonormal Grassmann basis, and on a non-finite
     kernel value.
     """

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kernel_oracle import clenshaw_oracle, mpmath_oracle
 
 from lockern import hermite
+from lockern.kernels import KernelSpec
 from lockern.hermite import (
     _RESCALE_BITS,
     _T_MAX,
@@ -75,6 +76,33 @@ class TestPsi:
     def test_psi5_rodrigues(self):
         expect = rodrigues_h(5, 2.0) * math.exp(-2.0)
         assert _psi_values(5, 2.0)[5] == pytest.approx(expect, abs=1e-10)
+
+    def test_matches_unsplit_product_where_it_is_finite(self):
+        # h_k e^{-x^2/2} formed apart agrees where neither factor leaves
+        # the float range
+        xs = np.linspace(-12.0, 12.0, 241)
+        want = _hermite_values(200, xs) * np.exp(-xs * xs / 2.0)
+        assert np.max(np.abs(_psi_values(200, xs) - want)) < 1e-13
+
+    def test_even_values_at_zero_are_the_recurrence(self):
+        # the kernel's coefficients take psi_{2l}(0) from the short loop
+        want = _psi_values(400, 0.0)[::2]
+        assert np.array(hermite._even_psi_at_zero(200)).tobytes() == want.tobytes()
+
+    def test_finite_past_gaussian_underflow(self):
+        xs = np.linspace(36.0, 80.0, 177)
+        psis = _psi_values(1024, xs)
+        assert np.all(np.isfinite(psis))
+        # psi_k peaks near its turning point sqrt(2k + 1): x = 60 is past it
+        # for k < 1800, and there psi_k grows with k
+        at_60 = psis[:, np.argmin(np.abs(xs - 60.0))]
+        assert at_60[-1] > at_60[-2] > 0
+
+    def test_clamp_and_nan(self):
+        spec = cached_kernel(32.0, 18)
+        far = np.array([2.0**20, 1e6, 1e200, np.inf, -np.inf])
+        assert not np.any(eval_localized_direct(spec, far))
+        assert np.isnan(eval_localized_direct(spec, np.nan))
 
     def test_orthonormality(self):
         # fixed high-resolution quadrature on [-20, 20]
@@ -153,6 +181,13 @@ class TestBuildLocalizedKernel:
             build_localized_kernel(0.5, 2)
         with pytest.raises(ValueError):
             build_localized_kernel(4, 0)
+
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan, -1.0, 0.0, -math.inf])
+    def test_gamma_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            build_localized_kernel(8.0, 18, gamma)
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            KernelSpec("localized", {"N": 8.0, "q": 18, "gamma": gamma})
 
     @pytest.mark.parametrize("N", [1.0, 1.5, 2.0, 3.7, 4.0, 8.0, 32.0])
     def test_degree_helper_matches_built_kernel(self, N):
@@ -260,10 +295,10 @@ def cached_kernel(N, q):
     return build_localized_kernel(N, q, 1.0)
 
 
-def oracle_bound_ratio(spec, xs):
-    """max |eval_localized - mpmath_oracle| over xs, in units of
+def oracle_bound_ratio(spec, xs, evaluate=eval_localized):
+    """max |evaluate - mpmath_oracle| over xs, in units of
     max(degree, 1) * eps * |Phi(0)|."""
-    got = eval_localized(spec, np.asarray(xs, dtype=float))
+    got = evaluate(spec, np.asarray(xs, dtype=float))
     want = np.array([mpmath_oracle(spec, x) for x in xs])
     unit = max(spec.degree, 1) * np.finfo(float).eps * abs(mpmath_oracle(spec, 0.0))
     return float(np.max(np.abs(got - want))) / unit
@@ -278,13 +313,23 @@ class TestHighPrecisionOracle:
     GRID = sorted(set(np.r_[np.arange(0.0, 80.01, 4.0), np.arange(36.0, 40.01, 0.25),
                             np.arange(53.25, 54.8, 0.5)].tolist()))
 
+    def grid(self, spec):
+        turn = math.sqrt(2 * spec.degree + 1)
+        return self.GRID + [turn + d for d in (-5.0, -1.0, -0.1, 0.1, 1.0, 5.0) if turn + d > 0]
+
     @pytest.mark.parametrize("N", [1.0, 8.0, 24.0, 32.0])
     @pytest.mark.parametrize("q", [1, 18, 32])
     def test_within_bound(self, N, q):
         spec = cached_kernel(N, q)
-        turn = math.sqrt(2 * spec.degree + 1)
-        xs = self.GRID + [turn + d for d in (-5.0, -1.0, -0.1, 0.1, 1.0, 5.0) if turn + d > 0]
-        assert oracle_bound_ratio(spec, xs) <= self.C
+        assert oracle_bound_ratio(spec, self.grid(spec)) <= self.C
+
+    @pytest.mark.parametrize("N", [24.0, 32.0])
+    @pytest.mark.parametrize("q", [1, 18])
+    def test_direct_within_bound(self, N, q):
+        # the cross-check evaluator, past x = 38 where e^{-x^2/2} alone is
+        # subnormal or 0 and h_k of this degree overflows
+        spec = cached_kernel(N, q)
+        assert oracle_bound_ratio(spec, self.grid(spec), eval_localized_direct) <= self.C
 
     def test_rescaled_points_within_bound(self, monkeypatch):
         # at N = 40 the pass rescales points by 2^-512 from about x = 50
