@@ -1,8 +1,8 @@
 """Numerical checks of the kernel's stated properties: Gaussian reduction at
 N=1, Clenshaw-vs-direct agreement (far out too at high N), finite values far
-out at high N,
-Hermite-function orthonormality, the localization envelope, interpolation
-exactness on the circle benchmark, far-field decay and diagonal dominance.
+out at high N, Hermite-function orthonormality, the localization envelope,
+interpolation exactness on the circle benchmark, far-field decay and
+diagonal dominance.
 
 Each benchmark returns (name, passed, detail) tuples so both the test suite
 and the CLI `verify` command can consume them.

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from kernel_oracle import clenshaw_oracle, mpmath_oracle
 
 from lockern import hermite
-from lockern.kernels import KernelSpec
 from lockern.hermite import (
     _RESCALE_BITS,
     _T_MAX,
@@ -21,6 +20,7 @@ from lockern.hermite import (
     eval_localized_direct,
     localized_degree,
 )
+from lockern.kernels import KernelSpec
 
 PI_QUARTER = math.pi ** -0.25
 
