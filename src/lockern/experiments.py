@@ -15,18 +15,19 @@ from .classify import knn_predict, one_vs_rest_predict, one_vs_rest_train
 from .features import (
     RankError,
     Spectrogram,
-    fit_pca,
+    _centre_and_fit_pca,
     log_threshold,
     normalize,
-    pca_project,
     stft,
     svd_features,
     zero_pad_stack,
 )
 from .hermite import localized_degree
 from .kernels import DEFAULT_PARAMS, GramMatrix, KernelSpec, cross_gram, gram
-# Unused here: kernel_fn stays importable from this module because the
-# benchmark's traced run (bench/layers.py) wraps it by this name.
+# Unused here: kernel_fn, fit_pca and pca_project stay importable from this
+# module because the benchmark's traced run (bench/layers.py) wraps them by
+# these names.
+from .features import fit_pca, pca_project  # noqa: F401
 from .kernels import kernel_fn  # noqa: F401
 
 __all__ = [
@@ -47,10 +48,10 @@ __all__ = [
 SUBJECT_NAMES = "ABCDEF"
 
 # Most spectrogram elements one log_threshold call takes in
-# `_preprocessed`. Of 2^12-2^16, 2^14 (about seven 64-bin gesture
+# `_preprocessed`. Of 2^13-2^16, 2^15 (about fifteen 64-bin gesture
 # spectrograms) preprocessed a gesture set fastest; smaller blocks pay more
-# per-call overhead, larger ones fall out of cache and raise peak memory.
-_PREPROCESS_BLOCK_ELEMS = 2**14
+# per-call overhead, and 2^16 was no faster but raised peak memory.
+_PREPROCESS_BLOCK_ELEMS = 2**15
 
 
 class MissingClassError(ValueError):
@@ -342,12 +343,16 @@ def _fold_features(config: ExperimentConfig, features: list, train, test,
     and its scale fit on the training fold only. Returns the (train, test)
     feature matrices, one row per sample."""
     # pad within the fold: padded vectors of every sample at once would
-    # raise peak memory. Each fold side is projected by its own matrix
-    # product, so the training features never depend on the test fold.
+    # raise peak memory. The fold owns both padded matrices and centres each
+    # in place, the training one by the fit; each side is then projected by
+    # its own matrix product, bitwise `pca_project` of the padded rows, so
+    # the training features never depend on the test fold.
     train_mat = zero_pad_stack([features[i] for i in train], target_frames)
-    basis = fit_pca(train_mat, config.r)
-    train_f = pca_project(basis, train_mat)
-    test_f = pca_project(basis, zero_pad_stack([features[i] for i in test], target_frames))
+    basis = _centre_and_fit_pca(train_mat, config.r)
+    train_f = train_mat @ basis.components
+    test_mat = zero_pad_stack([features[i] for i in test], target_frames)
+    test_mat -= basis.mean
+    test_f = test_mat @ basis.components
     # put typical nearest-neighbor distances at the scale the localized
     # kernel's bump expects; the scale derives from the training fold only
     scale = _nn_scale(train_f)

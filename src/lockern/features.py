@@ -134,50 +134,59 @@ def _yen_thresholds(values: np.ndarray, sizes: np.ndarray, nbins: int = 256) -> 
         sizes, lo, hi = sizes[rows], lo[rows], hi[rows]
     n = rows.size
 
-    finite = np.isfinite(lo) & np.isfinite(hi)
-    # np.linspace takes other arithmetic for every row once one row's step
-    # underflows to 0, but such a row holds too few floats for nbins bins:
-    # it is refused below, so no edges it changes are ever used
-    edges = np.linspace(lo[finite], hi[finite], nbins + 1, axis=1)
-    increasing = np.zeros(n, dtype=bool)
-    increasing[finite] = np.all(edges[:, :-1] < edges[:, 1:], axis=1)
-    if not increasing.all():
-        k = np.argmin(increasing)
-        if not finite[k]:
+    # each row's edges as np.linspace(lo, hi, nbins + 1) gives them for that
+    # row alone: j * step + lo, the last edge hi. (Given every row at once,
+    # linspace switches all rows to (j / nbins) * delta + lo when one row's
+    # step underflows to 0; that row is refused either way, but the switch
+    # can pass an earlier row that np.histogram refuses.) A non-finite row's
+    # edges are NaN or inf, and it is refused.
+    delta = hi - lo
+    with np.errstate(invalid="ignore"):
+        edges = np.arange(nbins + 1, dtype=float) * (delta / nbins)[:, None]
+        edges += lo[:, None]
+    edges[:, -1] = hi
+    narrow = ~np.all(edges[:, :-1] < edges[:, 1:], axis=1)
+    if narrow.any():
+        k = np.argmax(narrow)
+        if not (np.isfinite(lo[k]) and np.isfinite(hi[k])):
             raise ValueError(f"sample {rows[k]}: range [{lo[k]}, {hi[k]}] is not finite")
         raise ValueError(f"sample {rows[k]}: range [{lo[k]}, {hi[k]}] is too narrow "
                          f"for {nbins} finite-sized bins")
+    if nbins == 1:
+        return thresholds  # no threshold to test: the criterion is empty
 
-    # position of each value's first edge in the flat (n, nbins + 1) edges
-    first_edge = np.repeat(np.arange(0, n * (nbins + 1), nbins + 1), sizes)
-    edges = edges.ravel()
-    x = values - np.repeat(lo, sizes)
-    x /= np.repeat(hi - lo, sizes)
+    # Flat (n, nbins + 1) edge table, read at each value's position (row
+    # offset plus bin) as the bin's lower edge and, one further on, its
+    # upper edge. Column nbins starts no bin; as +inf it is the upper edge of
+    # the last bin, which keeps the values on its right edge.
+    edges[:, -1] = np.inf
+    lower = edges.ravel()
+    upper = lower[1:]
+    x = np.repeat(lo, sizes)
+    np.subtract(values, x, out=x)
+    x /= np.repeat(delta, sizes)
     x *= nbins
-    bins = x.astype(np.intp)
-    bins -= bins == nbins
-    bins -= values < edges[first_edge + bins]
-    bins += (values >= edges[first_edge + bins + 1]) & (bins != nbins - 1)
-    # column nbins of each row is the last edge, which starts no bin: always 0
-    counts = np.bincount(first_edge + bins, minlength=edges.size).reshape(n, nbins + 1)
-    counts = counts[:, :-1]
+    np.minimum(x, nbins - 1, out=x)  # a value on the last edge is in the last bin
+    pos = x.astype(np.intp)
+    pos += np.repeat(np.arange(0, lower.size, nbins + 1), sizes)
+    pos -= values < lower.take(pos)
+    pos += values >= upper.take(pos)
+    counts = np.bincount(pos, minlength=lower.size).reshape(n, nbins + 1)
 
-    pmf = counts / sizes[:, None]
-    p1 = np.cumsum(pmf, axis=1)[:, :-1]
-    p1_sq = np.cumsum(pmf**2, axis=1)
-    p2_sq = np.cumsum(pmf[:, ::-1] ** 2, axis=1)[:, ::-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        crit = np.log(
-            np.where(p1_sq[:, :-1] * p2_sq[:, 1:] > 0, 1.0 / (p1_sq[:, :-1] * p2_sq[:, 1:]), np.nan)
-        ) + 2.0 * np.log(np.where((p1 > 0) & (p1 < 1), p1 * (1 - p1), np.nan))
-    # the first maximum, as np.nanargmax finds it; a segment whose criterion
-    # is NaN throughout keeps its minimum
-    defined = ~np.isnan(crit)
-    found = np.flatnonzero(defined.any(axis=1))
-    if found.size:
-        best = np.where(defined[found], crit[found], -np.inf).argmax(axis=1)
-        left = found * (nbins + 1) + best
-        thresholds[rows[found]] = 0.5 * (edges[left] + edges[left + 1])
+    # The criterion at each split, bins-major: each cumulative sum runs down
+    # axis 0. The first bin holds the segment's minimum and the last its
+    # maximum, so both sums of squares are positive and 0 < p1 < 1 (the
+    # rounding of p1, about nbins * eps, is far below 1 / size): the
+    # criterion is defined at every split, with no NaN for np.nanargmax to
+    # skip, and argmax finds the same first maximum.
+    pmf = counts[:, :-1].T / sizes
+    sq = pmf**2
+    p1 = np.cumsum(pmf[:-1], axis=0)
+    p1_sq = np.cumsum(sq[:-1], axis=0)
+    p2_sq = np.cumsum(sq[:0:-1], axis=0)[::-1]
+    crit = np.log(1.0 / (p1_sq * p2_sq)) + 2.0 * np.log(p1 * (1 - p1))
+    left = np.arange(0, lower.size, nbins + 1) + crit.argmax(axis=0)
+    thresholds[rows] = 0.5 * (lower[left] + lower[left + 1])
     return thresholds
 
 
@@ -258,24 +267,32 @@ def fit_pca(train_matrix: np.ndarray, r: int) -> PcaBasis:
     eigenvalue is at most n * eps * (largest eigenvalue), with n the Gram
     size and eps the float64 machine epsilon: below that an eigenvalue
     cannot be told from round-off in the Gram and its eigendecomposition.
+
+    The input is not modified: the fit centres a copy of it.
     """
-    X = np.asarray(train_matrix, dtype=float)
+    return _centre_and_fit_pca(np.array(train_matrix, dtype=float), r)
+
+
+def _centre_and_fit_pca(X: np.ndarray, r: int) -> PcaBasis:
+    """`fit_pca` of the float matrix X, which it centres in place: X holds
+    X - mean afterwards, so `X @ components` are the coordinates
+    `pca_project` gives its rows, bitwise, with no full-size copy made."""
     M, D = X.shape
     if r < 1:
         raise ValueError(f"r={r} out of range for {M}x{D} data")
     if r > min(M, D):
         raise RankError(f"r={r} out of range for {M}x{D} data")
     mean = X.mean(axis=0)
-    Xc = X - mean
+    X -= mean
     sample_gram = M <= D
-    G = Xc @ Xc.T if sample_gram else Xc.T @ Xc
+    G = X @ X.T if sample_gram else X.T @ X
     eigvals, eigvecs = np.linalg.eigh(G)
     eigvals, eigvecs = eigvals[::-1][:r], eigvecs[:, ::-1][:, :r]
     if eigvals[-1] <= len(G) * np.finfo(float).eps * eigvals[0]:
         raise RankError(f"data rank below r={r}; lower r")
     components = eigvecs
     if sample_gram:
-        components = Xc.T @ eigvecs
+        components = X.T @ eigvecs
         components /= np.linalg.norm(components, axis=0)
     explained = eigvals / max(M - 1, 1)
     return PcaBasis(mean=mean, components=canonicalize_signs(components), explained=explained)

@@ -23,7 +23,7 @@ from lockern.experiments import (
     _sample_features,
     _stratified_split,
 )
-from lockern.features import RankError
+from lockern.features import RankError, fit_pca, pca_project, zero_pad_stack
 from preprocess_oracle import preprocess_oracle
 
 
@@ -152,6 +152,27 @@ class TestFeatureExtraction:
         fb, _ = _fold_features(config, per_sample, train, range(60, 70), target)
         for va, vb in zip(fa, fb):
             np.testing.assert_array_equal(va, vb)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fold_features_match_public_path(self, seed):
+        # the fold centres its own padded matrices in place; its features are
+        # byte for byte those of fit_pca then pca_project on each side, with
+        # the same nearest-neighbor scale
+        ds = gen_synthetic_gestures(per_cell=10, seed=seed)
+        config = ExperimentConfig(r=30)
+        labels = np.array([s.label for s in ds.samples])
+        target = max(s.data.shape[1] for s in ds.samples)
+        pairs = _preprocessed(config.preprocessing, ds.samples, range(len(ds.samples)))
+        per_sample = _sample_features(config, (spectrogram for _, spectrogram in pairs))
+        train, test = _stratified_split(labels, config.train_ratio, np.random.default_rng(seed))
+        got_train, got_test = _fold_features(config, per_sample, train, test, target)
+        train_mat = zero_pad_stack([per_sample[i] for i in train], target)
+        basis = fit_pca(train_mat, config.r)
+        want_train = pca_project(basis, train_mat)
+        want_test = pca_project(basis, zero_pad_stack([per_sample[i] for i in test], target))
+        scale = experiments._nn_scale(want_train)
+        assert got_train.tobytes() == (want_train * scale).tobytes()
+        assert got_test.tobytes() == (want_test * scale).tobytes()
 
     def test_svd_feature_shape(self, small_gestures):
         config = ExperimentConfig(feature="svd", r=4)

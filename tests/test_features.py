@@ -11,6 +11,7 @@ from lockern.experiments import gen_synthetic_gestures
 from lockern.features import (
     ArmaModel,
     Spectrogram,
+    _centre_and_fit_pca,
     _yen_thresholds,
     arma_fit,
     fit_pca,
@@ -111,9 +112,10 @@ def yen_naive(values, nbins=256):
 @st.composite
 def ragged_blocks(draw):
     """1-8 segments of the kinds that reach every branch of the histogram:
-    one element, constant, two values, values on bin edges or one float to
-    either side of them (where np.histogram corrects the computed bin), and
-    spread."""
+    one element, constant, two values, values on the edges of `nbins` bins
+    or one float to either side of them (where np.histogram corrects the
+    computed bin), and spread. Returns the segments and `nbins`."""
+    nbins = draw(st.sampled_from([1, 2, 3, 16, 256]))
     kinds = draw(st.lists(
         st.sampled_from(["one", "constant", "two_valued", "on_edges", "beside_edges", "spread"]),
         min_size=1, max_size=8))
@@ -122,6 +124,7 @@ def ragged_blocks(draw):
     for kind in kinds:
         lo, hi = np.sort(rng.normal(-40.0, 30.0, 2))
         n = int(rng.integers(2, 300))
+        edges = np.linspace(lo, hi, nbins + 1)
         if kind == "one":
             seg = np.array([lo])
         elif kind == "constant":
@@ -130,16 +133,17 @@ def ragged_blocks(draw):
             seg = rng.choice([lo, hi], n)
             seg[:2] = lo, hi
         elif kind == "on_edges":
-            seg = rng.choice(np.linspace(lo, hi, 257), n)
+            seg = rng.choice(edges, n)
             seg[:2] = lo, hi
         elif kind == "beside_edges":
-            inner = rng.choice(np.linspace(lo, hi, 257)[1:-1], n)
-            seg = np.nextafter(inner, np.where(rng.random(n) < 0.5, -np.inf, np.inf))
+            inner = rng.choice(edges, n)
+            seg = np.clip(np.nextafter(inner, np.where(rng.random(n) < 0.5, -np.inf, np.inf)),
+                          lo, hi)
             seg[:2] = lo, hi
         else:
             seg = rng.normal(lo, hi - lo, n)
         segments.append(seg)
-    return segments
+    return segments, nbins
 
 
 class TestYenThreshold:
@@ -197,11 +201,55 @@ class TestYenThreshold:
 
     @given(ragged_blocks())
     @settings(max_examples=60, deadline=None)
-    def test_ragged_blocks_match_oracle(self, segments):
+    def test_ragged_blocks_match_oracle(self, block):
+        segments, nbins = block
         sizes = np.array([len(seg) for seg in segments])
-        got = _yen_thresholds(np.concatenate(segments), sizes)
-        expected = np.array([yen_oracle(seg) for seg in segments])
+        got = _yen_thresholds(np.concatenate(segments), sizes, nbins)
+        expected = np.array([yen_oracle(seg, nbins) for seg in segments])
         assert got.tobytes() == expected.tobytes()
+
+
+# 10 and the next float or so above it: too few floats between them for 256
+# bins; and a range with an infinite end
+NARROW = np.array([10.0, 10.0 * (1.0 + 4e-16)])
+NOT_FINITE = np.array([1.0, np.inf])
+# a range of 100 subnormals: its step (hi - lo) / 256 underflows to 0
+ZERO_STEP = np.array([0.0, 100 * 5e-324])
+# 384 subnormals: the step rounds to 2 of them, and the 255th edge lands
+# past hi. The per-segment histogram refuses it, though the other linspace
+# arithmetic, (j / 256) * delta + lo, would give increasing edges.
+ROUNDED_STEP = np.array([-600 * 5e-324, -216 * 5e-324])
+SPREAD = np.arange(-30.0, 2.0)
+
+
+def yen_block(*segments):
+    return _yen_thresholds(np.concatenate(segments), np.array([len(seg) for seg in segments]))
+
+
+class TestYenErrors:
+    @pytest.mark.parametrize("first,second,match", [
+        (NARROW, NOT_FINITE, "sample 1: .* too narrow for 256"),
+        (NOT_FINITE, NARROW, "sample 1: .* is not finite"),
+    ])
+    def test_first_bad_segment_named_with_its_cause(self, first, second, match):
+        with pytest.raises(ValueError, match=match):
+            yen_block(SPREAD, first, second, SPREAD)
+
+    @pytest.mark.parametrize("seg", [ZERO_STEP, ROUNDED_STEP])
+    def test_oracle_refuses_subnormal_ranges(self, seg):
+        with pytest.raises(ValueError, match="Too many bins"):
+            yen_oracle(seg)
+
+    def test_zero_step_segment_named(self):
+        with pytest.raises(ValueError, match="sample 1: .* too narrow for 256"):
+            yen_block(SPREAD, ZERO_STEP, SPREAD)
+
+    def test_zero_step_segment_keeps_earlier_edges(self):
+        # each segment's edges are its own: the zero step of a later segment
+        # does not switch an earlier one to the other arithmetic, which would
+        # let the earlier one pass where np.histogram refuses it
+        with pytest.raises(ValueError, match="sample 1: .* too narrow for 256"):
+            yen_block(SPREAD, ROUNDED_STEP, ZERO_STEP)
 
 
 class TestLogThreshold:
@@ -361,6 +409,28 @@ class TestPca:
         assert np.max(subspace_angles(basis.components, Vt[:r].T)) < 1e-8
         np.testing.assert_allclose(basis.components.T @ basis.components, np.eye(r), atol=1e-12)
         np.testing.assert_allclose(basis.explained, S[:r] ** 2 / (M - 1), rtol=1e-10)
+
+    @pytest.mark.parametrize("M,D", [(40, 120), (120, 40)])
+    def test_centred_fit_matches_fit_and_project(self, M, D):
+        # both Gram branches: the in-place fit gives fit_pca's basis, leaves
+        # X - mean in its argument, and that times the components is
+        # pca_project of the rows, byte for byte
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((M, D)) * np.linspace(3.0, 0.5, D) + rng.standard_normal(D)
+        basis = fit_pca(X, 6)
+        centred = X.copy()
+        got = _centre_and_fit_pca(centred, 6)
+        for name in ("mean", "components", "explained"):
+            assert getattr(got, name).tobytes() == getattr(basis, name).tobytes()
+        assert centred.tobytes() == (X - X.mean(axis=0)).tobytes()
+        assert (centred @ got.components).tobytes() == pca_project(basis, X).tobytes()
+
+    @pytest.mark.parametrize("M,D", [(40, 120), (120, 40)])
+    def test_fit_leaves_input_unchanged(self, M, D):
+        X = np.random.default_rng(14).standard_normal((M, D)) + 5.0
+        before = X.tobytes()
+        fit_pca(X, 6)
+        assert X.tobytes() == before
 
     def test_rank_deficient_refused(self):
         X = np.zeros((10, 4))

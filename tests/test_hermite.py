@@ -317,13 +317,13 @@ class TestHighPrecisionOracle:
         turn = math.sqrt(2 * spec.degree + 1)
         return self.GRID + [turn + d for d in (-5.0, -1.0, -0.1, 0.1, 1.0, 5.0) if turn + d > 0]
 
-    @pytest.mark.parametrize("N", [1.0, 8.0, 24.0, 32.0])
+    @pytest.mark.parametrize("N", [1.0, 8.0, 24.0, 32.0, 40.0, 48.0])
     @pytest.mark.parametrize("q", [1, 18, 32])
     def test_within_bound(self, N, q):
         spec = cached_kernel(N, q)
         assert oracle_bound_ratio(spec, self.grid(spec)) <= self.C
 
-    @pytest.mark.parametrize("N", [24.0, 32.0])
+    @pytest.mark.parametrize("N", [24.0, 32.0, 40.0, 48.0])
     @pytest.mark.parametrize("q", [1, 18])
     def test_direct_within_bound(self, N, q):
         # the cross-check evaluator, past x = 38 where e^{-x^2/2} alone is
