@@ -200,7 +200,7 @@ class TestYenThreshold:
             assert got.tobytes() == expected.tobytes()
 
     @given(ragged_blocks())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_ragged_blocks_match_oracle(self, block):
         segments, nbins = block
         sizes = np.array([len(seg) for seg in segments])
@@ -412,25 +412,21 @@ class TestPca:
 
     @pytest.mark.parametrize("M,D", [(40, 120), (120, 40)])
     def test_centred_fit_matches_fit_and_project(self, M, D):
-        # both Gram branches: the in-place fit gives fit_pca's basis, leaves
-        # X - mean in its argument, and that times the components is
-        # pca_project of the rows, byte for byte
+        # both Gram branches: fit_pca leaves its input as it was; the
+        # in-place fit gives fit_pca's basis, leaves X - mean in its
+        # argument, and that times the components is pca_project of the
+        # rows, byte for byte
         rng = np.random.default_rng(13)
         X = rng.standard_normal((M, D)) * np.linspace(3.0, 0.5, D) + rng.standard_normal(D)
+        before = X.tobytes()
         basis = fit_pca(X, 6)
+        assert X.tobytes() == before
         centred = X.copy()
         got = _centre_and_fit_pca(centred, 6)
         for name in ("mean", "components", "explained"):
             assert getattr(got, name).tobytes() == getattr(basis, name).tobytes()
         assert centred.tobytes() == (X - X.mean(axis=0)).tobytes()
         assert (centred @ got.components).tobytes() == pca_project(basis, X).tobytes()
-
-    @pytest.mark.parametrize("M,D", [(40, 120), (120, 40)])
-    def test_fit_leaves_input_unchanged(self, M, D):
-        X = np.random.default_rng(14).standard_normal((M, D)) + 5.0
-        before = X.tobytes()
-        fit_pca(X, 6)
-        assert X.tobytes() == before
 
     def test_rank_deficient_refused(self):
         X = np.zeros((10, 4))
