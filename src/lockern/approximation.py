@@ -70,16 +70,12 @@ def minimal_separation(points) -> float:
     return _min_separation(_flat_rows(points))
 
 
-def _collocation_matrix(spec: KernelSpec, nodes) -> np.ndarray:
-    return gram(spec, list(nodes)).entries
-
-
 def dominance_diagnostic(spec: KernelSpec, nodes) -> float:
     """max_k sum_{j != k} |K(y_j, y_k)| / K(y_k, y_k); below 1/2 certifies
     strict diagonal dominance of the collocation system."""
     if len(nodes) < 2:
         raise ValueError("need at least two nodes")
-    return _dominance_ratio(_collocation_matrix(spec, nodes))
+    return _dominance_ratio(gram(spec, list(nodes)).entries)
 
 
 def _dominance_ratio(K: np.ndarray) -> float:
@@ -97,7 +93,7 @@ def fit_empirical(spec: KernelSpec, nodes, values) -> CollocationModel:
     values = np.asarray(values, dtype=float)
     if len(nodes) != len(values):
         raise ValueError("nodes/values length mismatch")
-    K = _collocation_matrix(spec, nodes)
+    K = gram(spec, nodes).entries
     cond = np.linalg.cond(K)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ValueError(

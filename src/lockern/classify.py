@@ -169,12 +169,9 @@ def _smo(K: np.ndarray, spec: KernelSpec | None, y: np.ndarray, C: float) -> Svm
                 RuntimeWarning,
             )
     alpha = np.array(alpha)
-    pos, neg = y > 0, y < 0
-    up = (pos & (alpha < C)) | (neg & (alpha > 0))
-    low = (pos & (alpha > 0)) | (neg & (alpha < C))
-    hi = np.max(yg[up]) if up.any() else 0.0
-    lo = np.min(yg[low]) if low.any() else 0.0
-    bias = (hi + lo) / 2.0  # yg equals the bias at free support vectors
+    # yg equals the bias at free support vectors; an empty set counts as 0
+    hi, lo = gu.max(), gl.min()
+    bias = ((hi if hi > -np.inf else 0.0) + (lo if lo < np.inf else 0.0)) / 2.0
 
     sv = np.flatnonzero(alpha > 1e-12)
     return SvmModel(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import os
 import sys
@@ -29,6 +30,7 @@ from .experiments import (
 )
 from .features import svd_features, zero_pad_stack
 from .hermite import build_localized_kernel, eval_localized
+from .kernels import DEFAULT_PARAMS
 from .io import read_manifest, read_spectrogram_csv
 
 class UsageError(Exception):
@@ -91,26 +93,13 @@ def _parse_config_file(path, seed: int) -> ExperimentConfig:
                 values[k.strip()] = v.strip()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
-    kernel_params = {}
-    for key in ("N", "gamma", "alpha", "beta"):
-        if key in values:
-            kernel_params[key] = float(values.pop(key))
-    if "q" in values:
-        kernel_params["q"] = int(values.pop("q"))
-    kwargs = {}
-    for key, cast in (
-        ("preprocessing", str),
-        ("feature", str),
-        ("r", int),
-        ("kernel_kind", str),
-        ("classifier", str),
-        ("knn_k", int),
-        ("C", float),
-        ("train_ratio", float),
-        ("trials", int),
-    ):
-        if key in values:
-            kwargs[key] = cast(values.pop(key))
+    # every kernel parameter and every config field but the seed (an
+    # option) is a key, cast to the type of its default
+    param_casts = {k: type(v) for params in DEFAULT_PARAMS.values() for k, v in params.items()}
+    field_casts = {f.name: type(f.default) for f in dataclasses.fields(ExperimentConfig)
+                   if f.name not in ("seed", "kernel_params")}
+    kernel_params = {k: cast(values.pop(k)) for k, cast in param_casts.items() if k in values}
+    kwargs = {k: cast(values.pop(k)) for k, cast in field_casts.items() if k in values}
     if values:
         raise DataError(f"{path}: unknown config keys {sorted(values)}")
     return ExperimentConfig(seed=seed, kernel_params=kernel_params, **kwargs)

@@ -19,7 +19,6 @@ __all__ = [
     "SubspaceFeature",
     "PcaBasis",
     "ArmaModel",
-    "GrassmannPoint",
     "RankError",
     "stft",
     "yen_threshold",
@@ -54,6 +53,9 @@ class Spectrogram:
 
 @dataclass(frozen=True)
 class SubspaceFeature:
+    """A subspace point of the Grassmann and SVD kernels: an SVD feature
+    (`svd_features`) or an ARMA observability embedding (`grassmann_embed`)."""
+
     U: np.ndarray  # n x r, orthonormal, sign-canonicalized
     S: np.ndarray  # length r, nonincreasing
 
@@ -71,11 +73,6 @@ class ArmaModel:
     C: np.ndarray  # p x d, orthonormal columns
     d: int
     regularized: bool = False  # set when the shift Gram needed a ridge
-
-
-@dataclass(frozen=True)
-class GrassmannPoint:
-    basis: np.ndarray  # (m*p) x d, orthonormal columns
 
 
 def stft(signal, window, hop: int, fft_size: int, label=None, subject=None) -> Spectrogram:
@@ -356,8 +353,9 @@ def arma_fit(series: np.ndarray, d: int, ridge_cond: float = 1e12) -> ArmaModel:
     return ArmaModel(A=A, C=U, d=d, regularized=regularized)
 
 
-def grassmann_embed(model: ArmaModel, m: int) -> GrassmannPoint:
-    """Stack [C; CA; ...; CA^{m-1}] and orthonormalize its columns."""
+def grassmann_embed(model: ArmaModel, m: int) -> SubspaceFeature:
+    """Stack [C; CA; ...; CA^{m-1}] and orthonormalize its columns: U is the
+    stack's sign-canonicalized QR basis and S its singular values."""
     if m < 1:
         raise ValueError("m must be >= 1")
     blocks = []
@@ -369,4 +367,4 @@ def grassmann_embed(model: ArmaModel, m: int) -> GrassmannPoint:
     Q, R = np.linalg.qr(stacked)
     if np.min(np.abs(np.diag(R))) <= 1e-10 * max(np.max(np.abs(np.diag(R))), 1.0):
         raise ValueError("observability stack is rank deficient")
-    return GrassmannPoint(basis=canonicalize_signs(Q))
+    return SubspaceFeature(U=canonicalize_signs(Q), S=np.linalg.svd(R, compute_uv=False))

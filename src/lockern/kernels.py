@@ -9,18 +9,21 @@ normal equations.
 Every kind is a profile of one pair statistic of its embedding: the squared
 Euclidean distance (flat kinds: localized, `euclidean_rbf`), the projection
 distance (Grassmann), or an exponent built from the distances of the U and
-S features (SVD kinds). `cross_gram` and `gram` compute every kernel value
-the library returns; both refuse a matrix with a non-finite entry, and
-`gram` evaluates only the upper triangle, for every kind. The per-pair
-`kernel_fn(spec)(a, b)` is the one entry of `cross_gram(spec, [a], [b])`,
-and `psi_kernel` sums one `cross_gram` of its two points with the
-quadrature nodes. The scalar per-pair kernels that the batched path is
-tested against live in the test suite (`tests/kernel_oracle.py`).
+S features (SVD kinds). Subspace points carry `U` and `S` (the
+`SubspaceFeature`s of SVD features and of ARMA embeddings alike), so every
+subspace kind takes either. `cross_gram` and `gram` compute every kernel
+value the library returns; both refuse a matrix with a non-finite entry.
+`gram`, for every kind, walks the upper triangle once in row blocks, maps
+the statistics with one profile call and writes them through one np.triu
+mask to both triangles. The per-pair `kernel_fn(spec)(a, b)` is the one
+entry of `cross_gram(spec, [a], [b])`, and `psi_kernel` sums one
+`cross_gram` of its two points with the quadrature nodes. The scalar
+per-pair kernels that the batched path is tested against live in the test
+suite (`tests/kernel_oracle.py`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -244,16 +247,15 @@ def _upper_statistics(statistic, F: tuple, pair_elems: int, k: int = 0):
 
     Each row block is paired with the columns from the block start, and is
     sized so the statistic's largest temporary, `pair_elems` floats a pair,
-    holds at most `_BLOCK_ELEMS` floats. Yields (rows, upper, values):
-    `upper` masks the wanted entries of that (rows, M - rows.start) block
-    and `values` are those entries in row-major order. Only block-sized
-    temporaries are made.
+    holds at most `_BLOCK_ELEMS` floats. Yields the block's wanted entries
+    in row-major order, so the blocks concatenated are the matrix's entries
+    under np.triu's mask, in the order a boolean mask reads and writes
+    them. Only block-sized temporaries are made.
     """
     M = len(F[0])
     for rows in _row_blocks(M, M * pair_elems):
         s = statistic(tuple(f[rows] for f in F), tuple(f[rows.start:] for f in F))
-        upper = np.arange(s.shape[1]) >= np.arange(s.shape[0])[:, None] + k
-        yield rows, upper, s[upper]
+        yield s[np.arange(s.shape[1]) >= np.arange(s.shape[0])[:, None] + k]
 
 
 def _min_separation(X: np.ndarray) -> float:
@@ -261,7 +263,7 @@ def _min_separation(X: np.ndarray) -> float:
     two rows). sqrt is monotone and correctly rounded, so the root of the
     least squared distance is the least distance."""
     blocks = _upper_statistics(lambda A, B: _sq_dists(A[0], B[0]), (X,), X.shape[1], 1)
-    return float(np.sqrt(min(v.min() for _, _, v in blocks if v.size)))
+    return float(np.sqrt(min(v.min() for v in blocks if v.size)))
 
 
 def _check_finite(spec: KernelSpec | None, K: np.ndarray) -> None:
@@ -319,12 +321,12 @@ def gram(spec: KernelSpec, points: Sequence) -> GramMatrix:
     """Symmetric Gram matrix: cross_gram of the points with themselves, with
     K[i, j] == K[j, i] exactly. Features are stacked and validated once.
 
-    For every kind, the pair statistics on and above the diagonal are read
-    row block by row block (`_upper_statistics`), one profile call maps
-    them, and the lower triangle is their mirror image. The statistics of
-    the flat and SVD kinds are bitwise symmetric (direct differences give
-    d2(i, j) == d2(j, i)), so for them the mirror is exactly what the full
-    matrix would hold.
+    For every kind, one walk over the row blocks (`_upper_statistics`)
+    reads the pair statistics on and above the diagonal, one profile call
+    maps them, and one np.triu mask writes the values to the upper triangle
+    and to its mirror image. The statistics of the flat and SVD kinds are
+    bitwise symmetric (direct differences give d2(i, j) == d2(j, i)), so
+    for them the mirror is exactly what the full matrix would hold.
     """
     features = _stacked_features(spec, points)
     M = len(features[0])
@@ -332,24 +334,12 @@ def gram(spec: KernelSpec, points: Sequence) -> GramMatrix:
     # overlap (Grassmann) or the difference of the first feature
     pair_elems = (features[0].shape[1] ** 2 if spec.kind == "grassmann"
                   else features[0][0].size)
-    blocks, upper_s = [], []
-    statistic = partial(_statistic, spec)
-    for rows, upper, stats in _upper_statistics(statistic, features, pair_elems):
-        upper_s.append(stats)
-        blocks.append((rows, upper, len(stats)))
-    values = np.concatenate(upper_s)
-    del upper_s  # only the block lengths are needed from here on
-    values = _profile(spec, values)
+    blocks = _upper_statistics(lambda FA, FB: _statistic(spec, FA, FB), features, pair_elems)
+    values = _profile(spec, np.concatenate(list(blocks)))
+    upper = np.triu(np.ones((M, M), dtype=bool))
     K = np.empty((M, M))
-    end = 0
-    for rows, upper, n_upper in blocks:
-        start, end = end, end + n_upper
-        K[rows, rows.start:][upper] = values[start:end]
-    for rows, upper, _ in blocks:
-        s, n = rows.start, rows.stop - rows.start
-        K[rows, :s] = K[:s, rows].T
-        diag, lower = K[rows, rows], ~upper[:, :n]
-        diag[lower] = diag.T[lower]
+    K[upper] = values
+    K.T[upper] = values
     _check_finite(spec, K)
     return GramMatrix(entries=K, spec=spec)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lockern import diagnostics, experiments
-from lockern.cli import main
+from lockern.cli import _parse_config_file, main
 from lockern.features import Spectrogram
 from lockern.io import write_manifest, write_spectrogram_csv
 from preprocess_oracle import log_threshold_per_sample
@@ -185,6 +185,32 @@ class TestExperimentCommand:
         )
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_every_config_key_parses_to_its_type(self, tmp_path):
+        # the nine config fields but the seed, and the five kernel parameters
+        expected = {"preprocessing": "unit", "feature": "svd", "r": 7,
+                    "kernel_kind": "grassmann", "classifier": "knn", "knn_k": 3,
+                    "C": 2.0, "train_ratio": 0.5, "trials": 4, "gamma": 0.5,
+                    "alpha": 0.25, "beta": 0.125, "N": 6.0, "q": 9}
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{k} = {v:g}\n" if isinstance(v, float) else f"{k} = {v}\n"
+                               for k, v in expected.items()))
+        config = _parse_config_file(str(cfg), seed=11)
+        got = {k: config.kernel_params[k] if k in config.kernel_params else getattr(config, k)
+               for k in expected}
+        assert got == expected
+        assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in expected.items()}
+        assert config.seed == 11
+
+    def test_seed_config_key_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("classifier = knn\nseed = 3\n")
+        code = run(
+            ["--out-dir", str(tmp_path), "experiment", "--synthetic",
+             "--per-cell", "2", "--config", str(cfg)]
+        )
+        assert code == 1
+        assert "unknown config keys ['seed']" in capsys.readouterr().err
 
     def test_svd_knn_exits_1_with_message(self, tmp_path, capsys):
         cfg = tmp_path / "svd_knn.cfg"

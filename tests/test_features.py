@@ -8,6 +8,7 @@ from scipy.linalg import subspace_angles
 
 from lockern import experiments
 from lockern.experiments import gen_synthetic_gestures
+from lockern.kernels import KernelSpec, gram
 from lockern.features import (
     ArmaModel,
     Spectrogram,
@@ -24,7 +25,7 @@ from lockern.features import (
     yen_threshold,
     zero_pad_stack,
 )
-from kernel_oracle import stft_oracle
+from kernel_oracle import pair_oracle, stft_oracle
 from preprocess_oracle import db_oracle, log_threshold_oracle, yen_oracle
 
 
@@ -535,15 +536,15 @@ class TestGrassmannEmbed:
         F, _ = make_lds(p=8, d=3, tau=60, seed=2)
         model = arma_fit(F, 3)
         point = grassmann_embed(model, 1)
-        s = np.linalg.svd(point.basis.T @ model.C, compute_uv=False)
+        s = np.linalg.svd(point.U.T @ model.C, compute_uv=False)
         np.testing.assert_allclose(s, 1.0, atol=1e-10)
 
     def test_identity_dynamics(self):
         C = np.eye(4)[:, :2]
         model = ArmaModel(A=np.eye(2), C=C, d=2)
         point = grassmann_embed(model, 3)
-        assert point.basis.shape == (12, 2)
-        np.testing.assert_allclose(point.basis.T @ point.basis, np.eye(2), atol=1e-12)
+        assert point.U.shape == (12, 2)
+        np.testing.assert_allclose(point.U.T @ point.U, np.eye(2), atol=1e-12)
 
     def test_distinguishes_dynamics(self):
         Fa, _ = make_lds(p=8, d=2, tau=80, seed=3)
@@ -551,10 +552,37 @@ class TestGrassmannEmbed:
         pa = grassmann_embed(arma_fit(Fa, 2), 4)
         pa2 = grassmann_embed(arma_fit(Fa * 2.0, 2), 4)  # scaling leaves the subspace alone
         pb = grassmann_embed(arma_fit(Fb, 2), 4)
-        d_same = subspace_angle(pa.basis, pa2.basis)
-        d_diff = subspace_angle(pa.basis, pb.basis)
+        d_same = subspace_angle(pa.U, pa2.U)
+        d_diff = subspace_angle(pa.U, pb.U)
         assert d_same < 1e-8
         assert d_diff > 1e-3
+
+    @pytest.mark.parametrize("kind", ["grassmann", "laplace_svd", "gaussian_svd"])
+    def test_gram_on_embeddings(self, kind):
+        # ARMA embeddings are subspace points of every subspace kernel
+        points = [grassmann_embed(arma_fit(make_lds(p=8, d=2, tau=80, seed=s)[0], 2), 4)
+                  for s in (3, 30, 31)]
+        spec = KernelSpec(kind)
+        K = gram(spec, points).entries
+        k = pair_oracle(spec)
+        oracle = [[k(a, b) for b in points] for a in points]
+        np.testing.assert_allclose(K, oracle, rtol=1e-12)
+        np.testing.assert_array_equal(np.diag(K), 1.0)
+        assert np.all(K[~np.eye(3, dtype=bool)] < 1.0)
+
+    def test_s_is_singular_values_of_stack(self):
+        F, _ = make_lds(p=8, d=3, tau=60, seed=2)
+        model = arma_fit(F, 3)
+        blocks = [model.C]
+        for _ in range(3):
+            blocks.append(blocks[-1] @ model.A)
+        expected = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+        np.testing.assert_allclose(grassmann_embed(model, 4).S, expected, rtol=1e-12, atol=0)
+
+    def test_zero_observation_refused(self):
+        model = ArmaModel(A=np.eye(2), C=np.zeros((4, 2)), d=2)
+        with pytest.raises(ValueError, match="observability stack is rank deficient"):
+            grassmann_embed(model, 3)
 
     def test_invalid_m(self):
         model = ArmaModel(A=np.eye(1), C=np.ones((2, 1)) / np.sqrt(2.0), d=1)
