@@ -30,8 +30,8 @@ from .experiments import (
 )
 from .features import svd_features, zero_pad_stack
 from .hermite import build_localized_kernel, eval_localized
-from .kernels import DEFAULT_PARAMS
 from .io import read_manifest, read_spectrogram_csv
+from .kernels import DEFAULT_PARAMS
 
 class UsageError(Exception):
     pass

@@ -8,7 +8,6 @@ from scipy.linalg import subspace_angles
 
 from lockern import experiments
 from lockern.experiments import gen_synthetic_gestures
-from lockern.kernels import KernelSpec, gram
 from lockern.features import (
     ArmaModel,
     Spectrogram,
@@ -25,6 +24,7 @@ from lockern.features import (
     yen_threshold,
     zero_pad_stack,
 )
+from lockern.kernels import KernelSpec, gram
 from kernel_oracle import pair_oracle, stft_oracle
 from preprocess_oracle import db_oracle, log_threshold_oracle, yen_oracle
 
