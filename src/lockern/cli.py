@@ -90,7 +90,7 @@ def _parse_config_file(path, seed: int) -> ExperimentConfig:
                 if "=" not in line:
                     raise DataError(f"{path}:{lineno}: expected key=value")
                 k, v = line.split("=", 1)
-                values[k.strip()] = v.strip()
+                values[k.strip()] = (lineno, v.strip())
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     # every kernel parameter and every config field but the seed (an
@@ -98,8 +98,21 @@ def _parse_config_file(path, seed: int) -> ExperimentConfig:
     param_casts = {k: type(v) for params in DEFAULT_PARAMS.values() for k, v in params.items()}
     field_casts = {f.name: type(f.default) for f in dataclasses.fields(ExperimentConfig)
                    if f.name not in ("seed", "kernel_params")}
-    kernel_params = {k: cast(values.pop(k)) for k, cast in param_casts.items() if k in values}
-    kwargs = {k: cast(values.pop(k)) for k, cast in field_casts.items() if k in values}
+
+    def cast_values(casts):
+        out = {}
+        for key, cast in casts.items():
+            if key not in values:
+                continue
+            lineno, text = values.pop(key)
+            try:
+                out[key] = cast(text)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
+        return out
+
+    kernel_params = cast_values(param_casts)
+    kwargs = cast_values(field_casts)
     if values:
         raise DataError(f"{path}: unknown config keys {sorted(values)}")
     return ExperimentConfig(seed=seed, kernel_params=kernel_params, **kwargs)

@@ -15,7 +15,6 @@ from .classify import knn_predict, one_vs_rest_predict, one_vs_rest_train
 from .features import (
     RankError,
     Spectrogram,
-    _centre_and_fit_pca,
     log_threshold,
     normalize,
     stft,
@@ -23,7 +22,7 @@ from .features import (
     zero_pad_stack,
 )
 from .hermite import localized_degree
-from .kernels import DEFAULT_PARAMS, GramMatrix, KernelSpec, cross_gram, gram
+from .kernels import DEFAULT_PARAMS, GramMatrix, KernelSpec, _check_params, cross_gram, gram
 # Unused here: kernel_fn, fit_pca and pca_project stay importable from this
 # module because the benchmark's traced run (bench/layers.py) wraps them by
 # these names.
@@ -104,16 +103,17 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class ResultRow:
     """One result line. The two times cover per-fold work only:
-    `train_time_s` the fold's features (for PCA: basis fit, projection of
-    both folds, scaling) and, for the SVM, the training Gram and SMO;
-    `test_time_s` the test cross-Gram and prediction. Per-call work runs
-    once, before the folds, and is in neither: preprocessing, the kernel
-    spec, and SVD features. Every call pools the SVD features' kernel
-    matrix (`_PoolGram`), whose rows are the pool's samples in pool order:
-    a fold, given as positions in the pool, slices its training Gram and
-    test rows from it and is charged that matrix's seconds at its per-entry
-    rate for the entries it reads, the training block in `train_time_s` and
-    the test block in `test_time_s`."""
+    `train_time_s` the fold's features (for PCA: the kernel PCA fit, the
+    coordinates of both sides and the scaling) and, for the SVM, the
+    training Gram and SMO; `test_time_s` the test cross-Gram and prediction.
+    Per-call work runs once, before the folds, and is in neither:
+    preprocessing, the kernel spec, SVD features, and the pool matrix
+    (`_PoolGram`) that every call makes, whose rows are the pool's samples in
+    pool order: the SVD features' kernel matrix, or the PCA inputs' linear
+    Gram. A fold, given as positions in the pool, reads its training block
+    and test block from it and is charged that matrix's seconds at its
+    per-entry rate for the entries it reads, the training block in
+    `train_time_s` and the test block in `test_time_s`."""
 
     method: str
     r: int
@@ -285,6 +285,11 @@ def _check_config(config: ExperimentConfig) -> None:
     if config.feature == "svd" and config.classifier == "knn":
         raise ValueError("classifier knn with feature svd: k-NN takes flat vectors "
                          "(feature pca), and SVD features are subspace bases")
+    if config.classifier == "knn" and config.kernel_params:
+        raise ValueError(f"classifier knn uses no kernel, so kernel parameters "
+                         f"{', '.join(map(repr, config.kernel_params))} would have no effect")
+    if config.classifier == "svm":
+        _check_params(config.kernel_kind, config.kernel_params)
     _check_dimensions([config.r])
 
 
@@ -306,53 +311,85 @@ def _sample_features(config: ExperimentConfig, spectrograms) -> list:
 
 @dataclass(frozen=True)
 class _PoolGram:
-    """The kernel matrix of the SVD features of every pool sample, in pool
-    order, made once per call, whatever the number of folds. A fold's
-    positions in the pool are its rows. SVD features are per-sample and have
-    no fitted parameters, so every kernel value a fold needs, training or
-    test, is an entry of it; PCA features are fit per fold and cannot pool.
-    Its upper triangle costs about what one 80/20 split's own Gram and
-    cross-Gram cost."""
+    """A matrix of one value per pair of pool samples, in pool order, made
+    once per call, whatever the number of folds; a fold's positions in the
+    pool are its rows and columns. For SVD features it is their kernel
+    matrix: SVD features are per-sample and have no fitted parameters, so
+    every kernel value a fold needs, training or test, is an entry of it. For
+    PCA features it is the uncentred linear Gram P P' of the zero-padded
+    samples P, from which each fold fits its kernel PCA (`_pca_fold`).
+    Either costs about what one 80/20 split's own Gram and cross-Gram cost."""
 
-    gram: GramMatrix
-    seconds: float  # wall time of the `gram` call that built it
+    entries: np.ndarray  # M x M, symmetric
+    seconds: float  # wall time of building it
+    width: int = 0  # PCA: the padded length D of the rows of P
 
     @classmethod
-    def timed(cls, spec: KernelSpec, features: list) -> _PoolGram:
+    def of_kernel(cls, spec: KernelSpec, features: list) -> _PoolGram:
+        """The kernel matrix of the SVD features, timed."""
         t0 = time.perf_counter()
-        pool_gram = gram(spec, features)
-        return cls(pool_gram, time.perf_counter() - t0)
+        entries = gram(spec, features).entries
+        return cls(entries, time.perf_counter() - t0)
+
+    @classmethod
+    def of_padded(cls, spectrograms: list, target_frames: int) -> _PoolGram:
+        """P P' of the spectrograms zero-padded to target_frames, timed from
+        the padding on; P is freed on return."""
+        t0 = time.perf_counter()
+        padded = zero_pad_stack(spectrograms, target_frames)
+        entries = padded @ padded.T
+        return cls(entries, time.perf_counter() - t0, padded.shape[1])
 
     def seconds_for(self, n_rows: int, n_cols: int) -> float:
-        """The pool Gram's seconds at its per-entry rate for an n_rows x
+        """The pool matrix's seconds at its per-entry rate for an n_rows x
         n_cols block: what a fold that reads the block is charged."""
-        return self.seconds * n_rows * n_cols / len(self.gram.entries) ** 2
+        return self.seconds * n_rows * n_cols / len(self.entries) ** 2
 
-    def train_gram(self, train) -> GramMatrix:
-        """Training Gram of a fold; exactly symmetric, as the pool's is."""
-        return GramMatrix(self.gram.entries[np.ix_(train, train)], self.gram.spec)
+    def train_block(self, train) -> np.ndarray:
+        """A new array of the training fold's entries; exactly symmetric, as
+        the pool's are."""
+        return self.entries[np.ix_(train, train)]
 
-    def test_rows(self, test, train) -> np.ndarray:
-        """Kernel values of each test sample against the training fold."""
-        return self.gram.entries[np.ix_(test, train)]
+    def test_block(self, test, train) -> np.ndarray:
+        """A new array of the entries of each test sample against the
+        training fold."""
+        return self.entries[np.ix_(test, train)]
 
 
-def _fold_features(config: ExperimentConfig, features: list, train, test,
-                   target_frames: int):
-    """PCA features of one fold from the per-sample spectrograms, the basis
-    and its scale fit on the training fold only. Returns the (train, test)
+def _pca_fold(pool: _PoolGram, r: int, train, test):
+    """PCA features of one fold by kernel PCA of the pool's linear Gram
+    (Schoelkopf, Smola and Mueller, Neural Computation 1998), the basis and
+    its scale fit on the training fold only. With m training samples and c
+    the column means of their Gram S, the centred Gram is S - c1' - 1c' +
+    mean(c), and of its top r eigenpairs (lambda, V) the training
+    coordinates are V sqrt(lambda). A test row of the pool, centred the same
+    way, times V / sqrt(lambda) gives its test coordinates; only the c term
+    of that centring is applied, because the other two are constant along
+    the row and V's columns, eigenvectors of a matrix whose rows sum to 0,
+    sum to 0 themselves. The coordinates are `pca_project(fit_pca(X, r), .)`
+    of the padded rows up to the sign of each column and rounding: no
+    D-dimensional component is formed, so none is sign-canonicalised, and
+    the radial kernels, k-NN and the scale read squared distances, which a
+    column's sign leaves bitwise unchanged. Returns the (train, test)
     feature matrices, one row per sample."""
-    # pad within the fold: padded vectors of every sample at once would
-    # raise peak memory. The fold owns both padded matrices and centres each
-    # in place, the training one by the fit; each side is then projected by
-    # its own matrix product, bitwise `pca_project` of the padded rows, so
-    # the training features never depend on the test fold.
-    train_mat = zero_pad_stack([features[i] for i in train], target_frames)
-    basis = _centre_and_fit_pca(train_mat, config.r)
-    train_f = train_mat @ basis.components
-    test_mat = zero_pad_stack([features[i] for i in test], target_frames)
-    test_mat -= basis.mean
-    test_f = test_mat @ basis.components
+    m, D = len(train), pool.width
+    if r > min(m, D):
+        raise RankError(f"r={r} out of range for {m}x{D} data")
+    G = pool.train_block(train)
+    c = G.mean(axis=0)
+    G -= c
+    G -= c[:, None]
+    G += c.mean()
+    eigvals, eigvecs = np.linalg.eigh(G)  # reads the lower triangle only
+    eigvals, eigvecs = eigvals[::-1][:r], eigvecs[:, ::-1][:, :r]
+    # fit_pca's rule: the r-th eigenvalue against m * eps * the largest
+    if eigvals[-1] <= m * np.finfo(float).eps * eigvals[0]:
+        raise RankError(f"data rank below r={r}; lower r")
+    root = np.sqrt(eigvals)
+    train_f = eigvecs * root
+    cross = pool.test_block(test, train)
+    cross -= c
+    test_f = cross @ (eigvecs / root)
     # put typical nearest-neighbor distances at the scale the localized
     # kernel's bump expects; the scale derives from the training fold only
     scale = _nn_scale(train_f)
@@ -406,48 +443,48 @@ def _scores(config: ExperimentConfig, dataset: GestureSet, labels, spectrograms,
     loop. `labels` and the preprocessed `spectrograms` are the pool's, in
     pool order, and each fold is a (train, test) pair of positions in the
     pool. Per-call work runs once, before the first fold: the pool's
-    features, the kernel spec, the padding width and, for SVD features, the
-    `_PoolGram`."""
+    features, the kernel spec and the `_PoolGram`."""
     features = _sample_features(config, spectrograms)
     spec = _kernel_spec(config)
-    pool_gram = _PoolGram.timed(spec, features) if config.feature == "svd" else None
-    target_frames = max(s.data.shape[1] for s in dataset.samples)
-    return [_fit_and_score(config, spec, dataset.classes, target_frames, features, labels,
-                           pool_gram, train, test)
+    if config.feature == "svd":
+        pool_gram = _PoolGram.of_kernel(spec, features)
+    else:
+        target_frames = max(s.data.shape[1] for s in dataset.samples)
+        pool_gram = _PoolGram.of_padded(features, target_frames)
+    del features  # the folds read the pool matrix only
+    return [_fit_and_score(config, spec, dataset.classes, labels, pool_gram, train, test)
             for train, test in folds]
 
 
-def _fit_and_score(config: ExperimentConfig, spec, classes: int, target_frames: int,
-                   features: list, labels, pool_gram, train, test):
+def _fit_and_score(config: ExperimentConfig, spec, classes: int, labels, pool_gram: _PoolGram,
+                   train, test):
     """Per-fold work on the per-call results of `_scores`. Returns
     (accuracy %, train seconds, test seconds)."""
     train_labels = labels[train].tolist()
     if len(set(train_labels)) < classes:
         raise MissingClassError("a class is missing from the training fold")
 
+    pca = config.feature == "pca"
     t0 = time.perf_counter()
-    if pool_gram is None:
-        train_f, test_f = _fold_features(config, features, train, test, target_frames)
+    if pca:
+        train_f, test_f = _pca_fold(pool_gram, config.r, train, test)
 
     if config.classifier == "svm":
-        G = gram(spec, train_f) if pool_gram is None else pool_gram.train_gram(train)
+        G = gram(spec, train_f) if pca else GramMatrix(pool_gram.train_block(train), spec)
         model = one_vs_rest_train(G, train_labels, C=config.C)
         train_time = time.perf_counter() - t0
         t1 = time.perf_counter()
-        rows = (cross_gram(spec, test_f, train_f) if pool_gram is None
-                else pool_gram.test_rows(test, train))
+        rows = cross_gram(spec, test_f, train_f) if pca else pool_gram.test_block(test, train)
         preds = [one_vs_rest_predict(model, row) for row in rows]
-        test_time = time.perf_counter() - t1
-        if pool_gram is not None:
-            # the kernel values this fold reads, at the pool Gram's rate, so
-            # SVD rows count their kernel work as PCA rows do
-            train_time += pool_gram.seconds_for(len(train), len(train))
-            test_time += pool_gram.seconds_for(len(test), len(train))
     else:
         train_time = time.perf_counter() - t0
         t1 = time.perf_counter()
         preds = knn_predict(train_f, train_labels, test_f, config.knn_k)
-        test_time = time.perf_counter() - t1
+    test_time = time.perf_counter() - t1
+    # the pool entries this fold reads, at the pool matrix's rate, so every
+    # fold counts its share of the per-call matrix
+    train_time += pool_gram.seconds_for(len(train), len(train))
+    test_time += pool_gram.seconds_for(len(test), len(train))
 
     acc = 100.0 * float(np.mean(np.asarray(preds) == labels[test]))
     return acc, train_time, test_time
@@ -492,8 +529,8 @@ def sweep_dimension(config: ExperimentConfig, dataset: GestureSet, r_values):
     """(r, result) per feature dimension r: the ResultTable, or the
     RankError or MissingClassError that skipped this r. Any other error
     propagates. The localized kernel's q is clamped to r inside the run. Each
-    sample is preprocessed once per call and the splits are drawn once; SVD
-    features and their kernel matrix are taken once per r. An r below 1 is
+    sample is preprocessed once per call and the splits are drawn once; the
+    pool matrix (and SVD features) are taken once per r. An r below 1 is
     refused before any sample is preprocessed."""
     _check_config(config)
     _check_dimensions(r_values)
@@ -524,9 +561,9 @@ def sweep_train_fraction(config: ExperimentConfig, dataset: GestureSet,
     training pool, then the usual repeated-split protocol on it. The result
     is the ResultTable, or the RankError or MissingClassError that skipped
     this fraction; any other error propagates. Each sample is preprocessed
-    once per call; for SVD features, each fraction's pool takes one kernel
-    matrix. A fraction outside (0, 1], NaN included, is refused before any
-    sample is preprocessed."""
+    once per call, and each fraction's pool takes one pool matrix. A
+    fraction outside (0, 1], NaN included, is refused before any sample is
+    preprocessed."""
     _check_config(config)
     _check_fractions(fractions)
     labels = np.array([s.label for s in dataset.samples])
@@ -549,9 +586,8 @@ def sweep_train_fraction(config: ExperimentConfig, dataset: GestureSet,
 def holdout_subject(config: ExperimentConfig, dataset: GestureSet) -> ResultTable:
     """Train on all subjects but one, test on the held-out subject; one row
     per fold. Each sample is preprocessed (and, for SVD features, decomposed)
-    once per call, the kernel spec is built once, and SVD features take one
-    kernel matrix per call; only the PCA basis and its scale are refit per
-    fold."""
+    once per call, the kernel spec is built once, and one pool matrix is
+    made per call; only the PCA basis and its scale are refit per fold."""
     if len(dataset.subjects) < 2:
         raise ValueError("need at least two subjects")
     _check_config(config)

@@ -267,13 +267,7 @@ def fit_pca(train_matrix: np.ndarray, r: int) -> PcaBasis:
 
     The input is not modified: the fit centres a copy of it.
     """
-    return _centre_and_fit_pca(np.array(train_matrix, dtype=float), r)
-
-
-def _centre_and_fit_pca(X: np.ndarray, r: int) -> PcaBasis:
-    """`fit_pca` of the float matrix X, which it centres in place: X holds
-    X - mean afterwards, so `X @ components` are the coordinates
-    `pca_project` gives its rows, bitwise, with no full-size copy made."""
+    X = np.array(train_matrix, dtype=float)
     M, D = X.shape
     if r < 1:
         raise ValueError(f"r={r} out of range for {M}x{D} data")

@@ -53,6 +53,18 @@ DEFAULT_PARAMS = {
 }
 
 
+def _check_params(kind: str, params) -> None:
+    """Refuse an unknown kernel kind, or a parameter that its kind does not
+    read (a key outside `DEFAULT_PARAMS[kind]`)."""
+    if kind not in KERNEL_KINDS:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    unread = [key for key in params if key not in DEFAULT_PARAMS[kind]]
+    if unread:
+        raise ValueError(f"kernel {kind!r} does not read parameter "
+                         f"{', '.join(map(repr, unread))}; it reads "
+                         f"{', '.join(DEFAULT_PARAMS[kind])}")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Which kernel to use, with its hyperparameters."""
@@ -62,8 +74,7 @@ class KernelSpec:
     _localized: LocalizedKernelSpec | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
+        _check_params(self.kind, self.params)
         merged = dict(DEFAULT_PARAMS[self.kind])
         merged.update(self.params)
         object.__setattr__(self, "params", merged)

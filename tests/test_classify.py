@@ -19,7 +19,8 @@ from lockern.classify import (
 )
 from lockern.experiments import (
     ExperimentConfig,
-    _fold_features,
+    _PoolGram,
+    _pca_fold,
     _preprocessed,
     _sample_features,
     _stratified_split,
@@ -420,9 +421,10 @@ def gesture_folds():
         per_sample = _sample_features(config, (spectrogram for _, spectrogram in pairs))
         labels = np.array([s.label for s in ds.samples])
         frames = max(s.data.shape[1] for s in ds.samples)
+        pool_gram = _PoolGram.of_padded(per_sample, frames)
         for trial in range(2):
             rng = np.random.default_rng(seed + trial)
             train_idx, test_idx = _stratified_split(labels, config.train_ratio, rng)
-            train_f, test_f = _fold_features(config, per_sample, train_idx, test_idx, frames)
+            train_f, test_f = _pca_fold(pool_gram, config.r, train_idx, test_idx)
             folds.append((train_f, labels[train_idx].tolist(), test_f))
     return folds

@@ -212,6 +212,33 @@ class TestExperimentCommand:
         assert code == 1
         assert "unknown config keys ['seed']" in capsys.readouterr().err
 
+    def test_bad_value_names_file_line_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# PCA dimension\nclassifier = knn\nr = abc\n")
+        code = run(
+            ["--out-dir", str(tmp_path), "experiment", "--synthetic",
+             "--per-cell", "2", "--config", str(cfg)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg}:3: key 'r': invalid literal for int()" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("classifier = knn\ngamma = 0.5\nalpha = 0.1\n",
+         "classifier knn uses no kernel, so kernel parameters 'gamma', 'alpha'"),
+        ("feature = svd\nr = 3\nkernel_kind = grassmann\nN = 4\n",
+         "kernel 'grassmann' does not read parameter 'N'"),
+    ])
+    def test_unread_kernel_params_exit_1(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(text)
+        code = run(
+            ["--out-dir", str(tmp_path), "experiment", "--synthetic",
+             "--per-cell", "2", "--config", str(cfg)]
+        )
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_svd_knn_exits_1_with_message(self, tmp_path, capsys):
         cfg = tmp_path / "svd_knn.cfg"
         cfg.write_text("feature = svd\nclassifier = knn\nr = 3\ntrials = 1\n")

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import subspace_angles
 
 from lockern import experiments, kernels
 from lockern.experiments import (
@@ -18,12 +19,13 @@ from lockern.experiments import (
     sweep_dimension,
     sweep_train_fraction,
     _check_config,
-    _fold_features,
+    _pca_fold,
+    _PoolGram,
     _preprocessed,
     _sample_features,
     _stratified_split,
 )
-from lockern.features import RankError, fit_pca, pca_project, zero_pad_stack
+from lockern.features import RankError, Spectrogram, fit_pca, pca_project, zero_pad_stack
 from preprocess_oracle import preprocess_oracle
 
 
@@ -140,39 +142,74 @@ class TestStratifiedSplit:
 
 class TestFeatureExtraction:
     def test_pca_fit_on_train_only(self, small_gestures):
-        # identical training fold must give identical features regardless of
-        # what is in the test fold
+        # a fold's training features never depend on its test fold: with the
+        # test spectrograms replaced by random data of the same shapes, the
+        # pool Gram's test rows change and the training features stay byte
+        # for byte the same
         ds = small_gestures
         config = ExperimentConfig(r=5)
         target = max(s.data.shape[1] for s in ds.samples)
-        pairs = _preprocessed(config.preprocessing, ds.samples, range(70))
+        labels = np.array([s.label for s in ds.samples])
+        pairs = _preprocessed(config.preprocessing, ds.samples, range(len(ds.samples)))
         per_sample = _sample_features(config, (spectrogram for _, spectrogram in pairs))
-        train = range(40)
-        fa, _ = _fold_features(config, per_sample, train, range(40, 44), target)
-        fb, _ = _fold_features(config, per_sample, train, range(60, 70), target)
-        for va, vb in zip(fa, fb):
-            np.testing.assert_array_equal(va, vb)
+        train, test = _stratified_split(labels, config.train_ratio, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        randomised = list(per_sample)
+        for i in test:
+            randomised[i] = replace(per_sample[i], data=rng.random(per_sample[i].data.shape))
+        fa, ta = _pca_fold(_PoolGram.of_padded(per_sample, target), config.r, train, test)
+        fb, tb = _pca_fold(_PoolGram.of_padded(randomised, target), config.r, train, test)
+        assert fa.tobytes() == fb.tobytes()
+        assert not np.allclose(ta, tb)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_fold_features_match_public_path(self, seed):
-        # the fold centres its own padded matrices in place; its features are
-        # byte for byte those of fit_pca then pca_project on each side, with
-        # the same nearest-neighbor scale
+    @pytest.mark.parametrize("seed, mode", [(0, "binary"), (1, "unit"), (2, "magnitude")])
+    def test_pooled_features_match_public_path(self, seed, mode):
+        # the fold's kernel PCA of the pool Gram spans fit_pca's subspace,
+        # and its coordinates are pca_project's up to each column's sign,
+        # both sides scaled by the training side's nearest-neighbor scale
         ds = gen_synthetic_gestures(per_cell=10, seed=seed)
-        config = ExperimentConfig(r=30)
+        config = ExperimentConfig(preprocessing=mode, r=30)
         labels = np.array([s.label for s in ds.samples])
         target = max(s.data.shape[1] for s in ds.samples)
         pairs = _preprocessed(config.preprocessing, ds.samples, range(len(ds.samples)))
         per_sample = _sample_features(config, (spectrogram for _, spectrogram in pairs))
         train, test = _stratified_split(labels, config.train_ratio, np.random.default_rng(seed))
-        got_train, got_test = _fold_features(config, per_sample, train, test, target)
+        got_train, got_test = _pca_fold(_PoolGram.of_padded(per_sample, target), config.r,
+                                        train, test)
         train_mat = zero_pad_stack([per_sample[i] for i in train], target)
         basis = fit_pca(train_mat, config.r)
         want_train = pca_project(basis, train_mat)
         want_test = pca_project(basis, zero_pad_stack([per_sample[i] for i in test], target))
         scale = experiments._nn_scale(want_train)
-        assert got_train.tobytes() == (want_train * scale).tobytes()
-        assert got_test.tobytes() == (want_test * scale).tobytes()
+        want_train *= scale
+        want_test *= scale
+        # the pooled path's directions in the padded space: Xc' times its
+        # training coordinates
+        directions = (train_mat - basis.mean).T @ got_train
+        assert np.max(subspace_angles(directions, basis.components)) <= 1e-8
+        signs = np.sign(np.sum(got_train * want_train, axis=0))
+        tol = 1e-10 * max(np.abs(want_train).max(), np.abs(want_test).max())
+        np.testing.assert_allclose(got_train * signs, want_train, rtol=0, atol=tol)
+        np.testing.assert_allclose(got_test * signs, want_test, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pooled_rank_rule(self, seed):
+        # fit_pca's refusals on the pooled path: r above min(m, D), and an
+        # r-th eigenvalue at most m * eps * the largest. The data are rank
+        # two about a mean of zero; where the mean dominates the spread, the
+        # pooled Gram's rounding can pass the rule (see CHANGES.md)
+        rng = np.random.default_rng(seed)
+        A, B = rng.standard_normal((2, 4, 3))
+        specs = [Spectrogram(a * A + b * B) for a, b in rng.standard_normal((10, 2))]
+        pool = _PoolGram.of_padded(specs, 3)
+        train, test = np.arange(8), np.arange(8, 10)
+        assert [f.shape for f in _pca_fold(pool, 2, train, test)] == [(8, 2), (2, 2)]
+        with pytest.raises(RankError, match=re.escape("data rank below r=3; lower r")):
+            fit_pca(zero_pad_stack(specs[:8], 3), 3)
+        with pytest.raises(RankError, match=re.escape("data rank below r=3; lower r")):
+            _pca_fold(pool, 3, train, test)
+        with pytest.raises(RankError, match=re.escape("r=13 out of range for 8x12 data")):
+            _pca_fold(pool, 13, train, test)
 
     def test_svd_feature_shape(self, small_gestures):
         config = ExperimentConfig(feature="svd", r=4)
@@ -348,6 +385,30 @@ class TestRunExperiment:
                     entry(config, small_gestures)
         assert preprocessed == []
 
+    def test_unread_kernel_params_rejected_before_preprocessing(self, small_gestures,
+                                                                monkeypatch):
+        # a kernel parameter that nothing reads: any under k-NN, which uses
+        # no kernel, or one outside the SVM kernel's own parameters
+        preprocessed = _record_calls(monkeypatch, "log_threshold")
+        entries = (run_experiment, holdout_subject,
+                   lambda config, ds: sweep_dimension(config, ds, [2, 3]),
+                   lambda config, ds: sweep_train_fraction(config, ds, (0.5, 1.0)))
+        cases = [
+            (ExperimentConfig(classifier="knn", r=3, trials=1,
+                              kernel_params={"gamma": 0.5, "alpha": 0.1}),
+             "classifier knn uses no kernel, so kernel parameters 'gamma', 'alpha'"),
+            (ExperimentConfig(feature="svd", kernel_kind="grassmann", r=3, trials=1,
+                              kernel_params={"N": 4.0}),
+             "kernel 'grassmann' does not read parameter 'N'"),
+            (ExperimentConfig(kernel_kind="fourier", r=3, trials=1),
+             "unknown kernel kind 'fourier'"),
+        ]
+        for config, message in cases:
+            for entry in entries:
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    entry(config, small_gestures)
+        assert preprocessed == []
+
     def test_localized_q_default_is_kernel_spec_default(self):
         assert experiments._kernel_spec(ExperimentConfig(r=30)).params["q"] == 18
         assert kernels.KernelSpec("localized").params["q"] == 18
@@ -413,6 +474,9 @@ class TestSweeps:
         out = sweep_dimension(config, small_gestures, [2, 10_000])
         assert isinstance(out[0][1], experiments.ResultTable)
         assert isinstance(out[1][1], RankError)
+        # fit_pca's message: the training fold's size by the padded length
+        frames = max(s.data.shape[1] for s in small_gestures.samples)
+        assert str(out[1][1]) == f"r=10000 out of range for 76x{64 * frames} data"
 
     def test_sweeps_propagate_other_errors(self, small_gestures):
         # an invalid bandwidth is not a rank or missing-class cause
@@ -443,12 +507,12 @@ class TestSweeps:
         assert all(isinstance(table, experiments.ResultTable) for _, table in out)
 
 
-def _noised_gestures(seed):
-    """A 120-sample gesture set with Rayleigh(2.0) noise on every magnitude,
-    which takes subject-holdout accuracy off the ceiling."""
+def _noised_gestures(seed, scale=2.0):
+    """A 120-sample gesture set with Rayleigh(scale) noise on every
+    magnitude, which takes subject-holdout accuracy off the ceiling."""
     ds = gen_synthetic_gestures(per_cell=5, seed=seed)
     rng = np.random.default_rng(seed)
-    samples = [replace(s, data=s.data + rng.rayleigh(2.0, s.data.shape)) for s in ds.samples]
+    samples = [replace(s, data=s.data + rng.rayleigh(scale, s.data.shape)) for s in ds.samples]
     return replace(ds, samples=samples)
 
 
@@ -474,16 +538,15 @@ class TestPoolGram:
         for pool_idx, folds in pools:
             pairs = _preprocessed(config.preprocessing, samples, pool_idx)
             per_sample = _sample_features(config, (spectrogram for _, spectrogram in pairs))
-            pool = experiments._PoolGram.timed(spec, per_sample)
+            pool = _PoolGram.of_kernel(spec, per_sample)
             for train, test in folds:
                 train_f = [per_sample[i] for i in train]
-                G = pool.train_gram(train)
-                assert G.spec == spec
-                assert np.array_equal(G.entries, G.entries.T)
-                np.testing.assert_allclose(G.entries, kernels.gram(spec, train_f).entries,
+                G = pool.train_block(train)
+                assert np.array_equal(G, G.T)
+                np.testing.assert_allclose(G, kernels.gram(spec, train_f).entries,
                                            rtol=0, atol=tol)
                 np.testing.assert_allclose(
-                    pool.test_rows(test, train),
+                    pool.test_block(test, train),
                     kernels.cross_gram(spec, [per_sample[i] for i in test], train_f),
                     rtol=0, atol=tol)
 
@@ -512,37 +575,63 @@ class TestPoolGram:
         grams = _record_calls(monkeypatch, "gram")
         crosses = _record_calls(monkeypatch, "cross_gram")
         slices = []
-        train_gram = experiments._PoolGram.train_gram
+        train_block = _PoolGram.train_block
 
         def recorded(pool, train_idx):
             slices.append(len(train_idx))
-            return train_gram(pool, train_idx)
+            return train_block(pool, train_idx)
 
-        monkeypatch.setattr(experiments._PoolGram, "train_gram", recorded)
+        monkeypatch.setattr(_PoolGram, "train_block", recorded)
         svd = ExperimentConfig(feature="svd", r=3, kernel_kind="grassmann",
                                trials=trials, train_ratio=train_ratio)
         run_experiment(svd, small_gestures)
         assert (len(grams), len(crosses), len(slices)) == (1, 0, trials)
 
+    def test_one_pool_gram_per_call_for_pca_features(self, small_gestures, monkeypatch):
+        # the whole pool is padded once per call, whatever the fold count
+        padded = []
+        zero_pad = experiments.zero_pad_stack
+
+        def recorded(specs, target_frames):
+            specs = list(specs)
+            padded.append(len(specs))
+            return zero_pad(specs, target_frames)
+
+        monkeypatch.setattr(experiments, "zero_pad_stack", recorded)
+        M = len(small_gestures.samples)
+        pca = ExperimentConfig(r=6, kernel_kind="localized", trials=3)
+        run_experiment(pca, small_gestures)
+        assert padded == [M]
+        holdout_subject(pca, small_gestures)
+        assert padded == [M, M]
+        run_experiment(replace(pca, classifier="knn"), small_gestures)
+        assert padded == [M, M, M]
+
     def test_folds_are_charged_their_share_of_the_pool_gram(self, small_gestures,
                                                              monkeypatch):
-        # a pool Gram of at least 0.2 s: each fold's columns hold at least
-        # its blocks' share of it at the per-entry rate
-        gram = experiments.gram
+        # a pool matrix of at least 0.2 s: each fold's columns hold at least
+        # its blocks' share of it at the per-entry rate. SVD features pool
+        # their kernel matrix, PCA features the padded samples' Gram, timed
+        # from the padding on.
+        def slowed(fn):
+            def slow(*args, **kwargs):
+                time.sleep(0.2)
+                return fn(*args, **kwargs)
+            return slow
 
-        def slow_gram(*args, **kwargs):
-            time.sleep(0.2)
-            return gram(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "gram", slow_gram)
-        config = ExperimentConfig(feature="svd", r=3, kernel_kind="grassmann")
-        rows = holdout_subject(config, small_gestures).rows
         M = len(small_gestures.samples)
-        for subject, row in zip(small_gestures.subjects, rows):
-            n_test = sum(s.subject == subject for s in small_gestures.samples)
-            n_train = M - n_test
-            assert row.train_time_s >= 0.2 * n_train * n_train / M**2
-            assert row.test_time_s >= 0.2 * n_test * n_train / M**2
+        for name, config in [
+            ("gram", ExperimentConfig(feature="svd", r=3, kernel_kind="grassmann")),
+            ("zero_pad_stack", ExperimentConfig(r=6, classifier="knn")),
+        ]:
+            with monkeypatch.context() as patch:
+                patch.setattr(experiments, name, slowed(getattr(experiments, name)))
+                rows = holdout_subject(config, small_gestures).rows
+            for subject, row in zip(small_gestures.subjects, rows):
+                n_test = sum(s.subject == subject for s in small_gestures.samples)
+                n_train = M - n_test
+                assert row.train_time_s >= 0.2 * n_train * n_train / M**2
+                assert row.test_time_s >= 0.2 * n_test * n_train / M**2
 
     def test_pca_builds_kernels_per_fold(self, small_gestures, monkeypatch):
         # a Gram and a cross-Gram per fold, one localized kernel per call
@@ -586,6 +675,31 @@ class TestPoolGram:
         # per fold (commit 42594c0)
         config = ExperimentConfig(feature="svd", r=5, kernel_kind="grassmann")
         rows = holdout_subject(config, _noised_gestures(seed)).rows
+        assert [row.accuracy_mean for row in rows] == accuracies
+
+
+    @pytest.mark.parametrize("seed, accuracies", [
+        (1, [85.0, 95.0, 80.0, 90.0, 90.0, 75.0]),
+        (2, [95.0, 85.0, 90.0, 100.0, 100.0, 85.0]),
+    ])
+    def test_noised_pca_locsvm_holdout_pinned(self, seed, accuracies):
+        # per-fold accuracies as computed with a basis fit per fold by
+        # fit_pca, its components sign-canonicalised (commit 4c5c488)
+        config = ExperimentConfig(r=30, kernel_kind="localized",
+                                  kernel_params={"N": 8.0, "q": 18})
+        rows = holdout_subject(config, _noised_gestures(seed, scale=4.0)).rows
+        assert rows[0].method == "PCA LocSVM64 holdout=A"
+        assert [row.accuracy_mean for row in rows] == accuracies
+
+    @pytest.mark.parametrize("seed, accuracies", [
+        (1, [80.0, 90.0, 95.0, 90.0, 85.0, 80.0]),
+        (2, [75.0, 75.0, 85.0, 90.0, 85.0, 90.0]),
+    ])
+    def test_noised_pca_knn_holdout_pinned(self, seed, accuracies):
+        # as above, for k-NN (k = 5) on the same features (commit 4c5c488)
+        config = ExperimentConfig(r=30, classifier="knn")
+        rows = holdout_subject(config, _noised_gestures(seed, scale=4.0)).rows
+        assert rows[0].method == "PCA KNN holdout=A"
         assert [row.accuracy_mean for row in rows] == accuracies
 
 

@@ -11,7 +11,6 @@ from lockern.experiments import gen_synthetic_gestures
 from lockern.features import (
     ArmaModel,
     Spectrogram,
-    _centre_and_fit_pca,
     _yen_thresholds,
     arma_fit,
     fit_pca,
@@ -413,21 +412,16 @@ class TestPca:
 
     @pytest.mark.parametrize("M,D", [(40, 120), (120, 40)])
     def test_centred_fit_matches_fit_and_project(self, M, D):
-        # both Gram branches: fit_pca leaves its input as it was; the
-        # in-place fit gives fit_pca's basis, leaves X - mean in its
-        # argument, and that times the components is pca_project of the
-        # rows, byte for byte
+        # both Gram branches: fit_pca centres a copy, so its input is left as
+        # it was, and the centred rows times the components are pca_project
+        # of the rows, byte for byte
         rng = np.random.default_rng(13)
         X = rng.standard_normal((M, D)) * np.linspace(3.0, 0.5, D) + rng.standard_normal(D)
         before = X.tobytes()
         basis = fit_pca(X, 6)
         assert X.tobytes() == before
-        centred = X.copy()
-        got = _centre_and_fit_pca(centred, 6)
-        for name in ("mean", "components", "explained"):
-            assert getattr(got, name).tobytes() == getattr(basis, name).tobytes()
-        assert centred.tobytes() == (X - X.mean(axis=0)).tobytes()
-        assert (centred @ got.components).tobytes() == pca_project(basis, X).tobytes()
+        assert basis.mean.tobytes() == X.mean(axis=0).tobytes()
+        assert ((X - basis.mean) @ basis.components).tobytes() == pca_project(basis, X).tobytes()
 
     def test_rank_deficient_refused(self):
         X = np.zeros((10, 4))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -413,6 +414,19 @@ class TestKernelSpec:
     def test_localized_property_guard(self):
         with pytest.raises(ValueError):
             _ = KernelSpec("grassmann").localized
+
+    @pytest.mark.parametrize("kind, params, unread", [
+        ("grassmann", {"N": 4.0}, "'N'"),
+        ("laplace_svd", {"alpha": 0.5, "gamma": 1.0}, "'gamma'"),
+        ("euclidean_rbf", {"q": 2, "beta": 0.1}, "'q', 'beta'"),
+        ("localized", {"alpha": 0.1}, "'alpha'"),
+    ])
+    def test_unread_param_refused(self, kind, params, unread):
+        # a parameter the kind does not read is named with the kind, not
+        # merged into the spec and ignored
+        with pytest.raises(ValueError, match=re.escape(f"kernel {kind!r} does not read "
+                                                       f"parameter {unread}")):
+            KernelSpec(kind, params)
 
 
 class TestPsiKernel:
