@@ -99,20 +99,15 @@ def _parse_config_file(path, seed: int) -> ExperimentConfig:
     field_casts = {f.name: type(f.default) for f in dataclasses.fields(ExperimentConfig)
                    if f.name not in ("seed", "kernel_params")}
 
-    def cast_values(casts):
-        out = {}
-        for key, cast in casts.items():
-            if key not in values:
-                continue
-            lineno, text = values.pop(key)
-            try:
-                out[key] = cast(text)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
-        return out
+    def cast(key, to):
+        lineno, text = values.pop(key)
+        try:
+            return to(text)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
 
-    kernel_params = cast_values(param_casts)
-    kwargs = cast_values(field_casts)
+    kernel_params = {k: cast(k, to) for k, to in param_casts.items() if k in values}
+    kwargs = {k: cast(k, to) for k, to in field_casts.items() if k in values}
     if values:
         raise DataError(f"{path}: unknown config keys {sorted(values)}")
     return ExperimentConfig(seed=seed, kernel_params=kernel_params, **kwargs)
