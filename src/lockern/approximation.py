@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
+    FLAT_KINDS,
     DiscreteQuadrature,
     KernelSpec,
     _cross_gram_statistics,
@@ -161,12 +162,12 @@ def error_profile(model: CollocationModel, truth, probes) -> ErrorProfile:
     """Per-probe Euclidean distance to the nearest node, absolute error
     against the truth values, and raw model value, sorted by that distance.
     Model values and distances come from one distance pass: the pair
-    statistics of a flat kind (localized or euclidean_rbf), which the
+    statistics of a flat kind (`kernels.FLAT_KINDS`), which the
     model's kernel must be, are the squared distances."""
     truth = np.asarray(truth, dtype=float)
     if len(probes) == 0:
         raise ValueError("no probes")
-    if model.spec.kind not in ("euclidean_rbf", "localized"):
+    if model.spec.kind not in FLAT_KINDS:
         raise ValueError(f"{model.spec.kind} is not a kernel on flat vectors")
     K, d2 = _cross_gram_statistics(model.spec, probes, model.nodes)
     vals = K @ model.coeffs

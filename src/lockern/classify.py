@@ -70,8 +70,8 @@ def _check_problem(K: np.ndarray, labels, C: float) -> np.ndarray:
         raise ValueError("labels must be in {-1, +1}")
     if len(np.unique(y)) < 2:
         raise ValueError("need at least one sample of each class")
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not 0.0 < C < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"C must be positive and finite, got {C}")
     return y
 
 

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import diagnostics
 from .experiments import (
+    PREPROCESSING_MODES,
     ExperimentConfig,
     GestureSet,
-    _check_dimensions,
     _check_fractions,
     _preprocessed,
     gen_synthetic_gestures,
@@ -37,10 +37,6 @@ class UsageError(Exception):
     pass
 
 
-class DataError(Exception):
-    pass
-
-
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lockern")
     p.add_argument("--seed", type=int, default=42)
@@ -50,7 +46,7 @@ def _parser() -> argparse.ArgumentParser:
     ke = sub.add_parser("kernel-eval", help="tabulate the localized kernel on a grid")
     ke.add_argument("--N", type=float, required=True)
     ke.add_argument("--q", type=int, required=True)
-    ke.add_argument("--gamma", type=float, default=0.8)
+    ke.add_argument("--gamma", type=float, default=DEFAULT_PARAMS["localized"]["gamma"])
     ke.add_argument("--x-max", type=float, default=5.0)
     ke.add_argument("--steps", type=int, default=100)
     ke.add_argument("--output", default="-")
@@ -61,7 +57,7 @@ def _parser() -> argparse.ArgumentParser:
     f = sub.add_parser("features", help="extract features for a manifest")
     f.add_argument("--manifest")
     f.add_argument("--synthetic", action="store_true")
-    f.add_argument("--preprocessing", choices=("binary", "unit", "magnitude"), default="binary")
+    f.add_argument("--preprocessing", choices=PREPROCESSING_MODES, default="binary")
     f.add_argument("--feature", choices=("pca-input", "svd"), default="svd")
     f.add_argument("--r", type=int, default=5)
 
@@ -88,7 +84,7 @@ def _parse_config_file(path, seed: int) -> ExperimentConfig:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise DataError(f"{path}:{lineno}: expected key=value")
+                    raise ValueError(f"{path}:{lineno}: expected key=value")
                 k, v = line.split("=", 1)
                 values[k.strip()] = (lineno, v.strip())
     except OSError as exc:
@@ -104,12 +100,12 @@ def _parse_config_file(path, seed: int) -> ExperimentConfig:
         try:
             return to(text)
         except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
+            raise ValueError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
 
     kernel_params = {k: cast(k, to) for k, to in param_casts.items() if k in values}
     kwargs = {k: cast(k, to) for k, to in field_casts.items() if k in values}
     if values:
-        raise DataError(f"{path}: unknown config keys {sorted(values)}")
+        raise ValueError(f"{path}: unknown config keys {sorted(values)}")
     return ExperimentConfig(seed=seed, kernel_params=kernel_params, **kwargs)
 
 
@@ -125,7 +121,7 @@ def _load_dataset(args):
         for p, label, subject in read_manifest(args.manifest)
     ]
     if not samples:
-        raise DataError("manifest lists no samples")
+        raise ValueError("manifest lists no samples")
     classes = len({s.label for s in samples})
     subjects = sorted({s.subject for s in samples})
     return GestureSet(samples=samples, classes=classes, subjects=subjects)
@@ -141,13 +137,10 @@ def _write_run_manifest(out_dir, args, config=None) -> None:
 def _cmd_kernel_eval(args) -> int:
     if args.steps < 1:
         raise UsageError("--steps must be >= 1")
-    if args.N < 1:
-        raise UsageError("--N must be >= 1")
-    if args.q < 1:
-        raise UsageError("--q must be a positive integer")
-    if args.gamma <= 0:
-        raise UsageError("--gamma must be positive")
-    spec = build_localized_kernel(args.N, args.q, args.gamma)
+    try:
+        spec = build_localized_kernel(args.N, args.q, args.gamma)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     xs = np.linspace(0.0, args.x_max, args.steps + 1)  # endpoints inclusive
     vals = eval_localized(spec, args.gamma * xs)
     out = sys.stdout if args.output == "-" else open(
@@ -202,10 +195,25 @@ def _cmd_features(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
+def _config_and_dataset(args, r_values=()):
+    """The config of an experiment command (its --config file, or the
+    defaults) and the config of each of `r_values` (sweep-dim's, a usage
+    error if refused), then the data set, then --out-dir, in that order: a
+    refused config loads no data and creates no directory."""
+    config = (_parse_config_file(args.config, args.seed) if args.config
+              else ExperimentConfig(seed=args.seed))
+    try:
+        for r in r_values:
+            dataclasses.replace(config, r=r)
+    except ValueError as exc:
+        raise UsageError(f"--r-values: {exc}") from exc
     dataset = _load_dataset(args)
-    config = _config_from_args(args)
     os.makedirs(args.out_dir, exist_ok=True)
+    return config, dataset
+
+
+def _cmd_experiment(args) -> int:
+    config, dataset = _config_and_dataset(args)
     table = run_experiment(config, dataset)
     table.write_csv(os.path.join(args.out_dir, "results.csv"))
     table.write_csv(os.path.join(args.out_dir, "results_notiming.csv"), include_timing=False)
@@ -215,24 +223,12 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        return _parse_config_file(args.config, args.seed)
-    return ExperimentConfig(seed=args.seed)
-
-
 def _cmd_sweep_dim(args) -> int:
     try:
         r_values = [int(r) for r in args.r_values.split(",")]
     except ValueError as exc:
         raise UsageError("--r-values must be comma-separated integers") from exc
-    try:
-        _check_dimensions(r_values)
-    except ValueError as exc:
-        raise UsageError(f"--r-values: {exc}") from exc
-    dataset = _load_dataset(args)
-    config = _config_from_args(args)
-    os.makedirs(args.out_dir, exist_ok=True)
+    config, dataset = _config_and_dataset(args, r_values)
     for r, table in sweep_dimension(config, dataset, r_values):
         if isinstance(table, ValueError):
             print(f"r={r}: skipped ({table})")
@@ -256,9 +252,7 @@ def _cmd_sweep_frac(args) -> int:
     if len(set(names)) < len(names):
         raise UsageError(f"--fractions {args.fractions} name one output file twice "
                          "(file names hold the percentage, rounded)")
-    dataset = _load_dataset(args)
-    config = _config_from_args(args)
-    os.makedirs(args.out_dir, exist_ok=True)
+    config, dataset = _config_and_dataset(args)
     for name, (frac, table) in zip(names, sweep_train_fraction(config, dataset, fractions)):
         if isinstance(table, ValueError):
             print(f"fraction={frac}: failed ({table})")
@@ -270,9 +264,7 @@ def _cmd_sweep_frac(args) -> int:
 
 
 def _cmd_holdout(args) -> int:
-    dataset = _load_dataset(args)
-    config = _config_from_args(args)
-    os.makedirs(args.out_dir, exist_ok=True)
+    config, dataset = _config_and_dataset(args)
     table = holdout_subject(config, dataset)
     table.write_csv(os.path.join(args.out_dir, "holdout.csv"))
     for row in table.rows:
@@ -303,9 +295,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

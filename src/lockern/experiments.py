@@ -22,7 +22,8 @@ from .features import (
     zero_pad_stack,
 )
 from .hermite import localized_degree
-from .kernels import DEFAULT_PARAMS, GramMatrix, KernelSpec, _check_params, cross_gram, gram
+from .kernels import (DEFAULT_PARAMS, FLAT_KINDS, GramMatrix, KernelSpec, _check_params,
+                      cross_gram, gram)
 # Unused here: kernel_fn, fit_pca and pca_project stay importable from this
 # module because the benchmark's traced run (bench/layers.py) wraps them by
 # these names.
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 SUBJECT_NAMES = "ABCDEF"
+PREPROCESSING_MODES = ("binary", "unit", "magnitude")
 
 # Most spectrogram elements one log_threshold call takes in
 # `_preprocessed`. Of 2^13-2^16, 2^15 (about fifteen 64-bin gesture
@@ -77,6 +79,10 @@ class GestureSet:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One cell of the experiment grid. A config that no fold can run is
+    refused here, at construction, with a ValueError that names the cause,
+    so every protocol starts only on a runnable config."""
+
     preprocessing: str = "binary"  # binary | unit | magnitude
     feature: str = "pca"  # pca | svd
     r: int = 30
@@ -88,6 +94,38 @@ class ExperimentConfig:
     train_ratio: float = 0.8
     trials: int = 5
     seed: int = 42
+
+    def __post_init__(self):
+        if self.preprocessing not in PREPROCESSING_MODES:
+            raise ValueError(f"unknown preprocessing {self.preprocessing!r}")
+        if self.feature not in ("pca", "svd"):
+            raise ValueError(f"unknown feature kind {self.feature!r}")
+        if self.classifier not in ("svm", "knn"):
+            raise ValueError(f"unknown classifier {self.classifier!r}")
+        if self.feature == "svd" and self.classifier == "knn":
+            raise ValueError("classifier knn with feature svd: k-NN takes flat vectors "
+                             "(feature pca), and SVD features are subspace bases")
+        if self.classifier == "knn" and self.kernel_params:
+            raise ValueError(f"classifier knn uses no kernel, so kernel parameters "
+                             f"{', '.join(map(repr, self.kernel_params))} would have no effect")
+        if self.classifier == "svm":
+            _check_params(self.kernel_kind, self.kernel_params)
+            # PCA features are flat vectors, SVD features subspace bases
+            flat = self.feature == "pca"
+            if (self.kernel_kind in FLAT_KINDS) != flat:
+                takes = [kind for kind in DEFAULT_PARAMS if (kind in FLAT_KINDS) == flat]
+                raise ValueError(f"kernel {self.kernel_kind!r} does not take feature "
+                                 f"{self.feature}; feature {self.feature} takes {', '.join(takes)}")
+        if self.r < 1:
+            raise ValueError(f"feature dimension r={self.r} is below 1")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if not 0.0 < self.train_ratio < 1.0:  # NaN fails both comparisons
+            raise ValueError(f"train_ratio {self.train_ratio} is outside (0, 1)")
+        if not 0.0 < self.C < math.inf:
+            raise ValueError(f"C must be positive and finite, got {self.C}")
+        if self.knn_k < 1:
+            raise ValueError(f"knn_k={self.knn_k} is below 1")
 
     def method_name(self) -> str:
         if self.feature == "pca":
@@ -276,30 +314,6 @@ def _blocks(samples, indices):
         yield block
 
 
-def _check_config(config: ExperimentConfig) -> None:
-    """Refuse a config that no fold can run, before any per-sample work."""
-    if config.feature not in ("pca", "svd"):
-        raise ValueError(f"unknown feature kind {config.feature!r}")
-    if config.classifier not in ("svm", "knn"):
-        raise ValueError(f"unknown classifier {config.classifier!r}")
-    if config.feature == "svd" and config.classifier == "knn":
-        raise ValueError("classifier knn with feature svd: k-NN takes flat vectors "
-                         "(feature pca), and SVD features are subspace bases")
-    if config.classifier == "knn" and config.kernel_params:
-        raise ValueError(f"classifier knn uses no kernel, so kernel parameters "
-                         f"{', '.join(map(repr, config.kernel_params))} would have no effect")
-    if config.classifier == "svm":
-        _check_params(config.kernel_kind, config.kernel_params)
-    _check_dimensions([config.r])
-
-
-def _check_dimensions(r_values) -> None:
-    """Refuse a feature dimension r below 1."""
-    for r in r_values:
-        if r < 1:
-            raise ValueError(f"feature dimension r={r} is below 1")
-
-
 def _sample_features(config: ExperimentConfig, spectrograms) -> list:
     """Per-sample features of preprocessed spectrograms, in their order: the
     spectrograms themselves for PCA features (the basis is fit per fold), or
@@ -366,7 +380,9 @@ def _pca_fold(pool: _PoolGram, r: int, train, test):
     way, times V / sqrt(lambda) gives its test coordinates; only the c term
     of that centring is applied, because the other two are constant along
     the row and V's columns, eigenvectors of a matrix whose rows sum to 0,
-    sum to 0 themselves. The coordinates are `pca_project(fit_pca(X, r), .)`
+    sum to 0 themselves. The r-th eigenvalue must exceed m * eps times the
+    larger of the first and the training block's largest diagonal entry.
+    The coordinates are `pca_project(fit_pca(X, r), .)`
     of the padded rows up to the sign of each column and rounding: no
     D-dimensional component is formed, so none is sign-canonicalised, and
     the radial kernels, k-NN and the scale read squared distances, which a
@@ -376,14 +392,16 @@ def _pca_fold(pool: _PoolGram, r: int, train, test):
     if r > min(m, D):
         raise RankError(f"r={r} out of range for {m}x{D} data")
     G = pool.train_block(train)
+    # the centring subtracts entries up to this size, whose rounding stays
+    largest_norm2 = G.diagonal().max()
     c = G.mean(axis=0)
     G -= c
     G -= c[:, None]
     G += c.mean()
     eigvals, eigvecs = np.linalg.eigh(G)  # reads the lower triangle only
     eigvals, eigvecs = eigvals[::-1][:r], eigvecs[:, ::-1][:, :r]
-    # fit_pca's rule: the r-th eigenvalue against m * eps * the largest
-    if eigvals[-1] <= m * np.finfo(float).eps * eigvals[0]:
+    # fit_pca's rule, with the uncentred entries' rounding as a floor
+    if eigvals[-1] <= m * np.finfo(float).eps * max(eigvals[0], largest_norm2):
         raise RankError(f"data rank below r={r}; lower r")
     root = np.sqrt(eigvals)
     train_f = eigvecs * root
@@ -431,8 +449,6 @@ def _kernel_spec(config: ExperimentConfig) -> KernelSpec | None:
 def _splits(config: ExperimentConfig, labels) -> list:
     """The repeated-split protocol's folds of a pool with these labels:
     `config.trials` seeded stratified splits, as positions in the pool."""
-    if config.trials < 1:
-        raise ValueError("trials must be >= 1")
     return [_stratified_split(labels, config.train_ratio, np.random.default_rng(config.seed + t))
             for t in range(config.trials)]
 
@@ -514,7 +530,6 @@ def _pool_spectrograms(config: ExperimentConfig, dataset: GestureSet):
 def run_experiment(config: ExperimentConfig, dataset: GestureSet) -> ResultTable:
     """Mean/variance accuracy and wall-clock times over repeated stratified
     splits (one row)."""
-    _check_config(config)
     labels = np.array([s.label for s in dataset.samples])
     folds = _splits(config, labels)
     scores = _scores(config, dataset, labels, _pool_spectrograms(config, dataset), folds)
@@ -530,21 +545,20 @@ def sweep_dimension(config: ExperimentConfig, dataset: GestureSet, r_values):
     RankError or MissingClassError that skipped this r. Any other error
     propagates. The localized kernel's q is clamped to r inside the run. Each
     sample is preprocessed once per call and the splits are drawn once; the
-    pool matrix (and SVD features) are taken once per r. An r below 1 is
-    refused before any sample is preprocessed."""
-    _check_config(config)
-    _check_dimensions(r_values)
+    pool matrix (and SVD features) are taken once per r. Every r's config
+    is built before any sample is preprocessed, so an r below 1 is refused
+    first."""
+    configs = [replace(config, r=r) for r in r_values]
     labels = np.array([s.label for s in dataset.samples])
     folds = _splits(config, labels)
     spectrograms = list(_pool_spectrograms(config, dataset))
     out = []
-    for r in r_values:
-        config_r = replace(config, r=r)
+    for config_r in configs:
         try:
             scores = _scores(config_r, dataset, labels, spectrograms, folds)
-            out.append((r, _split_table(config_r, scores)))
+            out.append((config_r.r, _split_table(config_r, scores)))
         except _SWEEP_SKIPS as exc:
-            out.append((r, exc))
+            out.append((config_r.r, exc))
     return out
 
 
@@ -564,7 +578,6 @@ def sweep_train_fraction(config: ExperimentConfig, dataset: GestureSet,
     once per call, and each fraction's pool takes one pool matrix. A
     fraction outside (0, 1], NaN included, is refused before any sample is
     preprocessed."""
-    _check_config(config)
     _check_fractions(fractions)
     labels = np.array([s.label for s in dataset.samples])
     pools = [_stratified_split(labels, frac, np.random.default_rng(config.seed))[0]
@@ -590,7 +603,6 @@ def holdout_subject(config: ExperimentConfig, dataset: GestureSet) -> ResultTabl
     made per call; only the PCA basis and its scale are refit per fold."""
     if len(dataset.subjects) < 2:
         raise ValueError("need at least two subjects")
-    _check_config(config)
     subjects = np.array([s.subject for s in dataset.samples])
     folds = [(np.flatnonzero(subjects != subject), np.flatnonzero(subjects == subject))
              for subject in dataset.subjects]

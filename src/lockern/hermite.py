@@ -198,10 +198,10 @@ class LocalizedKernelSpec:
 
 def localized_degree(N: float, q: int) -> int:
     """Polynomial degree 2*floor(N^2/2) of the localized kernel with
-    bandwidth N and dimension parameter q. Raises ValueError for N < 1 or
-    q < 1, as `build_localized_kernel` does."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    bandwidth N and dimension parameter q. Raises ValueError for an N that
+    is below 1 or not finite, or q < 1, as `build_localized_kernel` does."""
+    if not 1 <= N < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"N must be >= 1 and finite, got {N}")
     if q < 1:
         raise ValueError("q must be a positive integer")
     return 2 * int(math.floor(N * N / 2.0))

@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 KERNEL_KINDS = ("grassmann", "laplace_svd", "gaussian_svd", "euclidean_rbf", "localized")
+# the kinds on flat vectors, whose pair statistic is the squared distance;
+# the others take subspace points
+FLAT_KINDS = ("euclidean_rbf", "localized")
 
 # Defaults from the experimental protocol this library reproduces.
 DEFAULT_PARAMS = {

@@ -160,6 +160,15 @@ class TestSvmBinary:
         with pytest.raises(ValueError):
             svm_train_binary(K, [1.0, -1.0, 1.0], C=0.0)
 
+    @pytest.mark.parametrize("C", [float("nan"), float("inf"), 0.0])
+    def test_C_positive_and_finite(self, C):
+        K = np.eye(3)
+        message = f"C must be positive and finite, got {C}"
+        with pytest.raises(ValueError, match=message):
+            svm_train_binary(K, [1.0, -1.0, 1.0], C=C)
+        with pytest.raises(ValueError, match=message):
+            one_vs_rest_train(K, [0, 1, 2], C=C)
+
     def test_indefinite_gram_warns(self):
         K = np.array([[1.0, 2.0], [2.0, 1.0]])  # min eigenvalue -1
         with pytest.warns(UserWarning, match="indefinite"):

@@ -50,6 +50,10 @@ class TestKernelEval:
             ["--N", "0.5", "--q", "2"],
             ["--N", "2", "--q", "0"],
             ["--N", "2", "--q", "2", "--gamma", "-1"],
+            ["--N", "2", "--q", "2", "--gamma", "nan"],
+            ["--N", "2", "--q", "2", "--gamma", "inf"],
+            ["--N", "nan", "--q", "2"],
+            ["--N", "inf", "--q", "2"],
         ],
     )
     def test_bad_arguments_exit_2(self, argv, capsys):
@@ -187,20 +191,27 @@ class TestExperimentCommand:
         assert "unknown config keys" in capsys.readouterr().err
 
     def test_every_config_key_parses_to_its_type(self, tmp_path):
-        # the nine config fields but the seed, and the five kernel parameters
-        expected = {"preprocessing": "unit", "feature": "svd", "r": 7,
-                    "kernel_kind": "grassmann", "classifier": "knn", "knn_k": 3,
-                    "C": 2.0, "train_ratio": 0.5, "trials": 4, "gamma": 0.5,
-                    "alpha": 0.25, "beta": 0.125, "N": 6.0, "q": 9}
-        cfg = tmp_path / "all.cfg"
-        cfg.write_text("".join(f"{k} = {v:g}\n" if isinstance(v, float) else f"{k} = {v}\n"
-                               for k, v in expected.items()))
-        config = _parse_config_file(str(cfg), seed=11)
-        got = {k: config.kernel_params[k] if k in config.kernel_params else getattr(config, k)
-               for k in expected}
-        assert got == expected
-        assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in expected.items()}
-        assert config.seed == 11
+        # the nine config fields but the seed, and the five kernel
+        # parameters, over three valid configs: no one config takes them all
+        configs = [
+            {"preprocessing": "unit", "r": 7, "classifier": "knn", "knn_k": 3,
+             "train_ratio": 0.5, "trials": 4},
+            {"feature": "svd", "kernel_kind": "laplace_svd", "C": 2.0,
+             "alpha": 0.25, "beta": 0.125},
+            {"gamma": 0.5, "N": 6.0, "q": 9},  # the default localized kernel's
+        ]
+        assert sum(map(len, configs)) == len(set().union(*configs)) == 14
+        for expected in configs:
+            cfg = tmp_path / "all.cfg"
+            cfg.write_text("".join(f"{k} = {v:g}\n" if isinstance(v, float) else f"{k} = {v}\n"
+                                   for k, v in expected.items()))
+            config = _parse_config_file(str(cfg), seed=11)
+            got = {k: config.kernel_params[k] if k in config.kernel_params else getattr(config, k)
+                   for k in expected}
+            assert got == expected
+            assert ({k: type(v) for k, v in got.items()}
+                    == {k: type(v) for k, v in expected.items()})
+            assert config.seed == 11
 
     def test_seed_config_key_refused(self, tmp_path, capsys):
         cfg = tmp_path / "seed.cfg"
@@ -248,6 +259,36 @@ class TestExperimentCommand:
         )
         assert code == 1
         assert "error: classifier knn with feature svd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["experiment", "sweep-dim", "sweep-frac", "holdout"])
+    def test_refused_config_exits_1_without_output(self, tmp_path, capsys, command):
+        # each is refused when the config is read: before the data set is
+        # made and before --out-dir is created
+        cases = [
+            ("C = nan\n", "C must be positive and finite, got nan"),
+            ("C = 0\n", "C must be positive and finite, got 0.0"),
+            ("train_ratio = 1.5\n", "train_ratio 1.5 is outside (0, 1)"),
+            ("feature = svd\nr = 3\n",
+             "kernel 'localized' does not take feature svd; feature svd takes grassmann, "
+             "laplace_svd, gaussian_svd"),
+            ("kernel_kind = grassmann\n",
+             "kernel 'grassmann' does not take feature pca; feature pca takes "
+             "euclidean_rbf, localized"),
+            ("classifier = knn\nknn_k = 0\n", "knn_k=0 is below 1"),
+            ("preprocessing = log\n", "unknown preprocessing 'log'"),
+            ("classifier = knn\ngamma = 0.5\n",
+             "classifier knn uses no kernel, so kernel parameters 'gamma' would have no effect"),
+        ]
+        for k, (text, message) in enumerate(cases):
+            cfg = tmp_path / f"refused{k}.cfg"
+            cfg.write_text(text)
+            out = tmp_path / f"out{k}"
+            code = run(["--out-dir", str(out), command, "--synthetic", "--per-cell", "2",
+                        "--config", str(cfg)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {message}\n"
+            assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = run(

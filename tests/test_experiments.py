@@ -18,7 +18,6 @@ from lockern.experiments import (
     run_experiment,
     sweep_dimension,
     sweep_train_fraction,
-    _check_config,
     _pca_fold,
     _PoolGram,
     _preprocessed,
@@ -192,34 +191,36 @@ class TestFeatureExtraction:
         np.testing.assert_allclose(got_train * signs, want_train, rtol=0, atol=tol)
         np.testing.assert_allclose(got_test * signs, want_test, rtol=0, atol=tol)
 
-    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("seed", range(20))
     def test_pooled_rank_rule(self, seed):
         # fit_pca's refusals on the pooled path: r above min(m, D), and an
         # r-th eigenvalue at most m * eps * the largest. The data are rank
-        # two about a mean of zero; where the mean dominates the spread, the
-        # pooled Gram's rounding can pass the rule (see CHANGES.md)
-        rng = np.random.default_rng(seed)
-        A, B = rng.standard_normal((2, 4, 3))
-        specs = [Spectrogram(a * A + b * B) for a, b in rng.standard_normal((10, 2))]
-        pool = _PoolGram.of_padded(specs, 3)
+        # two, about a mean of zero and about a mean that dominates the
+        # spread: there the pooled Gram's rounding, of the size of eps times
+        # its largest uncentred entry, once passed the rule (seeds 18, 19)
         train, test = np.arange(8), np.arange(8, 10)
-        assert [f.shape for f in _pca_fold(pool, 2, train, test)] == [(8, 2), (2, 2)]
-        with pytest.raises(RankError, match=re.escape("data rank below r=3; lower r")):
-            fit_pca(zero_pad_stack(specs[:8], 3), 3)
-        with pytest.raises(RankError, match=re.escape("data rank below r=3; lower r")):
-            _pca_fold(pool, 3, train, test)
-        with pytest.raises(RankError, match=re.escape("r=13 out of range for 8x12 data")):
-            _pca_fold(pool, 13, train, test)
+        for draw in (np.random.default_rng(seed).standard_normal,
+                     np.random.default_rng(seed).random):
+            A, B = draw((2, 4, 3))
+            specs = [Spectrogram(a * A + b * B) for a, b in draw((10, 2))]
+            pool = _PoolGram.of_padded(specs, 3)
+            assert [f.shape for f in _pca_fold(pool, 2, train, test)] == [(8, 2), (2, 2)]
+            with pytest.raises(RankError, match=re.escape("data rank below r=3; lower r")):
+                fit_pca(zero_pad_stack(specs[:8], 3), 3)
+            with pytest.raises(RankError, match=re.escape("data rank below r=3; lower r")):
+                _pca_fold(pool, 3, train, test)
+            with pytest.raises(RankError, match=re.escape("r=13 out of range for 8x12 data")):
+                _pca_fold(pool, 13, train, test)
 
     def test_svd_feature_shape(self, small_gestures):
-        config = ExperimentConfig(feature="svd", r=4)
+        config = ExperimentConfig(feature="svd", kernel_kind="grassmann", r=4)
         pre = _preprocessed(config.preprocessing, small_gestures.samples, range(6))
         per_sample = _sample_features(config, (spectrogram for _, spectrogram in pre))
         assert all(f.U.shape == (64, 4) and f.S.shape == (4,) for f in per_sample)
 
     def test_unknown_feature(self):
-        with pytest.raises(ValueError):
-            _check_config(ExperimentConfig(feature="wavelet"))
+        with pytest.raises(ValueError, match="unknown feature kind 'wavelet'"):
+            ExperimentConfig(feature="wavelet")
 
 
 def _record_calls(monkeypatch, name):
@@ -357,32 +358,64 @@ class TestRunExperiment:
             b"PCA LocSVM64,30,99.66666666666667,0.16666666666666477\n"
         )
 
-    def test_svd_knn_rejected_before_preprocessing(self, small_gestures, monkeypatch):
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(preprocessing="log"), "unknown preprocessing 'log'"),
+        (dict(feature="wavelet"), "unknown feature kind 'wavelet'"),
+        (dict(classifier="svn"), "unknown classifier 'svn'"),
+        (dict(feature="svd", classifier="knn"), "classifier knn with feature svd"),
+        (dict(classifier="knn", kernel_params={"q": 2}),
+         "classifier knn uses no kernel, so kernel parameters 'q' would have no effect"),
+        (dict(kernel_kind="fourier"), "unknown kernel kind 'fourier'"),
+        (dict(kernel_params={"beta": 0.1}), "kernel 'localized' does not read parameter 'beta'"),
+        (dict(feature="svd"), "kernel 'localized' does not take feature svd; "
+                              "feature svd takes grassmann, laplace_svd, gaussian_svd"),
+        (dict(feature="svd", kernel_kind="euclidean_rbf"),
+         "kernel 'euclidean_rbf' does not take feature svd"),
+        (dict(kernel_kind="laplace_svd"), "kernel 'laplace_svd' does not take feature pca; "
+                                          "feature pca takes euclidean_rbf, localized"),
+        (dict(r=0), "feature dimension r=0 is below 1"),
+        (dict(trials=0), "trials must be >= 1"),
+        (dict(train_ratio=0.0), "train_ratio 0.0 is outside (0, 1)"),
+        (dict(train_ratio=1.0), "train_ratio 1.0 is outside (0, 1)"),
+        (dict(train_ratio=1.5), "train_ratio 1.5 is outside (0, 1)"),
+        (dict(train_ratio=float("nan")), "train_ratio nan is outside (0, 1)"),
+        (dict(C=0.0), "C must be positive and finite, got 0.0"),
+        (dict(C=-1.0), "C must be positive and finite, got -1.0"),
+        (dict(C=float("nan")), "C must be positive and finite, got nan"),
+        (dict(C=float("inf")), "C must be positive and finite, got inf"),
+        (dict(classifier="knn", knn_k=0), "knn_k=0 is below 1"),
+    ])
+    def test_invalid_field_refused_at_construction(self, monkeypatch, kwargs, message):
         preprocessed = _record_calls(monkeypatch, "log_threshold")
-        splits = (run_experiment,
-                  lambda config, ds: sweep_dimension(config, ds, [2, 3]),
-                  lambda config, ds: sweep_train_fraction(config, ds, (0.5, 1.0)))
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig(**kwargs)
+        assert str(info.value).startswith(message)
+        assert preprocessed == []
+
+    def test_svd_knn_rejected_before_preprocessing(self, small_gestures, monkeypatch):
+        # a config that no fold can run is refused at construction, so no
+        # entry point gets it; an r or a fraction passed to a sweep is
+        # refused by the sweep before any sample is preprocessed
+        preprocessed = _record_calls(monkeypatch, "log_threshold")
         cases = [
-            (ExperimentConfig(feature="svd", classifier="knn", r=3, trials=1),
-             "classifier knn with feature svd", splits + (holdout_subject,)),
-            (ExperimentConfig(classifier="svn", r=3, trials=1),
-             "unknown classifier 'svn'", splits + (holdout_subject,)),
-            (ExperimentConfig(feature="svd", r=3, trials=0), "trials must be >= 1", splits),
-            (ExperimentConfig(r=0, trials=1), re.escape("feature dimension r=0 is below 1"),
-             splits + (holdout_subject,)),
+            (dict(feature="svd", classifier="knn", r=3, trials=1),
+             "classifier knn with feature svd"),
+            (dict(classifier="svn", r=3, trials=1), "unknown classifier 'svn'"),
+            (dict(feature="svd", kernel_kind="grassmann", r=3, trials=0),
+             "trials must be >= 1"),
+            (dict(r=0, trials=1), re.escape("feature dimension r=0 is below 1")),
         ]
+        for kwargs, message in cases:
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig(**kwargs)
+        config = ExperimentConfig(r=3, trials=1)
         for r in (0, -2):
-            sweep = (lambda config, ds, r=r: sweep_dimension(config, ds, [2, r]))
-            cases.append((ExperimentConfig(r=3, trials=1),
-                          re.escape(f"feature dimension r={r} is below 1"), (sweep,)))
+            with pytest.raises(ValueError, match=re.escape(f"feature dimension r={r} is below 1")):
+                sweep_dimension(config, small_gestures, [2, r])
         for frac in (-0.5, 0.0, 1.5, float("nan")):
-            sweep = (lambda config, ds, frac=frac: sweep_train_fraction(config, ds, (0.5, frac)))
-            cases.append((ExperimentConfig(r=3, trials=1),
-                          re.escape(f"training fraction {frac} is outside (0, 1]"), (sweep,)))
-        for config, message, entries in cases:
-            for entry in entries:
-                with pytest.raises(ValueError, match=message):
-                    entry(config, small_gestures)
+            with pytest.raises(ValueError,
+                               match=re.escape(f"training fraction {frac} is outside (0, 1]")):
+                sweep_train_fraction(config, small_gestures, (0.5, frac))
         assert preprocessed == []
 
     def test_unread_kernel_params_rejected_before_preprocessing(self, small_gestures,
@@ -390,23 +423,17 @@ class TestRunExperiment:
         # a kernel parameter that nothing reads: any under k-NN, which uses
         # no kernel, or one outside the SVM kernel's own parameters
         preprocessed = _record_calls(monkeypatch, "log_threshold")
-        entries = (run_experiment, holdout_subject,
-                   lambda config, ds: sweep_dimension(config, ds, [2, 3]),
-                   lambda config, ds: sweep_train_fraction(config, ds, (0.5, 1.0)))
         cases = [
-            (ExperimentConfig(classifier="knn", r=3, trials=1,
-                              kernel_params={"gamma": 0.5, "alpha": 0.1}),
+            (dict(classifier="knn", r=3, trials=1, kernel_params={"gamma": 0.5, "alpha": 0.1}),
              "classifier knn uses no kernel, so kernel parameters 'gamma', 'alpha'"),
-            (ExperimentConfig(feature="svd", kernel_kind="grassmann", r=3, trials=1,
-                              kernel_params={"N": 4.0}),
+            (dict(feature="svd", kernel_kind="grassmann", r=3, trials=1,
+                  kernel_params={"N": 4.0}),
              "kernel 'grassmann' does not read parameter 'N'"),
-            (ExperimentConfig(kernel_kind="fourier", r=3, trials=1),
-             "unknown kernel kind 'fourier'"),
+            (dict(kernel_kind="fourier", r=3, trials=1), "unknown kernel kind 'fourier'"),
         ]
-        for config, message in cases:
-            for entry in entries:
-                with pytest.raises(ValueError, match=re.escape(message)):
-                    entry(config, small_gestures)
+        for kwargs, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ExperimentConfig(**kwargs)
         assert preprocessed == []
 
     def test_localized_q_default_is_kernel_spec_default(self):
