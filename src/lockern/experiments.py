@@ -392,7 +392,7 @@ def _pca_fold(pool: _PoolGram, r: int, train, test):
     if r > min(m, D):
         raise RankError(f"r={r} out of range for {m}x{D} data")
     G = pool.train_block(train)
-    # the centring subtracts entries up to this size, whose rounding stays
+    # the centring's rounding scales with the largest uncentred entry
     largest_norm2 = G.diagonal().max()
     c = G.mean(axis=0)
     G -= c
