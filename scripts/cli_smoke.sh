@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs each experiment command once through the installed `lockern` script,
-# on a small synthetic set with a k-NN config, then checks that a refused
-# config exits 1 and creates no output directory.
+# on a small synthetic set with a k-NN config, then checks that each refused
+# config exits 1 and creates no output directory: a NaN C, a localized q
+# below 1, and a negative euclidean_rbf gamma.
 # Usage: scripts/cli_smoke.sh <directory for the runs' outputs>
 set -euo pipefail
 root=${1:?usage: cli_smoke.sh <output directory>}
@@ -13,15 +14,22 @@ for command in experiment sweep-dim sweep-frac holdout; do
   lockern --out-dir "$root/$command" "$command" --synthetic --per-cell 2 --config "$config"
 done
 
-refused="$root/refused.cfg"
-printf 'classifier = knn\nC = nan\n' > "$refused"
-status=0
-lockern --out-dir "$root/refused" experiment --synthetic --per-cell 2 --config "$refused" || status=$?
-if [ "$status" -ne 1 ]; then
-  echo "refused config exited $status, not 1" >&2
-  exit 1
-fi
-if [ -e "$root/refused" ]; then
-  echo "refused config left $root/refused behind" >&2
-  exit 1
-fi
+refused=(
+  'classifier = knn\nC = nan\n'
+  'q = 0\ntrials = 1\n'
+  'kernel_kind = euclidean_rbf\ngamma = -1\ntrials = 1\n'
+)
+for k in "${!refused[@]}"; do
+  printf '%b' "${refused[$k]}" > "$root/refused$k.cfg"
+  status=0
+  lockern --out-dir "$root/refused$k" experiment --synthetic --per-cell 2 \
+    --config "$root/refused$k.cfg" || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "refused config $k exited $status, not 1" >&2
+    exit 1
+  fi
+  if [ -e "$root/refused$k" ]; then
+    echo "refused config $k left $root/refused$k behind" >&2
+    exit 1
+  fi
+done

@@ -21,9 +21,7 @@ from .features import (
     svd_features,
     zero_pad_stack,
 )
-from .hermite import localized_degree
-from .kernels import (DEFAULT_PARAMS, FLAT_KINDS, GramMatrix, KernelSpec, _check_params,
-                      cross_gram, gram)
+from .kernels import DEFAULT_PARAMS, FLAT_KINDS, GramMatrix, KernelSpec, cross_gram, gram
 # Unused here: kernel_fn, fit_pca and pca_project stay importable from this
 # module because the benchmark's traced run (bench/layers.py) wraps them by
 # these names.
@@ -81,7 +79,13 @@ class GestureSet:
 class ExperimentConfig:
     """One cell of the experiment grid. A config that no fold can run is
     refused here, at construction, with a ValueError that names the cause,
-    so every protocol starts only on a runnable config."""
+    so every protocol starts only on a runnable config.
+
+    `kernel`, derived at construction and not a field, is the SVM's
+    KernelSpec, built once (None for k-NN, which uses no kernel). Building
+    it is the kernel check: the kind, the keys and every parameter value.
+    The localized q is clamped to r, since the manifold dimension never
+    exceeds the feature-space dimension; a q below 1 is refused."""
 
     preprocessing: str = "binary"  # binary | unit | magnitude
     feature: str = "pca"  # pca | svd
@@ -108,16 +112,21 @@ class ExperimentConfig:
         if self.classifier == "knn" and self.kernel_params:
             raise ValueError(f"classifier knn uses no kernel, so kernel parameters "
                              f"{', '.join(map(repr, self.kernel_params))} would have no effect")
+        if self.r < 1:
+            raise ValueError(f"feature dimension r={self.r} is below 1")
+        kernel = None
         if self.classifier == "svm":
-            _check_params(self.kernel_kind, self.kernel_params)
+            params = dict(self.kernel_params)
+            if self.kernel_kind == "localized":
+                params["q"] = min(params.get("q", DEFAULT_PARAMS["localized"]["q"]), self.r)
+            kernel = KernelSpec(self.kernel_kind, params)
             # PCA features are flat vectors, SVD features subspace bases
             flat = self.feature == "pca"
             if (self.kernel_kind in FLAT_KINDS) != flat:
                 takes = [kind for kind in DEFAULT_PARAMS if (kind in FLAT_KINDS) == flat]
                 raise ValueError(f"kernel {self.kernel_kind!r} does not take feature "
                                  f"{self.feature}; feature {self.feature} takes {', '.join(takes)}")
-        if self.r < 1:
-            raise ValueError(f"feature dimension r={self.r} is below 1")
+        object.__setattr__(self, "kernel", kernel)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0.0 < self.train_ratio < 1.0:  # NaN fails both comparisons
@@ -132,8 +141,7 @@ class ExperimentConfig:
             if self.classifier == "knn":
                 return "PCA KNN"
             if self.kernel_kind == "localized":
-                params = {**DEFAULT_PARAMS["localized"], **_kernel_params(self)}
-                return f"PCA LocSVM{localized_degree(params['N'], params['q'])}"
+                return f"PCA LocSVM{self.kernel.localized.degree}"
             return f"PCA {self.kernel_kind} SVM"
         return f"{self.kernel_kind} SVD SVM"
 
@@ -144,8 +152,9 @@ class ResultRow:
     `train_time_s` the fold's features (for PCA: the kernel PCA fit, the
     coordinates of both sides and the scaling) and, for the SVM, the
     training Gram and SMO; `test_time_s` the test cross-Gram and prediction.
-    Per-call work runs once, before the folds, and is in neither:
-    preprocessing, the kernel spec, SVD features, and the pool matrix
+    Neither holds the kernel's build, which runs with the config's
+    construction. Per-call work runs once, before the folds, and is in
+    neither: preprocessing, SVD features, and the pool matrix
     (`_PoolGram`) that every call makes, whose rows are the pool's samples in
     pool order: the SVD features' kernel matrix, or the PCA inputs' linear
     Gram. A fold, given as positions in the pool, reads its training block
@@ -429,23 +438,6 @@ def _nn_scale(X: np.ndarray) -> float:
     return 0.4 / med if med > 0 else 1.0
 
 
-def _kernel_params(config: ExperimentConfig) -> dict:
-    params = dict(config.kernel_params)
-    if config.kernel_kind == "localized":
-        # manifold dimension never exceeds the feature-space dimension
-        q = int(params.get("q", DEFAULT_PARAMS["localized"]["q"]))
-        params["q"] = max(1, min(q, config.r))
-    return params
-
-
-def _kernel_spec(config: ExperimentConfig) -> KernelSpec | None:
-    """The kernel of the config, built once per call; None for k-NN, which
-    uses no kernel."""
-    if config.classifier == "knn":
-        return None
-    return KernelSpec(kind=config.kernel_kind, params=_kernel_params(config))
-
-
 def _splits(config: ExperimentConfig, labels) -> list:
     """The repeated-split protocol's folds of a pool with these labels:
     `config.trials` seeded stratified splits, as positions in the pool."""
@@ -459,20 +451,20 @@ def _scores(config: ExperimentConfig, dataset: GestureSet, labels, spectrograms,
     loop. `labels` and the preprocessed `spectrograms` are the pool's, in
     pool order, and each fold is a (train, test) pair of positions in the
     pool. Per-call work runs once, before the first fold: the pool's
-    features, the kernel spec and the `_PoolGram`."""
+    features and the `_PoolGram`. The kernel is the config's, built with
+    it."""
     features = _sample_features(config, spectrograms)
-    spec = _kernel_spec(config)
     if config.feature == "svd":
-        pool_gram = _PoolGram.of_kernel(spec, features)
+        pool_gram = _PoolGram.of_kernel(config.kernel, features)
     else:
         target_frames = max(s.data.shape[1] for s in dataset.samples)
         pool_gram = _PoolGram.of_padded(features, target_frames)
     del features  # the folds read the pool matrix only
-    return [_fit_and_score(config, spec, dataset.classes, labels, pool_gram, train, test)
+    return [_fit_and_score(config, dataset.classes, labels, pool_gram, train, test)
             for train, test in folds]
 
 
-def _fit_and_score(config: ExperimentConfig, spec, classes: int, labels, pool_gram: _PoolGram,
+def _fit_and_score(config: ExperimentConfig, classes: int, labels, pool_gram: _PoolGram,
                    train, test):
     """Per-fold work on the per-call results of `_scores`. Returns
     (accuracy %, train seconds, test seconds)."""
@@ -486,6 +478,7 @@ def _fit_and_score(config: ExperimentConfig, spec, classes: int, labels, pool_gr
         train_f, test_f = _pca_fold(pool_gram, config.r, train, test)
 
     if config.classifier == "svm":
+        spec = config.kernel
         G = gram(spec, train_f) if pca else GramMatrix(pool_gram.train_block(train), spec)
         model = one_vs_rest_train(G, train_labels, C=config.C)
         train_time = time.perf_counter() - t0
@@ -543,11 +536,11 @@ _SWEEP_SKIPS = (RankError, MissingClassError)
 def sweep_dimension(config: ExperimentConfig, dataset: GestureSet, r_values):
     """(r, result) per feature dimension r: the ResultTable, or the
     RankError or MissingClassError that skipped this r. Any other error
-    propagates. The localized kernel's q is clamped to r inside the run. Each
-    sample is preprocessed once per call and the splits are drawn once; the
-    pool matrix (and SVD features) are taken once per r. Every r's config
-    is built before any sample is preprocessed, so an r below 1 is refused
-    first."""
+    propagates. Each sample is preprocessed once per call and the splits are
+    drawn once; the pool matrix (and SVD features) are taken once per r.
+    Every r's config, with its kernel, is built before any sample is
+    preprocessed, so an r below 1 is refused first; the localized kernel's
+    q is clamped to each r as its config is built."""
     configs = [replace(config, r=r) for r in r_values]
     labels = np.array([s.label for s in dataset.samples])
     folds = _splits(config, labels)
@@ -599,8 +592,8 @@ def sweep_train_fraction(config: ExperimentConfig, dataset: GestureSet,
 def holdout_subject(config: ExperimentConfig, dataset: GestureSet) -> ResultTable:
     """Train on all subjects but one, test on the held-out subject; one row
     per fold. Each sample is preprocessed (and, for SVD features, decomposed)
-    once per call, the kernel spec is built once, and one pool matrix is
-    made per call; only the PCA basis and its scale are refit per fold."""
+    once per call, and one pool matrix is made per call; only the PCA basis
+    and its scale are refit per fold."""
     if len(dataset.subjects) < 2:
         raise ValueError("need at least two subjects")
     subjects = np.array([s.subject for s in dataset.samples])

@@ -92,7 +92,8 @@ def _psi_values(k_max: int, x):
     |x| is clamped to _PSI_X_MAX first: past it every psi_k of a degree
     below 2^30 is exactly 0 in floating point, at x and at the clamp
     (log2 of the start is below -7.9e11, and each step multiplies by at most
-    2^21), so the clamp only keeps x^2 and the steps finite.
+    2^21), so the clamp only keeps x^2 and the steps finite. Every localized
+    kernel's degree is below 2^30 (`localized_degree`).
     """
     x = np.clip(np.asarray(x, dtype=float), -_PSI_X_MAX, _PSI_X_MAX)  # NaN stays NaN
     log2_gauss = x * x * (-0.5 / math.log(2.0))
@@ -199,9 +200,13 @@ class LocalizedKernelSpec:
 def localized_degree(N: float, q: int) -> int:
     """Polynomial degree 2*floor(N^2/2) of the localized kernel with
     bandwidth N and dimension parameter q. Raises ValueError for an N that
-    is below 1 or not finite, or q < 1, as `build_localized_kernel` does."""
+    is below 1 or not finite, for N^2 >= 2^30 (degrees from 2^30 on are
+    outside the range `_psi_values`' clamp is proven for), or for q < 1, as
+    `build_localized_kernel` does."""
     if not 1 <= N < math.inf:  # NaN fails both comparisons
         raise ValueError(f"N must be >= 1 and finite, got {N}")
+    if N * N >= 2.0 ** 30:
+        raise ValueError(f"N must have N^2 < 2^30, got {N}")
     if q < 1:
         raise ValueError("q must be a positive integer")
     return 2 * int(math.floor(N * N / 2.0))

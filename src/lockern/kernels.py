@@ -23,6 +23,7 @@ suite (`tests/kernel_oracle.py`).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -57,8 +58,10 @@ DEFAULT_PARAMS = {
 
 
 def _check_params(kind: str, params) -> None:
-    """Refuse an unknown kernel kind, or a parameter that its kind does not
-    read (a key outside `DEFAULT_PARAMS[kind]`)."""
+    """Refuse an unknown kernel kind, a parameter that its kind does not
+    read (a key outside `DEFAULT_PARAMS[kind]`), or a scale parameter that
+    is not positive and finite. The localized N and q are checked where the
+    kernel is built (`build_localized_kernel`)."""
     if kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}")
     unread = [key for key in params if key not in DEFAULT_PARAMS[kind]]
@@ -66,6 +69,10 @@ def _check_params(kind: str, params) -> None:
         raise ValueError(f"kernel {kind!r} does not read parameter "
                          f"{', '.join(map(repr, unread))}; it reads "
                          f"{', '.join(DEFAULT_PARAMS[kind])}")
+    for key in ("gamma", "alpha", "beta"):
+        if key in params and not 0 < params[key] < math.inf:  # NaN fails both
+            raise ValueError(f"kernel {kind!r}: {key} must be positive and finite, "
+                             f"got {params[key]}")
 
 
 @dataclass(frozen=True)
@@ -74,14 +81,15 @@ class KernelSpec:
 
     kind: str
     params: dict = field(default_factory=dict)
-    _localized: LocalizedKernelSpec | None = field(default=None, repr=False, compare=False)
+    _localized: LocalizedKernelSpec | None = field(default=None, init=False, repr=False,
+                                                   compare=False)
 
     def __post_init__(self):
         _check_params(self.kind, self.params)
         merged = dict(DEFAULT_PARAMS[self.kind])
         merged.update(self.params)
         object.__setattr__(self, "params", merged)
-        if self.kind == "localized" and self._localized is None:
+        if self.kind == "localized":
             spec = build_localized_kernel(
                 N=merged["N"], q=int(merged["q"]), gamma=merged["gamma"]
             )
@@ -294,8 +302,8 @@ def _check_finite(spec: KernelSpec | None, K: np.ndarray) -> None:
         raise ValueError(
             f"localized kernel (N={loc.N:g}, q={loc.q}, gamma={loc.gamma:g}, degree "
             f"{loc.degree}) gave a non-finite value {K[idx]} {where}: the kernel is "
-            "finite wherever gamma times the distance is a number, so gamma or a "
-            "coordinate of that pair is not finite"
+            "finite wherever gamma times the distance is a number, so a coordinate "
+            "of that pair is not finite"
         )
     params = ", ".join(f"{k}={v!r}" for k, v in sorted(spec.params.items()))
     raise ValueError(f"{spec.kind} kernel ({params}) gave a non-finite value {K[idx]} {where}")

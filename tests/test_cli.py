@@ -54,6 +54,7 @@ class TestKernelEval:
             ["--N", "2", "--q", "2", "--gamma", "inf"],
             ["--N", "nan", "--q", "2"],
             ["--N", "inf", "--q", "2"],
+            ["--N", "1e200", "--q", "2"],
         ],
     )
     def test_bad_arguments_exit_2(self, argv, capsys):
@@ -278,6 +279,14 @@ class TestExperimentCommand:
             ("preprocessing = log\n", "unknown preprocessing 'log'"),
             ("classifier = knn\ngamma = 0.5\n",
              "classifier knn uses no kernel, so kernel parameters 'gamma' would have no effect"),
+            ("q = 0\n", "q must be a positive integer"),
+            ("q = -3\n", "q must be a positive integer"),
+            ("N = 0.5\n", "N must be >= 1 and finite, got 0.5"),
+            ("gamma = nan\n", "kernel 'localized': gamma must be positive and finite, got nan"),
+            ("kernel_kind = euclidean_rbf\ngamma = -1\n",
+             "kernel 'euclidean_rbf': gamma must be positive and finite, got -1.0"),
+            ("feature = svd\nr = 3\nkernel_kind = grassmann\ngamma = -3\n",
+             "kernel 'grassmann': gamma must be positive and finite, got -3.0"),
         ]
         for k, (text, message) in enumerate(cases):
             cfg = tmp_path / f"refused{k}.cfg"

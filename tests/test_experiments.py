@@ -384,6 +384,20 @@ class TestRunExperiment:
         (dict(C=float("nan")), "C must be positive and finite, got nan"),
         (dict(C=float("inf")), "C must be positive and finite, got inf"),
         (dict(classifier="knn", knn_k=0), "knn_k=0 is below 1"),
+        (dict(kernel_params={"q": 0}), "q must be a positive integer"),
+        (dict(kernel_params={"q": -3}), "q must be a positive integer"),
+        (dict(kernel_params={"N": 0.5}), "N must be >= 1 and finite, got 0.5"),
+        (dict(kernel_params={"N": 0.0}), "N must be >= 1 and finite, got 0.0"),
+        (dict(kernel_params={"gamma": float("nan")}),
+         "kernel 'localized': gamma must be positive and finite, got nan"),
+        (dict(kernel_kind="euclidean_rbf", kernel_params={"gamma": -1.0}),
+         "kernel 'euclidean_rbf': gamma must be positive and finite, got -1.0"),
+        (dict(feature="svd", kernel_kind="grassmann", kernel_params={"gamma": -3.0}),
+         "kernel 'grassmann': gamma must be positive and finite, got -3.0"),
+        (dict(feature="svd", kernel_kind="laplace_svd", kernel_params={"alpha": -1.0}),
+         "kernel 'laplace_svd': alpha must be positive and finite, got -1.0"),
+        (dict(feature="svd", kernel_kind="gaussian_svd", kernel_params={"beta": float("inf")}),
+         "kernel 'gaussian_svd': beta must be positive and finite, got inf"),
     ])
     def test_invalid_field_refused_at_construction(self, monkeypatch, kwargs, message):
         preprocessed = _record_calls(monkeypatch, "log_threshold")
@@ -437,7 +451,7 @@ class TestRunExperiment:
         assert preprocessed == []
 
     def test_localized_q_default_is_kernel_spec_default(self):
-        assert experiments._kernel_spec(ExperimentConfig(r=30)).params["q"] == 18
+        assert ExperimentConfig(r=30).kernel.params["q"] == 18
         assert kernels.KernelSpec("localized").params["q"] == 18
 
     def test_trials_validated(self, small_gestures):
@@ -459,23 +473,27 @@ class TestRunExperiment:
             == "grassmann SVD SVM"
         )
 
-    def test_method_name_builds_no_kernel(self, monkeypatch):
+    def test_method_name_builds_no_kernel(self, small_gestures, monkeypatch):
+        # the config builds its one localized kernel; its method name and
+        # the protocols that run it build none
+        builds = []
+        build = kernels.build_localized_kernel
+
+        def counting(*args, **kwargs):
+            builds.append(kwargs)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "build_localized_kernel", counting)
+        config = ExperimentConfig(kernel_params={"N": 8.0, "q": 18}, r=6, trials=1)
+        assert (len(builds), config.kernel.localized.q) == (1, 6)
+
         def refuse(*args, **kwargs):
             raise AssertionError("kernel built")
 
         monkeypatch.setattr(kernels, "build_localized_kernel", refuse)
-        config = ExperimentConfig(kernel_params={"N": 8.0, "q": 18}, r=30)
         assert config.method_name() == "PCA LocSVM64"
-
-    @pytest.mark.parametrize("N", [0.5, 0.0])
-    def test_invalid_bandwidth_raises_before_any_row(self, small_gestures, N):
-        config = ExperimentConfig(kernel_params={"N": N}, trials=1)
-        with pytest.raises(ValueError, match="N must be >= 1"):
-            config.method_name()
-        with pytest.raises(ValueError, match="N must be >= 1"):
-            run_experiment(config, small_gestures)
-        with pytest.raises(ValueError, match="N must be >= 1"):
-            holdout_subject(config, small_gestures)
+        run_experiment(config, small_gestures)
+        holdout_subject(config, small_gestures)
 
 
 class TestSweeps:
@@ -505,12 +523,16 @@ class TestSweeps:
         frames = max(s.data.shape[1] for s in small_gestures.samples)
         assert str(out[1][1]) == f"r=10000 out of range for 76x{64 * frames} data"
 
-    def test_sweeps_propagate_other_errors(self, small_gestures):
-        # an invalid bandwidth is not a rank or missing-class cause
-        config = ExperimentConfig(kernel_params={"N": 0.5}, trials=1, seed=42)
-        with pytest.raises(ValueError, match="N must be >= 1"):
+    def test_sweeps_propagate_other_errors(self, small_gestures, monkeypatch):
+        # a plain ValueError is not a rank or missing-class cause
+        def failing(*args):
+            raise ValueError("not a skip")
+
+        monkeypatch.setattr(experiments, "_fit_and_score", failing)
+        config = ExperimentConfig(trials=1, seed=42)
+        with pytest.raises(ValueError, match="not a skip"):
             sweep_dimension(config, small_gestures, [2, 6])
-        with pytest.raises(ValueError, match="N must be >= 1"):
+        with pytest.raises(ValueError, match="not a skip"):
             sweep_train_fraction(config, small_gestures, fractions=(0.5,))
 
     def test_sweep_skips_missing_class(self, small_gestures, monkeypatch):
@@ -560,7 +582,7 @@ class TestPoolGram:
                                        for subject in small_gestures.subjects]),
             (subset, experiments._splits(config, labels[subset])),
         ]
-        spec = experiments._kernel_spec(config)
+        spec = config.kernel
         tol = 4 * np.finfo(float).eps
         for pool_idx, folds in pools:
             pairs = _preprocessed(config.preprocessing, samples, pool_idx)
@@ -661,7 +683,7 @@ class TestPoolGram:
                 assert row.test_time_s >= 0.2 * n_test * n_train / M**2
 
     def test_pca_builds_kernels_per_fold(self, small_gestures, monkeypatch):
-        # a Gram and a cross-Gram per fold, one localized kernel per call
+        # a Gram and a cross-Gram per fold, one localized kernel per config
         grams = _record_calls(monkeypatch, "gram")
         crosses = _record_calls(monkeypatch, "cross_gram")
         builds = []
@@ -676,7 +698,7 @@ class TestPoolGram:
         holdout_subject(pca, small_gestures)
         assert (len(grams), len(crosses), len(builds)) == (6, 6, 1)
         run_experiment(pca, small_gestures)
-        assert (len(grams), len(crosses), len(builds)) == (9, 9, 2)
+        assert (len(grams), len(crosses), len(builds)) == (9, 9, 1)
 
     @pytest.mark.parametrize("seed, points", [
         (1, [(95.83333333333333, 34.72222222222222), (93.75, 26.041666666666668),

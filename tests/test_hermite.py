@@ -1,4 +1,5 @@
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -199,6 +200,19 @@ class TestBuildLocalizedKernel:
             build_localized_kernel(N, q)
         with pytest.raises(ValueError, match=f"^{built.value}$"):
             localized_degree(N, q)
+
+    @pytest.mark.parametrize("N", [2.0 ** 15, 1e200, math.inf])
+    def test_bandwidth_bounded_by_degree_range(self, N):
+        # N^2 < 2^30 keeps every degree in the range of the recurrences'
+        # clamp; inf keeps the below-1-or-not-finite message
+        message = ("N must be >= 1 and finite" if N == math.inf
+                   else f"N must have N^2 < 2^30, got {N}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            localized_degree(N, 2)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_localized_kernel(N, 2)
+        below = math.nextafter(2.0 ** 15, 0.0)
+        assert localized_degree(below, 2) == 2 * math.floor(below * below / 2) < 2 ** 30
 
     @pytest.mark.parametrize("q", [1, 2, 5])
     def test_equals_cutoff_weighted_projection_sum(self, q):

@@ -388,12 +388,11 @@ class TestNonFinite:
         assert np.all(np.isfinite(G.entries))
         assert np.all(np.isfinite(cross_gram(self.SPEC, pts[2:], pts[:1])))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_other_kinds_name_their_parameters(self):
-        spec = KernelSpec("euclidean_rbf", {"gamma": -1.0})
-        with pytest.raises(ValueError, match=r"euclidean_rbf kernel \(gamma=-1.0\) gave a "
-                                             r"non-finite value inf at entry \(0, 1\)"):
-            gram(spec, [np.array([0.0]), np.array([30.0])])
+        spec = KernelSpec("euclidean_rbf", {"gamma": 1.0})
+        with pytest.raises(ValueError, match=r"euclidean_rbf kernel \(gamma=1.0\) gave a "
+                                             r"non-finite value nan at entry \(0, 1\)"):
+            gram(spec, [np.array([0.0]), np.array([np.nan])])
 
     def test_finite_far_field_accepted(self):
         pts = [np.array([0.0]), np.array([1.0]), np.array([41.0])]
@@ -427,6 +426,26 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match=re.escape(f"kernel {kind!r} does not read "
                                                        f"parameter {unread}")):
             KernelSpec(kind, params)
+
+    @pytest.mark.parametrize("kind, key", [
+        ("grassmann", "gamma"), ("euclidean_rbf", "gamma"), ("localized", "gamma"),
+        ("laplace_svd", "alpha"), ("laplace_svd", "beta"),
+        ("gaussian_svd", "alpha"), ("gaussian_svd", "beta"),
+    ])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_scale_param_refused(self, kind, key, value):
+        # the rule the localized gamma follows holds for every scale parameter
+        with pytest.raises(ValueError, match=re.escape(
+                f"kernel {kind!r}: {key} must be positive and finite, got {value}")):
+            KernelSpec(kind, {key: value})
+
+    def test_localized_expansion_is_built_not_passed(self):
+        # the expansion always agrees with params: no caller can hand one in
+        other = KernelSpec("localized", {"N": 8.0}).localized
+        with pytest.raises(TypeError):
+            KernelSpec("localized", {"N": 4.0}, _localized=other)
+        loc = KernelSpec("localized", {"N": 4.0, "q": 3, "gamma": 0.5}).localized
+        assert (loc.N, loc.q, loc.gamma, loc.degree) == (4.0, 3, 0.5, 16)
 
 
 class TestPsiKernel:
