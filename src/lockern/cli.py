@@ -21,7 +21,7 @@ from .experiments import (
     ExperimentConfig,
     GestureSet,
     _check_fractions,
-    _preprocessed,
+    _preprocessed_samples,
     gen_synthetic_gestures,
     holdout_subject,
     run_experiment,
@@ -177,7 +177,7 @@ def _cmd_features(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     target = max(s.data.shape[1] for s in dataset.samples)
     indices = range(len(dataset.samples))
-    for i, spec in _preprocessed(args.preprocessing, dataset.samples, indices):
+    for i, spec in _preprocessed_samples(args.preprocessing, dataset.samples, indices):
         path = os.path.join(args.out_dir, f"sample{i:04d}.csv")
         with open(path, "w", newline="\n") as fh:
             w = csv.writer(fh, lineterminator="\n")

@@ -12,20 +12,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classify import knn_predict, one_vs_rest_predict, one_vs_rest_train
-from .features import (
-    RankError,
-    Spectrogram,
-    log_threshold,
-    normalize,
-    stft,
-    svd_features,
-    zero_pad_stack,
-)
+from .features import RankError, Spectrogram, preprocess, stft, svd_features
 from .kernels import DEFAULT_PARAMS, FLAT_KINDS, GramMatrix, KernelSpec, cross_gram, gram
-# Unused here: kernel_fn, fit_pca and pca_project stay importable from this
-# module because the benchmark's traced run (bench/layers.py) wraps them by
-# these names.
-from .features import fit_pca, pca_project  # noqa: F401
+# Unused here: kernel_fn, fit_pca, pca_project, log_threshold and normalize
+# stay importable from this module because the benchmark's traced run
+# (bench/layers.py) wraps them by these names.
+from .features import fit_pca, log_threshold, normalize, pca_project  # noqa: F401
 from .kernels import kernel_fn  # noqa: F401
 
 __all__ = [
@@ -46,11 +38,20 @@ __all__ = [
 SUBJECT_NAMES = "ABCDEF"
 PREPROCESSING_MODES = ("binary", "unit", "magnitude")
 
-# Most spectrogram elements one log_threshold call takes in
-# `_preprocessed`. Of 2^13-2^16, 2^15 (about fifteen 64-bin gesture
-# spectrograms) preprocessed a gesture set fastest; smaller blocks pay more
-# per-call overhead, and 2^16 was no faster but raised peak memory.
+# Most spectrogram elements one `preprocess` call takes in `_preprocessed`.
+# Of 2^13-2^16, 2^15 (about fifteen 64-bin gesture spectrograms)
+# preprocessed a gesture set fastest; smaller blocks pay more per-call
+# overhead, and 2^16 was no faster but raised peak memory.
 _PREPROCESS_BLOCK_ELEMS = 2**15
+
+# the state of a spectrogram preprocessed in each mode
+_STATES = {"binary": "binary", "unit": "unit_normalized", "magnitude": "magnitude"}
+
+# A binary P (every entry 0 or 1) narrower than this is formed in float32:
+# each entry of P P' is an integer count of at most its width, which float32
+# holds exactly, as it does every partial sum, so the product is bitwise the
+# float64 one.
+_FLOAT32_EXACT = 2**24
 
 
 class MissingClassError(ValueError):
@@ -157,10 +158,12 @@ class ResultRow:
     neither: preprocessing, SVD features, and the pool matrix
     (`_PoolGram`) that every call makes, whose rows are the pool's samples in
     pool order: the SVD features' kernel matrix, or the PCA inputs' linear
-    Gram. A fold, given as positions in the pool, reads its training block
-    and test block from it and is charged that matrix's seconds at its
-    per-entry rate for the entries it reads, the training block in
-    `train_time_s` and the test block in `test_time_s`."""
+    Gram. The pool matrix's seconds are its own work: for PCA, the writes of
+    the preprocessed blocks into P and the product, not the preprocessing,
+    which runs between those writes. A fold, given as positions in the pool,
+    reads its training block and test block from it and is charged that
+    matrix's seconds at its per-entry rate for the entries it reads, the
+    training block in `train_time_s` and the test block in `test_time_s`."""
 
     method: str
     r: int
@@ -291,21 +294,48 @@ def _stratified_split(labels, train_ratio: float, rng):
     return np.array(sorted(train_idx)), np.array(sorted(test_idx))
 
 
+@dataclass(frozen=True)
+class _Block:
+    """Preprocessed samples in one buffer: `flat` holds the data of each,
+    column-major, one after another."""
+
+    indices: list  # the samples' indices in the data set
+    flat: np.ndarray
+    shapes: np.ndarray  # one (frequency bins, frames) row per sample
+
+
 def _preprocessed(mode: str, samples, indices):
-    """(index, preprocessed Spectrogram) pairs, made lazily, one block of
-    consecutive indices at a time: a caller that keeps only SVD features
-    never holds every preprocessed spectrogram. `mode` is binary, unit
-    (normalizations after `log_threshold`) or magnitude (unchanged)."""
-    if mode == "magnitude":
-        yield from ((i, samples[i]) for i in indices)
-        return
+    """The preprocessed samples of `indices`, lazily, one `_Block` of
+    consecutive indices (`_blocks`) at a time, each from one `preprocess`
+    call: binary, unit or magnitude (`mode`). A caller that writes each block
+    into a pool matrix, or keeps only SVD features, never holds every
+    preprocessed sample. Errors name the samples of the block."""
     for block in _blocks(samples, indices):
+        specs = [samples[i] for i in block]
         try:
-            thresholded = log_threshold([samples[i] for i in block])
+            flat, _ = preprocess(specs, mode)
         except ValueError as exc:
             raise ValueError(f"samples {', '.join(map(str, block))}: {exc}") from exc
-        for i, spec in zip(block, thresholded):
-            yield i, normalize(spec, mode)
+        yield _Block(block, flat, np.array([spec.data.shape for spec in specs]))
+
+
+def _preprocessed_samples(mode: str, samples, indices):
+    """(index, preprocessed Spectrogram) pairs of `_preprocessed`'s blocks, in
+    order. Each Spectrogram's data is an F-ordered view of its block's
+    buffer, with the sample's label and subject."""
+    state = _STATES[mode]
+    for block in _preprocessed(mode, samples, indices):
+        segments = np.split(block.flat, np.cumsum(block.shapes.prod(axis=1))[:-1])
+        for i, shape, segment in zip(block.indices, block.shapes, segments):
+            yield i, Spectrogram(segment.reshape(shape, order="F"), state,
+                                 samples[i].label, samples[i].subject)
+
+
+def _single_blocks(pairs):
+    """One `_Block` per (index, preprocessed Spectrogram) pair, a view of its
+    data: the blocks of a pool that `_preprocessed` did not make in order."""
+    for i, spec in pairs:
+        yield _Block([i], spec.data.ravel(order="F"), np.array([spec.data.shape]))
 
 
 def _blocks(samples, indices):
@@ -323,15 +353,6 @@ def _blocks(samples, indices):
         yield block
 
 
-def _sample_features(config: ExperimentConfig, spectrograms) -> list:
-    """Per-sample features of preprocessed spectrograms, in their order: the
-    spectrograms themselves for PCA features (the basis is fit per fold), or
-    their `svd_features` for SVD features."""
-    if config.feature == "svd":
-        return [svd_features(spec, config.r) for spec in spectrograms]
-    return list(spectrograms)
-
-
 @dataclass(frozen=True)
 class _PoolGram:
     """A matrix of one value per pair of pool samples, in pool order, made
@@ -340,8 +361,10 @@ class _PoolGram:
     matrix: SVD features are per-sample and have no fitted parameters, so
     every kernel value a fold needs, training or test, is an entry of it. For
     PCA features it is the uncentred linear Gram P P' of the zero-padded
-    samples P, from which each fold fits its kernel PCA (`_pca_fold`).
-    Either costs about what one 80/20 split's own Gram and cross-Gram cost."""
+    samples P, from which each fold fits its kernel PCA (`_pca_fold`); P is
+    written from the preprocessing's block buffers as they are made, with no
+    per-sample object between them. Either costs about what one 80/20
+    split's own Gram and cross-Gram cost."""
 
     entries: np.ndarray  # M x M, symmetric
     seconds: float  # wall time of building it
@@ -355,13 +378,31 @@ class _PoolGram:
         return cls(entries, time.perf_counter() - t0)
 
     @classmethod
-    def of_padded(cls, spectrograms: list, target_frames: int) -> _PoolGram:
-        """P P' of the spectrograms zero-padded to target_frames, timed from
-        the padding on; P is freed on return."""
+    def of_padded(cls, blocks, n_samples: int, target_frames: int, binary: bool) -> _PoolGram:
+        """P P' of `n_samples` preprocessed samples, given in pool order as a
+        stream of `_Block`s: row k of P is sample k zero-padded on the right
+        to target_frames frames and flattened column-major, as
+        `zero_pad_stack` pads it (`_pad_rows`). P is float32 when the samples
+        are `binary` (every entry 0 or 1) and its width is below
+        _FLOAT32_EXACT, where the product is exact; float64 otherwise. Timed:
+        the writes into P and the product, not the making of the blocks,
+        which the stream does between the writes. P is freed on return."""
+        seconds, P, row = 0.0, None, 0
+        for block in blocks:
+            t0 = time.perf_counter()
+            if P is None:
+                n_freq = int(block.shapes[0, 0])
+                width = n_freq * target_frames
+                exact = binary and width < _FLOAT32_EXACT
+                P = np.zeros((n_samples, width), np.float32 if exact else float)
+            _pad_rows(P, row, block, n_freq, target_frames)
+            row += len(block.shapes)
+            seconds += time.perf_counter() - t0
         t0 = time.perf_counter()
-        padded = zero_pad_stack(spectrograms, target_frames)
-        entries = padded @ padded.T
-        return cls(entries, time.perf_counter() - t0, padded.shape[1])
+        if P is None:
+            P = np.zeros((0, 0))
+        entries = (P @ P.T).astype(float, copy=False)
+        return cls(entries, seconds + time.perf_counter() - t0, P.shape[1])
 
     def seconds_for(self, n_rows: int, n_cols: int) -> float:
         """The pool matrix's seconds at its per-entry rate for an n_rows x
@@ -377,6 +418,25 @@ class _PoolGram:
         """A new array of the entries of each test sample against the
         training fold."""
         return self.entries[np.ix_(test, train)]
+
+
+def _pad_rows(P: np.ndarray, row: int, block: _Block, n_freq: int, target_frames: int) -> None:
+    """Write the block's samples into rows row, row + 1, ... of P, each
+    zero-padded on the right to target_frames frames and flattened
+    column-major, with one boolean-mask assignment. A sample with more than
+    target_frames frames, or with other than n_freq frequency bins, is
+    refused, named by its row."""
+    bins, frames = block.shapes.T
+    bad = np.flatnonzero((frames > target_frames) | (bins != n_freq))
+    if bad.size:
+        k = bad[0]
+        if frames[k] > target_frames:
+            raise ValueError(f"sample {row + k}: spectrogram has {frames[k]} frames, "
+                             f"target is {target_frames}")
+        raise ValueError(f"sample {row + k}: spectrogram has {bins[k]} frequency bins, "
+                         f"expected {n_freq}")
+    mask = np.arange(P.shape[1]) < (bins * frames)[:, None]
+    P[row:row + len(bins)][mask] = block.flat
 
 
 def _pca_fold(pool: _PoolGram, r: int, train, test):
@@ -445,28 +505,42 @@ def _splits(config: ExperimentConfig, labels) -> list:
             for t in range(config.trials)]
 
 
-def _scores(config: ExperimentConfig, dataset: GestureSet, labels, spectrograms,
+def _pool_gram(config: ExperimentConfig, dataset: GestureSet, pairs=None) -> _PoolGram:
+    """The call's pool matrix (`_PoolGram`). `pairs` gives the pool's
+    preprocessed samples as (index, Spectrogram) pairs, in pool order.
+    Without it the pool is every sample of the data set, preprocessed here
+    one block at a time: SVD features keep only each sample's features, and
+    PCA inputs are written into P block by block, so no per-sample
+    spectrogram is held. PCA inputs are padded to the data set's widest."""
+    mode = config.preprocessing
+    every = range(len(dataset.samples))
+    if config.feature == "svd":
+        if pairs is None:
+            pairs = _preprocessed_samples(mode, dataset.samples, every)
+        return _PoolGram.of_kernel(config.kernel,
+                                   [svd_features(spec, config.r) for _, spec in pairs])
+    if pairs is None:
+        blocks, n_samples = _preprocessed(mode, dataset.samples, every), len(every)
+    else:
+        blocks, n_samples = _single_blocks(pairs), len(pairs)
+    target_frames = max(s.data.shape[1] for s in dataset.samples)
+    return _PoolGram.of_padded(blocks, n_samples, target_frames, mode == "binary")
+
+
+def _scores(config: ExperimentConfig, classes: int, labels, pool_gram: _PoolGram,
             folds) -> list:
     """(accuracy %, train seconds, test seconds) of each fold, scored in one
-    loop. `labels` and the preprocessed `spectrograms` are the pool's, in
-    pool order, and each fold is a (train, test) pair of positions in the
-    pool. Per-call work runs once, before the first fold: the pool's
-    features and the `_PoolGram`. The kernel is the config's, built with
+    loop. `labels` and the `pool_gram` are the pool's, in pool order, made
+    once per call before the first fold, and each fold is a (train, test)
+    pair of positions in the pool. The kernel is the config's, built with
     it."""
-    features = _sample_features(config, spectrograms)
-    if config.feature == "svd":
-        pool_gram = _PoolGram.of_kernel(config.kernel, features)
-    else:
-        target_frames = max(s.data.shape[1] for s in dataset.samples)
-        pool_gram = _PoolGram.of_padded(features, target_frames)
-    del features  # the folds read the pool matrix only
-    return [_fit_and_score(config, dataset.classes, labels, pool_gram, train, test)
+    return [_fit_and_score(config, classes, labels, pool_gram, train, test)
             for train, test in folds]
 
 
 def _fit_and_score(config: ExperimentConfig, classes: int, labels, pool_gram: _PoolGram,
                    train, test):
-    """Per-fold work on the per-call results of `_scores`. Returns
+    """Per-fold work on the call's pool matrix. Returns
     (accuracy %, train seconds, test seconds)."""
     train_labels = labels[train].tolist()
     if len(set(train_labels)) < classes:
@@ -514,18 +588,12 @@ def _split_table(config: ExperimentConfig, scores) -> ResultTable:
     )])
 
 
-def _pool_spectrograms(config: ExperimentConfig, dataset: GestureSet):
-    """Preprocessed spectrograms of every sample, lazily, in sample order."""
-    pairs = _preprocessed(config.preprocessing, dataset.samples, range(len(dataset.samples)))
-    return (spec for _, spec in pairs)
-
-
 def run_experiment(config: ExperimentConfig, dataset: GestureSet) -> ResultTable:
     """Mean/variance accuracy and wall-clock times over repeated stratified
     splits (one row)."""
     labels = np.array([s.label for s in dataset.samples])
     folds = _splits(config, labels)
-    scores = _scores(config, dataset, labels, _pool_spectrograms(config, dataset), folds)
+    scores = _scores(config, dataset.classes, labels, _pool_gram(config, dataset), folds)
     return _split_table(config, scores)
 
 
@@ -537,18 +605,25 @@ def sweep_dimension(config: ExperimentConfig, dataset: GestureSet, r_values):
     """(r, result) per feature dimension r: the ResultTable, or the
     RankError or MissingClassError that skipped this r. Any other error
     propagates. Each sample is preprocessed once per call and the splits are
-    drawn once; the pool matrix (and SVD features) are taken once per r.
+    drawn once. PCA features take one pool matrix for every r, since P P'
+    does not depend on r; SVD features, which do, take theirs once per r.
     Every r's config, with its kernel, is built before any sample is
     preprocessed, so an r below 1 is refused first; the localized kernel's
     q is clamped to each r as its config is built."""
     configs = [replace(config, r=r) for r in r_values]
     labels = np.array([s.label for s in dataset.samples])
     folds = _splits(config, labels)
-    spectrograms = list(_pool_spectrograms(config, dataset))
+    if config.feature == "pca":
+        pool_gram = _pool_gram(config, dataset)
+    else:
+        pairs = list(_preprocessed_samples(config.preprocessing, dataset.samples,
+                                           range(len(dataset.samples))))
     out = []
     for config_r in configs:
         try:
-            scores = _scores(config_r, dataset, labels, spectrograms, folds)
+            if config.feature == "svd":
+                pool_gram = _pool_gram(config_r, dataset, pairs)
+            scores = _scores(config_r, dataset.classes, labels, pool_gram, folds)
             out.append((config_r.r, _split_table(config_r, scores)))
         except _SWEEP_SKIPS as exc:
             out.append((config_r.r, exc))
@@ -577,12 +652,12 @@ def sweep_train_fraction(config: ExperimentConfig, dataset: GestureSet,
              if frac < 1.0 else np.arange(len(labels)) for frac in fractions]
     folds = [_splits(config, labels[pool]) for pool in pools]
     used = np.unique(np.concatenate(pools)) if pools else []
-    preprocessed = dict(_preprocessed(config.preprocessing, dataset.samples, used))
+    preprocessed = dict(_preprocessed_samples(config.preprocessing, dataset.samples, used))
     out = []
     for frac, pool, pool_folds in zip(fractions, pools, folds):
         try:
-            scores = _scores(config, dataset, labels[pool], [preprocessed[i] for i in pool],
-                             pool_folds)
+            pool_gram = _pool_gram(config, dataset, [(i, preprocessed[i]) for i in pool])
+            scores = _scores(config, dataset.classes, labels[pool], pool_gram, pool_folds)
             out.append((frac, _split_table(config, scores)))
         except _SWEEP_SKIPS as exc:
             out.append((frac, exc))
@@ -600,7 +675,7 @@ def holdout_subject(config: ExperimentConfig, dataset: GestureSet) -> ResultTabl
     folds = [(np.flatnonzero(subjects != subject), np.flatnonzero(subjects == subject))
              for subject in dataset.subjects]
     labels = np.array([s.label for s in dataset.samples])
-    scores = _scores(config, dataset, labels, _pool_spectrograms(config, dataset), folds)
+    scores = _scores(config, dataset.classes, labels, _pool_gram(config, dataset), folds)
     method = config.method_name()
     return ResultTable(rows=[
         ResultRow(method=f"{method} holdout={subject}", r=config.r, accuracy_mean=acc,

@@ -24,6 +24,7 @@ __all__ = [
     "yen_threshold",
     "log_threshold",
     "normalize",
+    "preprocess",
     "svd_features",
     "fit_pca",
     "pca_project",
@@ -187,6 +188,28 @@ def _yen_thresholds(values: np.ndarray, sizes: np.ndarray, nbins: int = 256) -> 
     return thresholds
 
 
+def _flat_magnitudes(specs: list) -> np.ndarray:
+    """The data of every spectrogram of `specs`, each flattened column-major,
+    in one new float buffer. Each must be in magnitude state; an error names
+    the first that is not by its position in `specs`."""
+    for k, spec in enumerate(specs):
+        if spec.state != "magnitude":
+            raise ValueError(f"sample {k}: expected magnitude state, got {spec.state!r}")
+    # column-major, so the F-ordered STFT output is read without a copy
+    return np.concatenate([spec.data.ravel(order="F") for spec in specs], dtype=float)
+
+
+def _db_and_thresholds(specs: list, sizes: np.ndarray):
+    """20*log10 magnitude of `specs` in one buffer (`_flat_magnitudes`), and
+    each spectrogram's Yen threshold of its own dB values
+    (`_yen_thresholds`). Errors name the offending position in `specs`."""
+    db = _flat_magnitudes(specs)
+    np.maximum(db, DB_FLOOR, out=db)
+    np.log10(db, out=db)
+    db *= 20.0
+    return db, _yen_thresholds(db, sizes)
+
+
 def log_threshold(specs) -> list[Spectrogram]:
     """20*log10 magnitude of each spectrogram, then zero everything below its
     own Yen threshold.
@@ -194,21 +217,15 @@ def log_threshold(specs) -> list[Spectrogram]:
     The thresholds of the whole sequence come from one segmented histogram
     pass (`_yen_thresholds`); each is bitwise `yen_threshold` of that
     spectrogram's dB values. The returned arrays are views of one buffer.
-    Errors name the offending position in `specs`.
+    Errors name the offending position in `specs`. `preprocess` is the
+    block path that the experiments take; this per-sample form is its
+    oracle, on the same dB values and thresholds.
     """
     specs = list(specs)
-    for k, spec in enumerate(specs):
-        if spec.state != "magnitude":
-            raise ValueError(f"sample {k}: expected magnitude state, got {spec.state!r}")
     if not specs:
         return []
-    # column-major, so the F-ordered STFT output is read without a copy
-    db = np.concatenate([spec.data.ravel(order="F") for spec in specs], dtype=float)
-    np.maximum(db, DB_FLOOR, out=db)
-    np.log10(db, out=db)
-    db *= 20.0
     sizes = np.array([spec.data.size for spec in specs])
-    thresholds = _yen_thresholds(db, sizes)
+    db, thresholds = _db_and_thresholds(specs, sizes)
     kept = np.where(db >= np.repeat(thresholds, sizes), db, 0.0)
     ends = np.cumsum(sizes)
     return [
@@ -216,6 +233,43 @@ def log_threshold(specs) -> list[Spectrogram]:
                 state="thresholded")
         for spec, size, end in zip(specs, sizes, ends)
     ]
+
+
+def preprocess(specs, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """The preprocessed data of a block of magnitude spectrograms in one
+    flat buffer, each spectrogram column-major, and each one's size.
+
+    `mode` is binary (the indicator of the kept support), unit (the kept
+    support's dB values rescaled to [0, 1] per spectrogram) or magnitude
+    (the data unchanged). Each spectrogram's segment is bitwise the data of
+    `normalize(log_threshold([spec])[0], mode)`, or for magnitude of the
+    spectrogram itself. Errors name the offending position in `specs`.
+    """
+    if mode not in ("binary", "unit", "magnitude"):
+        raise ValueError(f"unknown preprocessing mode {mode!r}")
+    specs = list(specs)
+    sizes = np.array([spec.data.size for spec in specs], dtype=np.intp)
+    if not specs:
+        return np.zeros(0), sizes
+    if mode == "magnitude":
+        return _flat_magnitudes(specs), sizes
+    db, thresholds = _db_and_thresholds(specs, sizes)
+    # log_threshold keeps db >= threshold, and normalize's support is the
+    # kept values that are not 0
+    support = db >= np.repeat(thresholds, sizes)
+    support &= db != 0
+    if mode == "binary":
+        return support.astype(float), sizes
+    starts = np.cumsum(sizes) - sizes
+    lo = np.minimum.reduceat(np.where(support, db, np.inf), starts)
+    hi = np.maximum.reduceat(np.where(support, db, -np.inf), starts)
+    # normalize's (v - lo) / (hi - lo), whose largest value is exactly 1, and
+    # 1 on a support of one distinct value; an empty support stays 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = (db - np.repeat(lo, sizes)) / np.repeat(hi - lo, sizes)
+    out[np.repeat(hi <= lo, sizes)] = 1.0
+    out[~support] = 0.0
+    return out, sizes
 
 
 def normalize(spec: Spectrogram, mode: str) -> Spectrogram:

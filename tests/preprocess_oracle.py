@@ -46,6 +46,7 @@ def preprocess_oracle(spec, mode):
     return normalize(log_threshold_oracle(spec), mode)
 
 
-def log_threshold_per_sample(specs):
-    """`log_threshold`'s signature, one oracle call per spectrogram."""
-    return [log_threshold_oracle(spec) for spec in specs]
+def preprocess_per_sample(specs, mode):
+    """`preprocess`'s signature, one oracle call per spectrogram."""
+    data = [preprocess_oracle(spec, mode).data.ravel(order="F") for spec in specs]
+    return np.concatenate(data, dtype=float), np.array([d.size for d in data])

@@ -19,10 +19,8 @@ from lockern.classify import (
 )
 from lockern.experiments import (
     ExperimentConfig,
-    _PoolGram,
     _pca_fold,
-    _preprocessed,
-    _sample_features,
+    _pool_gram,
     _stratified_split,
     gen_synthetic_gestures,
 )
@@ -425,12 +423,8 @@ def gesture_folds():
     for seed in (0, 1):
         ds = gen_synthetic_gestures(per_cell=10, seed=seed)
         config = ExperimentConfig(classifier="knn", seed=seed)
-        pool = range(len(ds.samples))
-        pairs = _preprocessed(config.preprocessing, ds.samples, pool)
-        per_sample = _sample_features(config, (spectrogram for _, spectrogram in pairs))
         labels = np.array([s.label for s in ds.samples])
-        frames = max(s.data.shape[1] for s in ds.samples)
-        pool_gram = _PoolGram.of_padded(per_sample, frames)
+        pool_gram = _pool_gram(config, ds)
         for trial in range(2):
             rng = np.random.default_rng(seed + trial)
             train_idx, test_idx = _stratified_split(labels, config.train_ratio, rng)

@@ -8,7 +8,7 @@ from lockern import diagnostics, experiments
 from lockern.cli import _parse_config_file, main
 from lockern.features import Spectrogram
 from lockern.io import write_manifest, write_spectrogram_csv
-from preprocess_oracle import log_threshold_per_sample
+from preprocess_oracle import preprocess_per_sample
 
 
 def run(argv):
@@ -120,7 +120,7 @@ class TestFeaturesCommand:
     def test_csv_bytes_match_per_sample_oracle(self, tmp_path, monkeypatch, preprocessing):
         argv = ["features", "--synthetic", "--preprocessing", preprocessing, "--r", "3"]
         assert run(["--out-dir", str(tmp_path / "batched")] + argv) == 0
-        monkeypatch.setattr(experiments, "log_threshold", log_threshold_per_sample)
+        monkeypatch.setattr(experiments, "preprocess", preprocess_per_sample)
         assert run(["--out-dir", str(tmp_path / "oracle")] + argv) == 0
         batched = sorted((tmp_path / "batched").glob("sample*.csv"))
         assert len(batched) == 4 * 6 * 25

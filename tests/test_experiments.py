@@ -21,11 +21,20 @@ from lockern.experiments import (
     _pca_fold,
     _PoolGram,
     _preprocessed,
-    _sample_features,
+    _preprocessed_samples,
+    _single_blocks,
     _stratified_split,
 )
-from lockern.features import RankError, Spectrogram, fit_pca, pca_project, zero_pad_stack
+from lockern.features import (
+    RankError, Spectrogram, fit_pca, pca_project, svd_features, zero_pad_stack,
+)
 from preprocess_oracle import preprocess_oracle
+
+
+def _padded_pool(specs, target_frames, binary=False):
+    """`_PoolGram.of_padded` of a list of preprocessed spectrograms."""
+    return _PoolGram.of_padded(_single_blocks(enumerate(specs)), len(specs), target_frames,
+                               binary)
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +96,8 @@ class TestGenGestures:
         ds = small_gestures
         target = max(s.data.shape[1] for s in ds.samples)
         feats, labels = [], []
-        for i, spec in _preprocessed("binary", ds.samples, range(0, len(ds.samples), 4)):
+        for i, spec in _preprocessed_samples("binary", ds.samples,
+                                             range(0, len(ds.samples), 4)):
             feats.append(zero_pad_stack([spec], target)[0])
             labels.append(ds.samples[i].label)
         feats = np.stack(feats)
@@ -149,15 +159,15 @@ class TestFeatureExtraction:
         config = ExperimentConfig(r=5)
         target = max(s.data.shape[1] for s in ds.samples)
         labels = np.array([s.label for s in ds.samples])
-        pairs = _preprocessed(config.preprocessing, ds.samples, range(len(ds.samples)))
-        per_sample = _sample_features(config, (spectrogram for _, spectrogram in pairs))
+        pairs = _preprocessed_samples(config.preprocessing, ds.samples, range(len(ds.samples)))
+        per_sample = [spectrogram for _, spectrogram in pairs]
         train, test = _stratified_split(labels, config.train_ratio, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         randomised = list(per_sample)
         for i in test:
             randomised[i] = replace(per_sample[i], data=rng.random(per_sample[i].data.shape))
-        fa, ta = _pca_fold(_PoolGram.of_padded(per_sample, target), config.r, train, test)
-        fb, tb = _pca_fold(_PoolGram.of_padded(randomised, target), config.r, train, test)
+        fa, ta = _pca_fold(_padded_pool(per_sample, target), config.r, train, test)
+        fb, tb = _pca_fold(_padded_pool(randomised, target), config.r, train, test)
         assert fa.tobytes() == fb.tobytes()
         assert not np.allclose(ta, tb)
 
@@ -170,11 +180,11 @@ class TestFeatureExtraction:
         config = ExperimentConfig(preprocessing=mode, r=30)
         labels = np.array([s.label for s in ds.samples])
         target = max(s.data.shape[1] for s in ds.samples)
-        pairs = _preprocessed(config.preprocessing, ds.samples, range(len(ds.samples)))
-        per_sample = _sample_features(config, (spectrogram for _, spectrogram in pairs))
+        pairs = _preprocessed_samples(config.preprocessing, ds.samples, range(len(ds.samples)))
+        per_sample = [spectrogram for _, spectrogram in pairs]
         train, test = _stratified_split(labels, config.train_ratio, np.random.default_rng(seed))
-        got_train, got_test = _pca_fold(_PoolGram.of_padded(per_sample, target), config.r,
-                                        train, test)
+        pool = _padded_pool(per_sample, target, binary=mode == "binary")
+        got_train, got_test = _pca_fold(pool, config.r, train, test)
         train_mat = zero_pad_stack([per_sample[i] for i in train], target)
         basis = fit_pca(train_mat, config.r)
         want_train = pca_project(basis, train_mat)
@@ -203,7 +213,7 @@ class TestFeatureExtraction:
                      np.random.default_rng(seed).random):
             A, B = draw((2, 4, 3))
             specs = [Spectrogram(a * A + b * B) for a, b in draw((10, 2))]
-            pool = _PoolGram.of_padded(specs, 3)
+            pool = _padded_pool(specs, 3)
             assert [f.shape for f in _pca_fold(pool, 2, train, test)] == [(8, 2), (2, 2)]
             with pytest.raises(RankError, match=re.escape("data rank below r=3; lower r")):
                 fit_pca(zero_pad_stack(specs[:8], 3), 3)
@@ -214,8 +224,8 @@ class TestFeatureExtraction:
 
     def test_svd_feature_shape(self, small_gestures):
         config = ExperimentConfig(feature="svd", kernel_kind="grassmann", r=4)
-        pre = _preprocessed(config.preprocessing, small_gestures.samples, range(6))
-        per_sample = _sample_features(config, (spectrogram for _, spectrogram in pre))
+        pre = _preprocessed_samples(config.preprocessing, small_gestures.samples, range(6))
+        per_sample = [svd_features(spectrogram, config.r) for _, spectrogram in pre]
         assert all(f.U.shape == (64, 4) and f.S.shape == (4,) for f in per_sample)
 
     def test_unknown_feature(self):
@@ -245,7 +255,7 @@ def _once_each(args, objects) -> bool:
 class TestPerSampleWorkOnce:
     def test_holdout_preprocesses_and_decomposes_each_sample_once(
             self, small_gestures, monkeypatch):
-        preprocessed = _record_calls(monkeypatch, "log_threshold")
+        preprocessed = _record_calls(monkeypatch, "preprocess")
         decomposed = _record_calls(monkeypatch, "svd_features")
         config = ExperimentConfig(feature="svd", r=3, kernel_kind="grassmann")
         holdout_subject(config, small_gestures)
@@ -255,13 +265,13 @@ class TestPerSampleWorkOnce:
         assert len(set(map(id, decomposed))) == len(decomposed)
 
     def test_trials_preprocess_each_sample_once(self, small_gestures, monkeypatch):
-        preprocessed = _record_calls(monkeypatch, "log_threshold")
+        preprocessed = _record_calls(monkeypatch, "preprocess")
         config = ExperimentConfig(classifier="knn", knn_k=1, r=6, trials=3, seed=42)
         run_experiment(config, small_gestures)
         assert _once_each(preprocessed, small_gestures.samples)
 
     def test_sweeps_preprocess_each_sample_once(self, small_gestures, monkeypatch):
-        preprocessed = _record_calls(monkeypatch, "log_threshold")
+        preprocessed = _record_calls(monkeypatch, "preprocess")
         decomposed = _record_calls(monkeypatch, "svd_features")
         config = ExperimentConfig(feature="svd", kernel_kind="grassmann", trials=1)
         out = sweep_dimension(config, small_gestures, [2, 3, 4, 5])
@@ -280,7 +290,7 @@ class TestPreprocessed:
     @pytest.mark.parametrize("mode", ["binary", "unit", "magnitude"])
     def test_matches_per_sample_oracle(self, small_gestures, mode):
         samples = small_gestures.samples
-        pairs = list(_preprocessed(mode, samples, range(len(samples))))
+        pairs = list(_preprocessed_samples(mode, samples, range(len(samples))))
         assert [i for i, _ in pairs] == list(range(len(samples)))
         for i, spec in pairs:
             expected = preprocess_oracle(samples[i], mode)
@@ -293,16 +303,16 @@ class TestPreprocessed:
         # form blocks alone and the narrower ones share blocks
         monkeypatch.setattr(experiments, "_PREPROCESS_BLOCK_ELEMS", 2500)
         blocks = []
-        log_threshold = experiments.log_threshold
+        preprocess = experiments.preprocess
 
-        def recorded(specs):
+        def recorded(specs, mode):
             blocks.append(specs)
-            return log_threshold(specs)
+            return preprocess(specs, mode)
 
-        monkeypatch.setattr(experiments, "log_threshold", recorded)
+        monkeypatch.setattr(experiments, "preprocess", recorded)
         samples = small_gestures.samples
         indices = list(range(len(samples) - 1, -1, -3))
-        pairs = list(_preprocessed(mode, samples, indices))
+        pairs = list(_preprocessed_samples(mode, samples, indices))
         assert [i for i, _ in pairs] == indices
         for i, spec in pairs:
             assert spec.data.tobytes() == preprocess_oracle(samples[i], mode).data.tobytes()
@@ -400,7 +410,7 @@ class TestRunExperiment:
          "kernel 'gaussian_svd': beta must be positive and finite, got inf"),
     ])
     def test_invalid_field_refused_at_construction(self, monkeypatch, kwargs, message):
-        preprocessed = _record_calls(monkeypatch, "log_threshold")
+        preprocessed = _record_calls(monkeypatch, "preprocess")
         with pytest.raises(ValueError) as info:
             ExperimentConfig(**kwargs)
         assert str(info.value).startswith(message)
@@ -410,7 +420,7 @@ class TestRunExperiment:
         # a config that no fold can run is refused at construction, so no
         # entry point gets it; an r or a fraction passed to a sweep is
         # refused by the sweep before any sample is preprocessed
-        preprocessed = _record_calls(monkeypatch, "log_threshold")
+        preprocessed = _record_calls(monkeypatch, "preprocess")
         cases = [
             (dict(feature="svd", classifier="knn", r=3, trials=1),
              "classifier knn with feature svd"),
@@ -436,7 +446,7 @@ class TestRunExperiment:
                                                                 monkeypatch):
         # a kernel parameter that nothing reads: any under k-NN, which uses
         # no kernel, or one outside the SVM kernel's own parameters
-        preprocessed = _record_calls(monkeypatch, "log_threshold")
+        preprocessed = _record_calls(monkeypatch, "preprocess")
         cases = [
             (dict(classifier="knn", r=3, trials=1, kernel_params={"gamma": 0.5, "alpha": 0.1}),
              "classifier knn uses no kernel, so kernel parameters 'gamma', 'alpha'"),
@@ -585,8 +595,8 @@ class TestPoolGram:
         spec = config.kernel
         tol = 4 * np.finfo(float).eps
         for pool_idx, folds in pools:
-            pairs = _preprocessed(config.preprocessing, samples, pool_idx)
-            per_sample = _sample_features(config, (spectrogram for _, spectrogram in pairs))
+            pairs = _preprocessed_samples(config.preprocessing, samples, pool_idx)
+            per_sample = [svd_features(spectrogram, config.r) for _, spectrogram in pairs]
             pool = _PoolGram.of_kernel(spec, per_sample)
             for train, test in folds:
                 train_f = [per_sample[i] for i in train]
@@ -637,16 +647,17 @@ class TestPoolGram:
         assert (len(grams), len(crosses), len(slices)) == (1, 0, trials)
 
     def test_one_pool_gram_per_call_for_pca_features(self, small_gestures, monkeypatch):
-        # the whole pool is padded once per call, whatever the fold count
+        # the whole pool is padded once per call, whatever the fold count or
+        # the number of r values of a dimension sweep
         padded = []
-        zero_pad = experiments.zero_pad_stack
+        of_padded = _PoolGram.of_padded
 
-        def recorded(specs, target_frames):
-            specs = list(specs)
-            padded.append(len(specs))
-            return zero_pad(specs, target_frames)
+        def recorded(*args):
+            pool = of_padded(*args)
+            padded.append(len(pool.entries))
+            return pool
 
-        monkeypatch.setattr(experiments, "zero_pad_stack", recorded)
+        monkeypatch.setattr(_PoolGram, "of_padded", recorded)
         M = len(small_gestures.samples)
         pca = ExperimentConfig(r=6, kernel_kind="localized", trials=3)
         run_experiment(pca, small_gestures)
@@ -655,23 +666,75 @@ class TestPoolGram:
         assert padded == [M, M]
         run_experiment(replace(pca, classifier="knn"), small_gestures)
         assert padded == [M, M, M]
+        out = sweep_dimension(replace(pca, trials=1), small_gestures, [2, 3, 4, 5])
+        assert all(isinstance(table, experiments.ResultTable) for _, table in out)
+        assert padded == [M, M, M, M]
+
+    def test_binary_pool_gram_is_the_float64_product(self, small_gestures):
+        # binary P is formed in float32, and its P P' is bitwise the float64
+        # product of the per-sample oracle's padded rows
+        samples = small_gestures.samples
+        target = max(s.data.shape[1] for s in samples)
+        P = zero_pad_stack([preprocess_oracle(s, "binary") for s in samples], target)
+        pool = experiments._pool_gram(ExperimentConfig(), small_gestures)
+        assert pool.entries.dtype == np.float64
+        assert pool.entries.tobytes() == (P @ P.T).tobytes()
+        assert pool.width == P.shape[1]
+
+    def test_float32_only_below_the_exact_width(self, monkeypatch):
+        # data that float32 rounds, passed as binary, show which product
+        # ran: float32 while the width D = 12 is below the limit, float64
+        # from the limit down (and for data not marked binary)
+        rng = np.random.default_rng(3)
+        specs = [Spectrogram(rng.random((4, cols)) / 3.0) for cols in (3, 2, 3, 1)]
+        P = zero_pad_stack(specs, 3)
+        exact = (P @ P.T).tobytes()
+        assert _padded_pool(specs, 3, binary=True).entries.tobytes() != exact
+        assert _padded_pool(specs, 3, binary=False).entries.tobytes() == exact
+        monkeypatch.setattr(experiments, "_FLOAT32_EXACT", 13)
+        assert _padded_pool(specs, 3, binary=True).entries.tobytes() != exact
+        monkeypatch.setattr(experiments, "_FLOAT32_EXACT", 12)
+        assert _padded_pool(specs, 3, binary=True).entries.tobytes() == exact
+
+    def test_pool_writer_refuses_other_shapes(self, small_gestures, monkeypatch):
+        # the refused sample is named by its position in the pool, past the
+        # blocks already written
+        monkeypatch.setattr(experiments, "_PREPROCESS_BLOCK_ELEMS", 8000)
+        samples = list(small_gestures.samples[:12])
+        target = max(s.data.shape[1] for s in samples)
+        narrow = replace(samples[9], data=samples[9].data[:32])
+        wide = replace(samples[9], data=np.ones((64, target + 1)))
+        for bad, message in [(narrow, "sample 9: spectrogram has 32 frequency bins, "
+                                      "expected 64"),
+                             (wide, f"sample 9: spectrogram has {target + 1} frames, "
+                                    f"target is {target}")]:
+            samples[9] = bad
+            blocks = list(_preprocessed("magnitude", samples, range(12)))
+            assert len(blocks) > 1 and 9 not in blocks[0].indices
+            with pytest.raises(ValueError, match=re.escape(message)):
+                _PoolGram.of_padded(iter(blocks), 12, target, False)
 
     def test_folds_are_charged_their_share_of_the_pool_gram(self, small_gestures,
                                                              monkeypatch):
         # a pool matrix of at least 0.2 s: each fold's columns hold at least
         # its blocks' share of it at the per-entry rate. SVD features pool
         # their kernel matrix, PCA features the padded samples' Gram, timed
-        # from the padding on.
+        # over the writes of the blocks into P and the product. The first
+        # call sleeps: the kernel matrix is one call, P is written per block.
         def slowed(fn):
+            calls = []
+
             def slow(*args, **kwargs):
-                time.sleep(0.2)
+                if not calls:
+                    time.sleep(0.2)
+                calls.append(1)
                 return fn(*args, **kwargs)
             return slow
 
         M = len(small_gestures.samples)
         for name, config in [
             ("gram", ExperimentConfig(feature="svd", r=3, kernel_kind="grassmann")),
-            ("zero_pad_stack", ExperimentConfig(r=6, classifier="knn")),
+            ("_pad_rows", ExperimentConfig(r=6, classifier="knn")),
         ]:
             with monkeypatch.context() as patch:
                 patch.setattr(experiments, name, slowed(getattr(experiments, name)))

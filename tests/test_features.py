@@ -17,6 +17,7 @@ from lockern.features import (
     grassmann_embed,
     log_threshold,
     normalize,
+    preprocess,
     pca_project,
     stft,
     svd_features,
@@ -25,7 +26,9 @@ from lockern.features import (
 )
 from lockern.kernels import KernelSpec, gram
 from kernel_oracle import pair_oracle, stft_oracle
-from preprocess_oracle import db_oracle, log_threshold_oracle, yen_oracle
+from preprocess_oracle import (
+    db_oracle, log_threshold_oracle, preprocess_oracle, yen_oracle,
+)
 
 
 class TestStft:
@@ -311,6 +314,49 @@ class TestLogThreshold:
 
     def test_empty_sequence(self):
         assert log_threshold([]) == []
+
+
+class TestPreprocess:
+    @pytest.mark.parametrize("mode", ["binary", "unit", "magnitude"])
+    def test_matches_per_sample_oracle(self, mode):
+        # gesture samples, clean and Rayleigh-noised, and the edge cases of
+        # unit: a support of one distinct value, an empty support (every
+        # kept value is 0 dB) and a constant sample
+        ds = gen_synthetic_gestures(per_cell=2, seed=6)
+        rng = np.random.default_rng(6)
+        samples = ds.samples + [Spectrogram(data=s.data + rng.rayleigh(2.0, s.data.shape))
+                                for s in ds.samples[::5]]
+        samples += [
+            Spectrogram(data=np.where(np.eye(6) > 0, 10.0, 0.1)),
+            Spectrogram(data=np.where(np.eye(6) > 0, 1.0, 1e-3)),
+            Spectrogram(data=np.full((4, 3), 3.0)),
+        ]
+        flat, sizes = preprocess(samples, mode)
+        assert sizes.tolist() == [s.data.size for s in samples]
+        assert flat.size == sizes.sum()
+        for spec, size, end in zip(samples, sizes, np.cumsum(sizes)):
+            got = flat[end - size:end].reshape(spec.data.shape, order="F")
+            assert got.tobytes() == preprocess_oracle(spec, mode).data.tobytes()
+
+    def test_unit_edge_cases(self):
+        one_value, empty = (Spectrogram(data=np.where(np.eye(6) > 0, level, low))
+                            for level, low in ((10.0, 0.1), (1.0, 1e-3)))
+        flat, _ = preprocess([one_value, empty], "unit")
+        np.testing.assert_array_equal(flat, np.concatenate([np.eye(6).ravel(), np.zeros(36)]))
+
+    def test_wrong_state_names_position(self):
+        good = Spectrogram(data=np.ones((4, 4)))
+        for mode in ("binary", "unit", "magnitude"):
+            with pytest.raises(ValueError, match="sample 1: expected magnitude state"):
+                preprocess([good, Spectrogram(data=np.ones((4, 4)), state="binary")], mode)
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown preprocessing mode 'zscore'"):
+            preprocess([Spectrogram(data=np.ones((2, 2)))], "zscore")
+
+    def test_empty_sequence(self):
+        flat, sizes = preprocess([], "binary")
+        assert flat.size == 0 and sizes.size == 0
 
 
 class TestNormalize:

@@ -250,6 +250,37 @@ class TestEvalLocalized:
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2**14 - 1, 2**14 + 1, 3 * 2**14 + 7])
+    def test_chunks_match_one_pass(self, monkeypatch, n):
+        # n points run in ceil(n / 2^14) near-equal passes, bitwise as one
+        # pass; the points span the clamp and the rescaled far field
+        spec = build_localized_kernel(12.0, 5, 1.0)
+        x = np.random.default_rng(n).uniform(-80.0, 80.0, n)
+        x[::97] = np.nan
+        chunked = eval_localized(spec, x)
+        chunked_2d = eval_localized(spec, x.reshape(1, n))
+        sizes = []
+        clenshaw = hermite._clenshaw
+
+        def recorded(spec, points):
+            sizes.append(points.size)
+            return clenshaw(spec, points)
+
+        monkeypatch.setattr(hermite, "_clenshaw", recorded)
+        monkeypatch.setattr(hermite, "_CHUNK_POINTS", n)
+        whole = eval_localized(spec, x)
+        assert sizes == [n]
+        assert chunked.tobytes() == whole.tobytes()
+        assert chunked_2d.shape == (1, n)
+        assert chunked_2d.tobytes() == whole.tobytes()
+        monkeypatch.setattr(hermite, "_CHUNK_POINTS", 2**14)
+        sizes.clear()
+        eval_localized(spec, x)
+        assert len(sizes) == -(-n // 2**14) and sum(sizes) == n
+        assert max(sizes) - min(sizes) <= 1
+        for k in range(min(n, 3)):
+            assert np.float64(eval_localized(spec, x[k])).tobytes() == whole[k].tobytes()
+
     def test_input_array_unchanged(self):
         spec = build_localized_kernel(4.0, 2)
         x = np.linspace(-3.0, 3.0, 7)
