@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classify import knn_predict, one_vs_rest_predict, one_vs_rest_train
-from .features import RankError, Spectrogram, preprocess, stft, svd_features
+from .features import PREPROCESSING_MODES, RankError, Spectrogram, preprocess, stft, svd_features
 from .kernels import DEFAULT_PARAMS, FLAT_KINDS, GramMatrix, KernelSpec, cross_gram, gram
 # Unused here: kernel_fn, fit_pca, pca_project, log_threshold and normalize
 # stay importable from this module because the benchmark's traced run
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 SUBJECT_NAMES = "ABCDEF"
-PREPROCESSING_MODES = ("binary", "unit", "magnitude")
 
 # Most spectrogram elements one `preprocess` call takes in `_preprocessed`.
 # Of 2^13-2^16, 2^15 (about fifteen 64-bin gesture spectrograms)

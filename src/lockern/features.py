@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 DB_FLOOR = 1e-12  # magnitude clamp before log to avoid -inf
+PREPROCESSING_MODES = ("binary", "unit", "magnitude")  # the modes of `preprocess`
 
 
 class RankError(ValueError):
@@ -245,7 +246,7 @@ def preprocess(specs, mode: str) -> tuple[np.ndarray, np.ndarray]:
     `normalize(log_threshold([spec])[0], mode)`, or for magnitude of the
     spectrogram itself. Errors name the offending position in `specs`.
     """
-    if mode not in ("binary", "unit", "magnitude"):
+    if mode not in PREPROCESSING_MODES:
         raise ValueError(f"unknown preprocessing mode {mode!r}")
     specs = list(specs)
     sizes = np.array([spec.data.size for spec in specs], dtype=np.intp)
