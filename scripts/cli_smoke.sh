@@ -2,7 +2,9 @@
 # Runs each experiment command once through the installed `lockern` script,
 # on a small synthetic set with a k-NN config, and `experiment` with that
 # config under unit and under magnitude preprocessing (the default is
-# binary); then checks that each refused
+# binary). Two SVM runs follow: `experiment` with the default config (PCA,
+# localized kernel) and `holdout` with an SVD Grassmann config. Then it
+# checks that each refused
 # config exits 1 and creates no output directory: a NaN C, a localized q
 # below 1, and a negative euclidean_rbf gamma.
 # Usage: scripts/cli_smoke.sh <directory for the runs' outputs>
@@ -20,6 +22,10 @@ for preprocessing in unit magnitude; do
   lockern --out-dir "$root/experiment-$preprocessing" experiment --synthetic --per-cell 2 \
     --config "$root/knn-$preprocessing.cfg"
 done
+lockern --out-dir "$root/experiment-svm" experiment --synthetic --per-cell 2
+printf 'feature = svd\nkernel_kind = grassmann\nr = 5\n' > "$root/grassmann.cfg"
+lockern --out-dir "$root/holdout-grassmann" holdout --synthetic --per-cell 2 \
+  --config "$root/grassmann.cfg"
 
 refused=(
   'classifier = knn\nC = nan\n'

@@ -33,12 +33,21 @@ class SvmModel:
     bias: float
     spec: KernelSpec | None
     C: float
+    # the solve's report; a model built by hand keeps these defaults
+    iterations: int = 0  # pair updates made
+    kkt_gap: float = 0.0  # max violation yg[i] - yg[j] when the solve stopped
+    converged: bool = True  # kkt_gap < KKT_TOL, not stopped at the update cap
 
 
 @dataclass(frozen=True)
 class MulticlassModel:
     models: list  # one binary SvmModel per class, one-vs-rest
     classes: list
+
+    def support_union(self) -> np.ndarray:
+        """The training samples that are a support vector of at least one
+        class, in increasing order: the kernel columns prediction reads."""
+        return np.unique(np.concatenate([m.support_ids for m in self.models]))
 
 
 def label_indicators(labels, classes=None):
@@ -56,7 +65,7 @@ def label_indicators(labels, classes=None):
 def _gram_entries(gram: GramMatrix | np.ndarray):
     """(entries, spec) of a GramMatrix or a plain square array."""
     if isinstance(gram, GramMatrix):
-        return gram.entries, gram.spec
+        return np.asarray(gram.entries, dtype=float), gram.spec
     return np.asarray(gram, dtype=float), None
 
 
@@ -110,35 +119,51 @@ def svm_train_binary(gram: GramMatrix | np.ndarray, labels, C: float = 1.0) -> S
     y = _check_problem(K, labels, C)
     _check_finite(spec, K)
     _warn_if_indefinite(K)
-    return _smo(K, spec, y, C)
+    return _smo(K, _column_rows(K), spec, y, C)
 
 
-def _smo(K: np.ndarray, spec: KernelSpec | None, y: np.ndarray, C: float) -> SvmModel:
-    """The dual solve of svm_train_binary on validated inputs.
+def _column_rows(K: np.ndarray) -> list:
+    """Row views whose i-th is K[:, i], contiguous: the rows of K itself when
+    K is C-ordered and bitwise symmetric, as every Gram of `kernels.gram` is;
+    otherwise the rows of one contiguous copy of K.T."""
+    bits = K.view(np.uint64)
+    if not (K.flags.c_contiguous and np.array_equal(bits, bits.T)):
+        K = np.ascontiguousarray(K.T)
+    return list(K)
+
+
+def _smo(K: np.ndarray, cols: list, spec: KernelSpec | None, y: np.ndarray,
+         C: float) -> SvmModel:
+    """The dual solve of svm_train_binary on validated inputs; cols[i] is
+    K[:, i] (`_column_rows`).
 
     Carries yg = -y * grad, with grad the gradient of the dual objective
     1/2 a'Qa - 1'a and Q = K * yy'. As y is +-1, Q[:, i] * y_i = y * K[:, i]
     exactly, so a pair update is yg -= step * (K[:, i] - K[:, j]) and Q is
-    never formed. gu and gl are yg masked to the up and low sets (-inf and
-    +inf elsewhere); only entries i and j can change set in an update.
+    never formed. yg is held masked, as the two rows of H = [gu, -gl]: gu is
+    yg on the up set and -gl is -yg on the low set, -inf outside each. With
+    C > 0 every index is in one set or both, so its yg is read from a row
+    where it is finite. One argmax per row gives i, the first maximum of gu,
+    and j, the first minimum of gl. Negation is exact, so every value is
+    the one that updating yg and masking it would give, and the gap gu[i] +
+    (-gl)[j] is yg[i] - yg[j]. Only entries i and j can change set in an
+    update.
     """
     M = len(y)
-    cols = K.T  # cols[i] is K[:, i], whatever the symmetry of K
     diag = K.diagonal().tolist()
     ys = y.tolist()
     alpha = [0.0] * M
     tau = 1e-12
-    G = np.empty((3, M))  # rows yg, gu, gl: one in-place update moves all three
-    yg, gu, gl = G
-    yg[:] = y  # alpha = 0: grad = -1, up set = {y > 0}, low set = {y < 0}
-    gu[:] = np.where(y > 0, y, -np.inf)
-    gl[:] = np.where(y > 0, np.inf, y)
-    delta = np.empty(M)
-    for _ in range(MAX_PAIR_UPDATES):
+    # alpha = 0: yg = y, up set = {y > 0}, low set = {y < 0}
+    H = np.where([y > 0, y < 0], 1.0, -np.inf)
+    flat = H.reshape(-1)  # flat[i] is gu[i], flat[M + j] is -gl[j]
+    D = np.empty((2, M))
+    d, neg_d = D
+    scale = np.empty(())  # the step, as a 0-d array: a faster multiplier than a float
+    for iterations in range(MAX_PAIR_UPDATES):
         # first extremum over the masked set, as an argmax over that subset gives
-        i = int(gu.argmax())
-        j = int(gl.argmin())
-        gap = yg.item(i) - yg.item(j)
+        i, j = H.argmax(axis=1).tolist()
+        gap = flat.item(i) + flat.item(M + j)
         if gap < KKT_TOL:
             break
         # curvature along the feasible pair direction (da_i, da_j) = (y_i, -y_j)t
@@ -152,27 +177,36 @@ def _smo(K: np.ndarray, spec: KernelSpec | None, y: np.ndarray, C: float) -> Svm
         step = min(gap / eta, max_i, max_j)
         alpha[i] = ai = ai + yi * step
         alpha[j] = aj = aj - yj * step
-        np.subtract(cols[i], cols[j], out=delta)
-        delta *= step
-        G -= delta
-        # only i and j can have changed sets
-        gu[i] = yg.item(i) if (ai < C if yi > 0 else ai > 0) else -np.inf
-        gl[i] = yg.item(i) if (ai > 0 if yi > 0 else ai < C) else np.inf
-        gu[j] = yg.item(j) if (aj < C if yj > 0 else aj > 0) else -np.inf
-        gl[j] = yg.item(j) if (aj > 0 if yj > 0 else aj < C) else np.inf
+        # H -= [d * step, -(d * step)], d the update direction K[:, i] - K[:, j]
+        np.subtract(cols[i], cols[j], out=d)
+        scale[()] = step
+        np.multiply(d, scale, out=d)
+        np.negative(d, out=neg_d)
+        np.subtract(H, D, out=H)
+        # i was in the up set and j in the low set, so gu[i] and -gl[j] are
+        # finite; only i and j can have changed sets
+        gi, gj = flat.item(i), -flat.item(M + j)
+        if not (ai < C if yi > 0 else ai > 0):
+            flat[i] = -np.inf
+        flat[M + i] = -gi if (ai > 0 if yi > 0 else ai < C) else -np.inf
+        flat[j] = gj if (aj < C if yj > 0 else aj > 0) else -np.inf
+        if not (aj > 0 if yj > 0 else aj < C):
+            flat[M + j] = -np.inf
     else:
-        gap = float(gu.max() - gl.min())
-        if gap >= KKT_TOL:
-            warnings.warn(
-                f"SMO stopped at the update cap MAX_PAIR_UPDATES={MAX_PAIR_UPDATES} "
-                f"with KKT gap {gap:.3e} >= KKT_TOL={KKT_TOL:g}",
-                RuntimeWarning,
-            )
-    alpha = np.array(alpha)
+        iterations = MAX_PAIR_UPDATES
     # yg equals the bias at free support vectors; an empty set counts as 0
-    hi, lo = gu.max(), gl.min()
-    bias = ((hi if hi > -np.inf else 0.0) + (lo if lo < np.inf else 0.0)) / 2.0
+    hi, neg_lo = H.max(axis=1).tolist()
+    gap = hi + neg_lo
+    converged = gap < KKT_TOL
+    if not converged:
+        warnings.warn(
+            f"SMO stopped at the update cap MAX_PAIR_UPDATES={MAX_PAIR_UPDATES} "
+            f"with KKT gap {gap:.3e} >= KKT_TOL={KKT_TOL:g}",
+            RuntimeWarning,
+        )
+    bias = ((hi if hi > -np.inf else 0.0) + (-neg_lo if neg_lo > -np.inf else 0.0)) / 2.0
 
+    alpha = np.array(alpha)
     sv = np.flatnonzero(alpha > 1e-12)
     return SvmModel(
         support_coeffs=alpha[sv] * y[sv],
@@ -180,6 +214,9 @@ def _smo(K: np.ndarray, spec: KernelSpec | None, y: np.ndarray, C: float) -> Svm
         bias=float(bias),
         spec=spec,
         C=float(C),
+        iterations=iterations,
+        kkt_gap=gap,
+        converged=converged,
     )
 
 
@@ -201,18 +238,32 @@ def one_vs_rest_train(gram: GramMatrix | np.ndarray, labels, C: float = 1.0) -> 
     # once per Gram, not once per class
     _check_finite(spec, K)
     _warn_if_indefinite(K)
-    models = [_smo(K, spec, y, C) for y in targets]
+    cols = _column_rows(K)
+    models = [_smo(K, cols, spec, y, C) for y in targets]
     return MulticlassModel(models=models, classes=classes)
 
 
-def one_vs_rest_predict(mc: MulticlassModel, kernel_row: np.ndarray):
-    """Predict from a full kernel row vs. the training set (length M).
-
-    Highest decision value wins; ties break to the lowest class index.
+def one_vs_rest_predict(mc: MulticlassModel, kernel_rows, columns=None):
+    """Labels of test samples from their kernel values against training
+    samples: kernel_rows[k, c] is the kernel value of test sample k and
+    training sample columns[c]. `columns` is every training sample in order
+    (None), or any increasing index array that holds every support vector of
+    every class, such as mc.support_union(). One product per class scores
+    every row; the highest decision value wins, and ties break to the lowest
+    class index. A 1-d row gives one label, a matrix a list of them.
     """
-    kernel_row = np.asarray(kernel_row, dtype=float)
-    scores = [svm_predict(m, kernel_row[m.support_ids]) for m in mc.models]
-    return mc.classes[int(np.argmax(scores))]
+    K = np.asarray(kernel_rows, dtype=float)
+    rows = np.atleast_2d(K)
+    scores = np.empty((len(mc.models), len(rows)))
+    for score, m in zip(scores, mc.models):
+        ids = m.support_ids
+        if columns is not None:
+            ids = np.searchsorted(columns, ids)
+            if not np.array_equal(np.take(columns, ids, mode="clip"), m.support_ids):
+                raise ValueError("columns must hold every support vector, in increasing order")
+        np.add(rows[:, ids] @ m.support_coeffs, m.bias, out=score)
+    labels = [mc.classes[c] for c in scores.argmax(axis=0).tolist()]
+    return labels[0] if K.ndim == 1 else labels
 
 
 def knn_predict(train_features, train_labels, test_features, k: int) -> list:

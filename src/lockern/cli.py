@@ -22,10 +22,10 @@ from .experiments import (
     GestureSet,
     _check_fractions,
     _preprocessed_samples,
+    _sweep_configs,
     gen_synthetic_gestures,
     holdout_subject,
     run_experiment,
-    sweep_dimension,
     sweep_train_fraction,
 )
 from .features import svd_features, zero_pad_stack
@@ -195,25 +195,24 @@ def _cmd_features(args) -> int:
     return 0
 
 
-def _config_and_dataset(args, r_values=()):
-    """The config of an experiment command (its --config file, or the
-    defaults) and the config of each of `r_values` (sweep-dim's, a usage
-    error if refused), then the data set, then --out-dir, in that order: a
-    refused config loads no data and creates no directory."""
-    config = (_parse_config_file(args.config, args.seed) if args.config
-              else ExperimentConfig(seed=args.seed))
-    try:
-        for r in r_values:
-            dataclasses.replace(config, r=r)
-    except ValueError as exc:
-        raise UsageError(f"--r-values: {exc}") from exc
+def _config(args) -> ExperimentConfig:
+    """The config of an experiment command: its --config file, or the
+    defaults."""
+    return (_parse_config_file(args.config, args.seed) if args.config
+            else ExperimentConfig(seed=args.seed))
+
+
+def _dataset(args):
+    """The data set, then --out-dir, in that order; called after every
+    config check, so a refused config loads no data and creates no
+    directory."""
     dataset = _load_dataset(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    return config, dataset
+    return dataset
 
 
 def _cmd_experiment(args) -> int:
-    config, dataset = _config_and_dataset(args)
+    config, dataset = _config(args), _dataset(args)
     table = run_experiment(config, dataset)
     table.write_csv(os.path.join(args.out_dir, "results.csv"))
     table.write_csv(os.path.join(args.out_dir, "results_notiming.csv"), include_timing=False)
@@ -228,8 +227,15 @@ def _cmd_sweep_dim(args) -> int:
         r_values = [int(r) for r in args.r_values.split(",")]
     except ValueError as exc:
         raise UsageError("--r-values must be comma-separated integers") from exc
-    config, dataset = _config_and_dataset(args, r_values)
-    for r, table in sweep_dimension(config, dataset, r_values):
+    config = _config(args)
+    # each r's config, with its kernel, built once: a refused r is a usage
+    # error before any data is read
+    try:
+        configs = [dataclasses.replace(config, r=r) for r in r_values]
+    except ValueError as exc:
+        raise UsageError(f"--r-values: {exc}") from exc
+    dataset = _dataset(args)
+    for r, table in _sweep_configs(configs, dataset):
         if isinstance(table, ValueError):
             print(f"r={r}: skipped ({table})")
             continue
@@ -252,7 +258,7 @@ def _cmd_sweep_frac(args) -> int:
     if len(set(names)) < len(names):
         raise UsageError(f"--fractions {args.fractions} name one output file twice "
                          "(file names hold the percentage, rounded)")
-    config, dataset = _config_and_dataset(args)
+    config, dataset = _config(args), _dataset(args)
     for name, (frac, table) in zip(names, sweep_train_fraction(config, dataset, fractions)):
         if isinstance(table, ValueError):
             print(f"fraction={frac}: failed ({table})")
@@ -264,7 +270,7 @@ def _cmd_sweep_frac(args) -> int:
 
 
 def _cmd_holdout(args) -> int:
-    config, dataset = _config_and_dataset(args)
+    config, dataset = _config(args), _dataset(args)
     table = holdout_subject(config, dataset)
     table.write_csv(os.path.join(args.out_dir, "holdout.csv"))
     for row in table.rows:

@@ -150,8 +150,10 @@ class ExperimentConfig:
 class ResultRow:
     """One result line. The two times cover per-fold work only:
     `train_time_s` the fold's features (for PCA: the kernel PCA fit, the
-    coordinates of both sides and the scaling) and, for the SVM, the
-    training Gram and SMO; `test_time_s` the test cross-Gram and prediction.
+    coordinates of both sides and the scaling; a dimension sweep's shared
+    decomposition of the fold counts in full for each r) and, for the SVM,
+    the training Gram and SMO; `test_time_s` the test kernel values against
+    the support vectors and prediction.
     Neither holds the kernel's build, which runs with the config's
     construction. Per-call work runs once, before the folds, and is in
     neither: preprocessing, SVD features, and the pool matrix
@@ -161,8 +163,10 @@ class ResultRow:
     the preprocessed blocks into P and the product, not the preprocessing,
     which runs between those writes. A fold, given as positions in the pool,
     reads its training block and test block from it and is charged that
-    matrix's seconds at its per-entry rate for the entries it reads, the
-    training block in `train_time_s` and the test block in `test_time_s`."""
+    matrix's seconds at its per-entry rate for those blocks, the training
+    block in `train_time_s` and the test block against the whole training
+    fold in `test_time_s`: an SVD SVM reads only the support columns, but
+    the matrix is built whole in any case."""
 
     method: str
     r: int
@@ -438,7 +442,39 @@ def _pad_rows(P: np.ndarray, row: int, block: _Block, n_freq: int, target_frames
     P[row:row + len(bins)][mask] = block.flat
 
 
-def _pca_fold(pool: _PoolGram, r: int, train, test):
+@dataclass(frozen=True)
+class _FoldEig:
+    """The top eigenpairs of a training fold's centred pool Gram, in
+    decreasing order, with the column means c of its uncentred Gram and
+    that Gram's largest diagonal entry: what `_pca_fold` needs of the fold
+    for any r up to len(values)."""
+
+    values: np.ndarray
+    vectors: np.ndarray  # one column per eigenvalue, m rows
+    col_means: np.ndarray
+    largest_norm2: float
+    seconds: float  # wall time of making it
+
+
+def _fold_eig(pool: _PoolGram, train, k: int) -> _FoldEig:
+    """The top k eigenpairs (all, if the fold has fewer) of the training
+    fold's centred Gram S - c1' - 1c' + mean(c), S its block of the pool and
+    c the column means of S; one `eigh`, of which only the k columns are
+    kept. Timed."""
+    t0 = time.perf_counter()
+    G = pool.train_block(train)
+    # the centring's rounding scales with the largest uncentred entry
+    largest_norm2 = G.diagonal().max()
+    c = G.mean(axis=0)
+    G -= c
+    G -= c[:, None]
+    G += c.mean()
+    eigvals, eigvecs = np.linalg.eigh(G)  # reads the lower triangle only
+    values, vectors = eigvals[::-1][:k].copy(), eigvecs[:, ::-1][:, :k].copy()
+    return _FoldEig(values, vectors, c, largest_norm2, time.perf_counter() - t0)
+
+
+def _pca_fold(pool: _PoolGram, r: int, train, test, eig: _FoldEig | None = None):
     """PCA features of one fold by kernel PCA of the pool's linear Gram
     (Schoelkopf, Smola and Mueller, Neural Computation 1998), the basis and
     its scale fit on the training fold only. With m training samples and c
@@ -450,7 +486,8 @@ def _pca_fold(pool: _PoolGram, r: int, train, test):
     the row and V's columns, eigenvectors of a matrix whose rows sum to 0,
     sum to 0 themselves. The r-th eigenvalue must exceed m * eps times the
     larger of the first and the training block's largest diagonal entry.
-    The coordinates are `pca_project(fit_pca(X, r), .)`
+    The eigenpairs are `eig`, the fold's `_fold_eig` with at least r of
+    them, or are computed here. The coordinates are `pca_project(fit_pca(X, r), .)`
     of the padded rows up to the sign of each column and rounding: no
     D-dimensional component is formed, so none is sign-canonicalised, and
     the radial kernels, k-NN and the scale read squared distances, which a
@@ -459,22 +496,16 @@ def _pca_fold(pool: _PoolGram, r: int, train, test):
     m, D = len(train), pool.width
     if r > min(m, D):
         raise RankError(f"r={r} out of range for {m}x{D} data")
-    G = pool.train_block(train)
-    # the centring's rounding scales with the largest uncentred entry
-    largest_norm2 = G.diagonal().max()
-    c = G.mean(axis=0)
-    G -= c
-    G -= c[:, None]
-    G += c.mean()
-    eigvals, eigvecs = np.linalg.eigh(G)  # reads the lower triangle only
-    eigvals, eigvecs = eigvals[::-1][:r], eigvecs[:, ::-1][:, :r]
+    if eig is None:
+        eig = _fold_eig(pool, train, r)
+    eigvals, eigvecs = eig.values[:r], eig.vectors[:, :r]
     # fit_pca's rule, with the uncentred entries' rounding as a floor
-    if eigvals[-1] <= m * np.finfo(float).eps * max(eigvals[0], largest_norm2):
+    if eigvals[-1] <= m * np.finfo(float).eps * max(eigvals[0], eig.largest_norm2):
         raise RankError(f"data rank below r={r}; lower r")
     root = np.sqrt(eigvals)
     train_f = eigvecs * root
     cross = pool.test_block(test, train)
-    cross -= c
+    cross -= eig.col_means
     test_f = cross @ (eigvecs / root)
     # put typical nearest-neighbor distances at the scale the localized
     # kernel's bump expects; the scale derives from the training fold only
@@ -527,20 +558,25 @@ def _pool_gram(config: ExperimentConfig, dataset: GestureSet, pairs=None) -> _Po
 
 
 def _scores(config: ExperimentConfig, classes: int, labels, pool_gram: _PoolGram,
-            folds) -> list:
+            folds, eigs=None) -> list:
     """(accuracy %, train seconds, test seconds) of each fold, scored in one
     loop. `labels` and the `pool_gram` are the pool's, in pool order, made
     once per call before the first fold, and each fold is a (train, test)
     pair of positions in the pool. The kernel is the config's, built with
-    it."""
-    return [_fit_and_score(config, classes, labels, pool_gram, train, test)
-            for train, test in folds]
+    it. `eigs`, for PCA features, holds each fold's `_fold_eig`, shared by
+    the r values of a sweep; without it each fold makes its own."""
+    eigs = eigs or [None] * len(folds)
+    return [_fit_and_score(config, classes, labels, pool_gram, train, test, eig)
+            for (train, test), eig in zip(folds, eigs)]
 
 
 def _fit_and_score(config: ExperimentConfig, classes: int, labels, pool_gram: _PoolGram,
-                   train, test):
+                   train, test, eig=None):
     """Per-fold work on the call's pool matrix. Returns
-    (accuracy %, train seconds, test seconds)."""
+    (accuracy %, train seconds, test seconds). The SVM reads the test
+    kernel values against its support vectors only (`support_union`): every
+    kernel value is a computation on its own pair, so these are bitwise the
+    full cross-Gram's columns."""
     train_labels = labels[train].tolist()
     if len(set(train_labels)) < classes:
         raise MissingClassError("a class is missing from the training fold")
@@ -548,7 +584,7 @@ def _fit_and_score(config: ExperimentConfig, classes: int, labels, pool_gram: _P
     pca = config.feature == "pca"
     t0 = time.perf_counter()
     if pca:
-        train_f, test_f = _pca_fold(pool_gram, config.r, train, test)
+        train_f, test_f = _pca_fold(pool_gram, config.r, train, test, eig)
 
     if config.classifier == "svm":
         spec = config.kernel
@@ -556,15 +592,20 @@ def _fit_and_score(config: ExperimentConfig, classes: int, labels, pool_gram: _P
         model = one_vs_rest_train(G, train_labels, C=config.C)
         train_time = time.perf_counter() - t0
         t1 = time.perf_counter()
-        rows = cross_gram(spec, test_f, train_f) if pca else pool_gram.test_block(test, train)
-        preds = [one_vs_rest_predict(model, row) for row in rows]
+        sv = model.support_union()
+        rows = (cross_gram(spec, test_f, train_f[sv]) if pca
+                else pool_gram.test_block(test, train[sv]))
+        preds = one_vs_rest_predict(model, rows, sv)
     else:
         train_time = time.perf_counter() - t0
         t1 = time.perf_counter()
         preds = knn_predict(train_f, train_labels, test_f, config.knn_k)
     test_time = time.perf_counter() - t1
-    # the pool entries this fold reads, at the pool matrix's rate, so every
-    # fold counts its share of the per-call matrix
+    # a shared decomposition is charged to every fold that reads it, and the
+    # pool entries this fold reads at the pool matrix's rate, so every fold
+    # counts its share of the per-call work
+    if eig is not None:
+        train_time += eig.seconds
     train_time += pool_gram.seconds_for(len(train), len(train))
     test_time += pool_gram.seconds_for(len(test), len(train))
 
@@ -605,15 +646,27 @@ def sweep_dimension(config: ExperimentConfig, dataset: GestureSet, r_values):
     RankError or MissingClassError that skipped this r. Any other error
     propagates. Each sample is preprocessed once per call and the splits are
     drawn once. PCA features take one pool matrix for every r, since P P'
-    does not depend on r; SVD features, which do, take theirs once per r.
-    Every r's config, with its kernel, is built before any sample is
-    preprocessed, so an r below 1 is refused first; the localized kernel's
-    q is clamped to each r as its config is built."""
-    configs = [replace(config, r=r) for r in r_values]
+    does not depend on r, and one `eigh` per fold, kept to the top max(r)
+    eigenpairs, which every r truncates; SVD features, which do depend on
+    r, take their pool matrix once per r. Every r's config, with its
+    kernel, is built before any sample is preprocessed, so an r below 1 is
+    refused first; the localized kernel's q is clamped to each r as its
+    config is built."""
+    return _sweep_configs([replace(config, r=r) for r in r_values], dataset)
+
+
+def _sweep_configs(configs: list, dataset: GestureSet) -> list:
+    """sweep_dimension over built configs, which differ only in r."""
+    if not configs:
+        return []
+    config = configs[0]
     labels = np.array([s.label for s in dataset.samples])
     folds = _splits(config, labels)
+    eigs = None
     if config.feature == "pca":
         pool_gram = _pool_gram(config, dataset)
+        top = max(c.r for c in configs)
+        eigs = [_fold_eig(pool_gram, train, top) for train, _ in folds]
     else:
         pairs = list(_preprocessed_samples(config.preprocessing, dataset.samples,
                                            range(len(dataset.samples))))
@@ -622,7 +675,7 @@ def sweep_dimension(config: ExperimentConfig, dataset: GestureSet, r_values):
         try:
             if config.feature == "svd":
                 pool_gram = _pool_gram(config_r, dataset, pairs)
-            scores = _scores(config_r, dataset.classes, labels, pool_gram, folds)
+            scores = _scores(config_r, dataset.classes, labels, pool_gram, folds, eigs)
             out.append((config_r.r, _split_table(config_r, scores)))
         except _SWEEP_SKIPS as exc:
             out.append((config_r.r, exc))

@@ -1,10 +1,12 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from kernel_oracle import indefinite_oracle, knn_oracle
+from svm_oracle import smo_loop_oracle
 
-from lockern import classify, kernels
+from lockern import classify, experiments, kernels
 from lockern.classify import (
     KKT_TOL,
     MAX_PAIR_UPDATES,
@@ -20,6 +22,8 @@ from lockern.classify import (
 from lockern.experiments import (
     ExperimentConfig,
     _pca_fold,
+    holdout_subject,
+    run_experiment,
     _pool_gram,
     _stratified_split,
     gen_synthetic_gestures,
@@ -296,6 +300,134 @@ class TestSvmBinary:
             svm_predict(model, [1.0, 2.0, 3.0])
 
 
+def _experiment_grams(config, dataset, protocol):
+    """(Gram entries, labels, C) of every one_vs_rest_train call of one
+    protocol run."""
+    grams = []
+    train = experiments.one_vs_rest_train
+
+    def recorded(G, labels, C=1.0):
+        grams.append((G.entries, labels, C))
+        return train(G, labels, C=C)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "one_vs_rest_train", recorded)
+        protocol(config, dataset)
+    return grams
+
+
+def _noised_gestures(seed, scale=2.0):
+    ds = gen_synthetic_gestures(per_cell=5, seed=seed)
+    rng = np.random.default_rng([seed, 99])
+    return replace(ds, samples=[replace(s, data=s.data + rng.rayleigh(scale, s.data.shape))
+                                for s in ds.samples])
+
+
+def _assert_matches_loop_oracle(model, K, y, C):
+    coeffs, ids, bias = smo_loop_oracle(K, y, C)
+    np.testing.assert_array_equal(model.support_ids, ids)
+    np.testing.assert_array_equal(model.support_coeffs, coeffs)
+    assert model.bias == bias
+
+
+class TestTwoRowSmo:
+    """The two-row SMO state against the three-row loop it replaced
+    (`tests/svm_oracle.py`): support coefficients, ids and bias bitwise."""
+
+    @pytest.mark.parametrize("case", ["pca_localized", "grassmann_holdout"])
+    def test_experiment_grams_match_loop_oracle(self, case):
+        if case == "pca_localized":
+            # the PCA LocSVM64 split of the gesture-loc benchmark, M = 192
+            config = ExperimentConfig(r=30, kernel_params={"N": 8.0, "q": 18}, trials=1,
+                                      seed=3000)
+            grams = _experiment_grams(config, gen_synthetic_gestures(per_cell=10, seed=3),
+                                      run_experiment)
+            assert [len(K) for K, _, _ in grams] == [192]
+        else:
+            config = ExperimentConfig(feature="svd", r=5, kernel_kind="grassmann")
+            grams = _experiment_grams(config, _noised_gestures(3), holdout_subject)
+            assert len(grams) == 6
+        for K, labels, C in grams:
+            mc = one_vs_rest_train(K, labels, C=C)
+            for model, y in zip(mc.models, label_indicators(labels)[1]):
+                _assert_matches_loop_oracle(model, K, y, C)
+                assert model.converged
+
+    @pytest.mark.parametrize("C", [0.01, 0.3, 1000.0])
+    @pytest.mark.parametrize("kind", ["rbf", "linear", "indefinite"])
+    def test_random_problems_match_loop_oracle(self, kind, C):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(60, 4))
+        y = np.where(X[:, 0] + 0.8 * rng.normal(size=60) > 0, 1.0, -1.0)
+        if kind == "rbf":
+            K = gram(KernelSpec("euclidean_rbf", {"gamma": 0.5}), X).entries
+        elif kind == "linear":
+            K = X @ X.T
+        else:
+            A = rng.normal(size=(60, 60))
+            K = (A + A.T) / 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the indefiniteness warning
+            model = svm_train_binary(K, y, C=C)
+        _assert_matches_loop_oracle(model, K, y, C)
+
+    def test_update_cap_matches_loop_oracle(self, monkeypatch):
+        X, y = blobs(20, seed=5, spread=1.5, gap=2.0)
+        K = gram(KernelSpec("euclidean_rbf", {"gamma": 0.5}), X).entries
+        monkeypatch.setattr(classify, "MAX_PAIR_UPDATES", 7)
+        with pytest.warns(RuntimeWarning, match="update cap"):
+            model = svm_train_binary(K, y, C=1.0)
+        with pytest.warns(RuntimeWarning, match="update cap"):
+            _assert_matches_loop_oracle(model, K, y, 1.0)
+        assert (model.iterations, model.converged) == (7, False)
+
+    def test_non_symmetric_array_reads_its_columns(self):
+        # a pair update reads columns K[:, i], which a non-symmetric array
+        # gives through one contiguous copy of K.T
+        rng = np.random.default_rng(21)
+        X, y = blobs(15, seed=6, spread=1.2, gap=2.0)
+        K = gram(KernelSpec("euclidean_rbf", {"gamma": 0.5}), X).entries
+        K += 1e-3 * rng.normal(size=K.shape)
+        assert not np.array_equal(K, K.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = svm_train_binary(K, y, C=1.0)
+            _assert_matches_loop_oracle(model, K, y, 1.0)
+        # and a Fortran-ordered symmetric array is read like its C-ordered copy
+        S = gram(KernelSpec("euclidean_rbf", {"gamma": 0.5}), X).entries
+        fortran = svm_train_binary(np.asfortranarray(S), y, C=1.0)
+        _assert_matches_loop_oracle(fortran, S, y, 1.0)
+
+    def test_column_rows_share_a_symmetric_gram(self):
+        K = gram(KernelSpec("euclidean_rbf", {"gamma": 0.5}), blobs(5, seed=0)[0]).entries
+        cols = classify._column_rows(K)
+        assert all(np.shares_memory(row, K) for row in cols)
+        flipped = K.copy()
+        flipped[0, 1] = np.nextafter(K[0, 1], 2.0)
+        assert not any(np.shares_memory(row, flipped)
+                       for row in classify._column_rows(flipped))
+
+
+class TestSolverReport:
+    def test_converged_run(self):
+        X, y = blobs(10, seed=1, spread=1.5, gap=2.0)
+        K = gram(KernelSpec("euclidean_rbf", {"gamma": 0.5}), X).entries
+        model = svm_train_binary(K, y, C=1.0)
+        assert model.converged
+        assert model.kkt_gap < KKT_TOL
+        assert 0 < model.iterations < MAX_PAIR_UPDATES
+
+    def test_update_cap_reports_its_gap(self, monkeypatch):
+        X, y = blobs(10, seed=1, spread=1.5, gap=2.0)
+        K = gram(KernelSpec("euclidean_rbf", {"gamma": 0.5}), X).entries
+        monkeypatch.setattr(classify, "MAX_PAIR_UPDATES", 5)
+        with pytest.warns(RuntimeWarning, match="update cap") as caught:
+            model = svm_train_binary(K, y, C=1.0)
+        assert (model.iterations, model.converged) == (5, False)
+        assert model.kkt_gap >= KKT_TOL
+        assert f"KKT gap {model.kkt_gap:.3e}" in str(caught[0].message)
+
+
 class TestOneVsRest:
     def test_two_class_matches_binary(self):
         X, y = blobs(8, seed=3)
@@ -315,6 +447,24 @@ class TestOneVsRest:
         mc = one_vs_rest_train(g, y, C=10.0)
         preds = [one_vs_rest_predict(mc, g.entries[i]) for i in range(len(y))]
         np.testing.assert_array_equal(preds, y)
+
+    def test_matrix_rows_and_support_columns(self):
+        # a whole test matrix at once, or only its support columns, gives
+        # the labels of one row at a time
+        rng = np.random.default_rng(4)
+        centers = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+        X = np.vstack([rng.normal(c, 0.8, (10, 2)) for c in centers])
+        y = np.repeat(["a", "b", "c"], 10)
+        K = gram(KernelSpec("euclidean_rbf", {"gamma": 0.5}), X).entries
+        mc = one_vs_rest_train(K, y, C=1.0)
+        labels = one_vs_rest_predict(mc, K)
+        assert labels == [one_vs_rest_predict(mc, row) for row in K]
+        sv = mc.support_union()
+        assert np.array_equal(sv, np.unique(np.concatenate([m.support_ids for m in mc.models])))
+        assert 0 < len(sv) < len(y)
+        assert one_vs_rest_predict(mc, K[:, sv], sv) == labels
+        with pytest.raises(ValueError, match="every support vector"):
+            one_vs_rest_predict(mc, K[:, sv[1:]], sv[1:])
 
     def test_tie_breaks_to_lowest_class(self):
         same = SvmModel(

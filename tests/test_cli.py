@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lockern import diagnostics, experiments
+from lockern import diagnostics, experiments, kernels
 from lockern.cli import _parse_config_file, main
 from lockern.features import Spectrogram
 from lockern.io import write_manifest, write_spectrogram_csv
@@ -376,6 +376,22 @@ class TestSweepCommands:
         assert code == 2
         assert "feature dimension r=0 is below 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sweep_dim_builds_each_kernel_once(self, tmp_path, monkeypatch):
+        # the default config's kernel, then one per r: each r's config is
+        # built once, for the check and the sweep alike
+        builds = []
+        build = kernels.build_localized_kernel
+
+        def counting(*args, **kwargs):
+            builds.append(kwargs)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "build_localized_kernel", counting)
+        code = run(["--out-dir", str(tmp_path), "sweep-dim", "--synthetic", "--per-cell", "2",
+                    "--r-values", "2,3,4"])
+        assert code == 0
+        assert [b["q"] for b in builds] == [18, 2, 3, 4]
 
     def test_sweep_frac_default_grid(self, tmp_path, knn_config):
         # file names hold the rounded percentage; two fractions that name

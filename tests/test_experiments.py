@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from lockern import experiments, kernels
+from lockern.classify import one_vs_rest_train, svm_predict
 from lockern.experiments import (
     ExperimentConfig,
     MissingClassError,
@@ -248,6 +249,31 @@ def _record_calls(monkeypatch, name):
     return args
 
 
+@pytest.fixture
+def checked_predict(monkeypatch):
+    """Wraps `experiments.one_vs_rest_predict` so that each call's labels
+    must equal the argmax, per test row, of the per-row `svm_predict`
+    decision values (ties to the lowest class); lists each call's row
+    count."""
+    calls = []
+    predict = experiments.one_vs_rest_predict
+
+    def checked(mc, rows, columns=None):
+        labels = predict(mc, rows, columns)
+        cols = np.arange(rows.shape[1]) if columns is None else columns
+        expected = []
+        for row in rows:
+            scores = [svm_predict(m, row[np.searchsorted(cols, m.support_ids)])
+                      for m in mc.models]
+            expected.append(mc.classes[int(np.argmax(scores))])
+        assert labels == expected
+        calls.append(len(rows))
+        return labels
+
+    monkeypatch.setattr(experiments, "one_vs_rest_predict", checked)
+    return calls
+
+
 def _once_each(args, objects) -> bool:
     return Counter(map(id, args)) == Counter(map(id, objects))
 
@@ -353,7 +379,7 @@ class TestRunExperiment:
         assert a.accuracy_mean == b.accuracy_mean
         assert a.accuracy_var == b.accuracy_var
 
-    def test_acceptance_csv_bytes_pinned(self, tmp_path):
+    def test_acceptance_csv_bytes_pinned(self, tmp_path, checked_predict):
         # results_notiming.csv of acceptance criterion 11's configuration,
         # as written before preprocessing was batched (commit f854029)
         config = ExperimentConfig(
@@ -367,6 +393,7 @@ class TestRunExperiment:
             b"method,r,accuracy_mean,accuracy_var\n"
             b"PCA LocSVM64,30,99.66666666666667,0.16666666666666477\n"
         )
+        assert checked_predict == [120] * 5  # one call per trial
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(preprocessing="log"), "unknown preprocessing 'log'"),
@@ -769,7 +796,7 @@ class TestPoolGram:
         (2, [(83.33333333333333, 34.72222222222222), (83.33333333333333, 8.680555555555555),
              (86.11111111111113, 3.858024691358007)]),
     ])
-    def test_noised_grassmann_fraction_sweep_pinned(self, seed, points):
+    def test_noised_grassmann_fraction_sweep_pinned(self, seed, points, checked_predict):
         # (accuracy mean, variance) per fraction as computed at d6db0a5, where
         # the fraction pools (strict, non-contiguous subsets at 0.4 and 0.7)
         # were mapped to pool Gram rows by sample index
@@ -777,24 +804,26 @@ class TestPoolGram:
         out = sweep_train_fraction(config, _noised_gestures(seed), fractions=(0.4, 0.7, 1.0))
         assert [frac for frac, _ in out] == [0.4, 0.7, 1.0]
         assert [(t.rows[0].accuracy_mean, t.rows[0].accuracy_var) for _, t in out] == points
+        assert len(checked_predict) == 9
 
     @pytest.mark.parametrize("seed, accuracies", [
         (1, [75.0, 85.0, 95.0, 100.0, 90.0, 75.0]),
         (2, [75.0, 75.0, 95.0, 75.0, 85.0, 75.0]),
     ])
-    def test_noised_grassmann_holdout_pinned(self, seed, accuracies):
+    def test_noised_grassmann_holdout_pinned(self, seed, accuracies, checked_predict):
         # per-fold accuracies as computed with one Gram and one cross-Gram
         # per fold (commit 42594c0)
         config = ExperimentConfig(feature="svd", r=5, kernel_kind="grassmann")
         rows = holdout_subject(config, _noised_gestures(seed)).rows
         assert [row.accuracy_mean for row in rows] == accuracies
+        assert checked_predict == [20] * 6
 
 
     @pytest.mark.parametrize("seed, accuracies", [
         (1, [85.0, 95.0, 80.0, 90.0, 90.0, 75.0]),
         (2, [95.0, 85.0, 90.0, 100.0, 100.0, 85.0]),
     ])
-    def test_noised_pca_locsvm_holdout_pinned(self, seed, accuracies):
+    def test_noised_pca_locsvm_holdout_pinned(self, seed, accuracies, checked_predict):
         # per-fold accuracies as computed with a basis fit per fold by
         # fit_pca, its components sign-canonicalised (commit 4c5c488)
         config = ExperimentConfig(r=30, kernel_kind="localized",
@@ -802,6 +831,7 @@ class TestPoolGram:
         rows = holdout_subject(config, _noised_gestures(seed, scale=4.0)).rows
         assert rows[0].method == "PCA LocSVM64 holdout=A"
         assert [row.accuracy_mean for row in rows] == accuracies
+        assert checked_predict == [20] * 6
 
     @pytest.mark.parametrize("seed, accuracies", [
         (1, [80.0, 90.0, 95.0, 90.0, 85.0, 80.0]),
@@ -813,6 +843,77 @@ class TestPoolGram:
         rows = holdout_subject(config, _noised_gestures(seed, scale=4.0)).rows
         assert rows[0].method == "PCA KNN holdout=A"
         assert [row.accuracy_mean for row in rows] == accuracies
+
+
+class TestSupportColumns:
+    @pytest.mark.parametrize("kind", ["localized", "euclidean_rbf", "grassmann"])
+    def test_test_columns_are_the_full_ones(self, kind):
+        # the SVM's test kernel values against its support vectors only are
+        # bitwise the full matrix's columns. PCA features compute them
+        # (`cross_gram`), each value on its own pair; SVD features read
+        # them from the pool matrix. Localized: the gesture-loc benchmark's
+        # split, M = 192
+        ds = gen_synthetic_gestures(per_cell=10, seed=3)
+        labels = np.array([s.label for s in ds.samples])
+        if kind == "grassmann":
+            config = ExperimentConfig(feature="svd", r=5, kernel_kind="grassmann", seed=3000)
+        else:
+            params = {"N": 8.0, "q": 18} if kind == "localized" else {"gamma": 0.5}
+            config = ExperimentConfig(r=30, kernel_kind=kind, kernel_params=params, seed=3000)
+        ((train, test),) = experiments._splits(replace(config, trials=1), labels)
+        pool = experiments._pool_gram(config, ds)
+        if kind == "grassmann":
+            mc = one_vs_rest_train(pool.train_block(train), labels[train].tolist())
+            sv = mc.support_union()
+            full, support = pool.test_block(test, train), pool.test_block(test, train[sv])
+        else:
+            train_f, test_f = _pca_fold(pool, config.r, train, test)
+            mc = one_vs_rest_train(kernels.gram(config.kernel, train_f), labels[train].tolist())
+            sv = mc.support_union()
+            full = kernels.cross_gram(config.kernel, test_f, train_f)
+            support = kernels.cross_gram(config.kernel, test_f, train_f[sv])
+        assert 0 < len(sv) < len(train)
+        assert np.array_equal(support, full[:, sv])
+        # and the prediction on those columns is the prediction on the full rows
+        assert (experiments.one_vs_rest_predict(mc, support, sv)
+                == experiments.one_vs_rest_predict(mc, full))
+
+
+class TestDimensionSweepEigh:
+    def test_one_eigh_per_fold(self, small_gestures, monkeypatch):
+        # each fold's centred Gram is decomposed once for every r, and each
+        # r's table is byte-identical to the table of its own run
+        config = ExperimentConfig(r=30, kernel_params={"N": 8.0, "q": 18}, trials=3)
+        r_values = [2, 5, 9, 14]
+        own = [run_experiment(replace(config, r=r), small_gestures) for r in r_values]
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        out = sweep_dimension(config, small_gestures, r_values)
+        assert len(calls) == 3
+        for (r, table), expected in zip(out, own):
+            assert [(row.method, row.r, row.accuracy_mean, row.accuracy_var)
+                    for row in table.rows] == [
+                (row.method, row.r, row.accuracy_mean, row.accuracy_var)
+                for row in expected.rows]
+
+    def test_fold_eig_keeps_only_the_top_pairs(self, small_gestures):
+        config = ExperimentConfig(r=6, classifier="knn")
+        labels = np.array([s.label for s in small_gestures.samples])
+        ((train, test),) = experiments._splits(replace(config, trials=1), labels)
+        pool = experiments._pool_gram(config, small_gestures)
+        eig = experiments._fold_eig(pool, train, 9)
+        assert eig.values.shape == (9,) and eig.vectors.shape == (len(train), 9)
+        assert eig.vectors.base is None  # not a view of the full eigenvector matrix
+        for r in (1, 4, 9):
+            shared = _pca_fold(pool, r, train, test, eig)
+            for a, b in zip(shared, _pca_fold(pool, r, train, test)):
+                assert np.array_equal(a, b)
 
 
 class TestHoldout:
