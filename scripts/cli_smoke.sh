@@ -3,8 +3,10 @@
 # on a small synthetic set with a k-NN config, and `experiment` with that
 # config under unit and under magnitude preprocessing (the default is
 # binary). Two SVM runs follow: `experiment` with the default config (PCA,
-# localized kernel) and `holdout` with an SVD Grassmann config. Then it
-# checks that each refused
+# localized kernel) and `holdout` with an SVD Grassmann config. `kernel-eval`
+# tabulates the default localized kernel and must exit 2 for a negative
+# gamma, and `features` writes the synthetic set's SVD features and PCA
+# inputs. Then it checks that each refused
 # config exits 1 and creates no output directory: a NaN C, a localized q
 # below 1, and a negative euclidean_rbf gamma.
 # Usage: scripts/cli_smoke.sh <directory for the runs' outputs>
@@ -26,6 +28,17 @@ lockern --out-dir "$root/experiment-svm" experiment --synthetic --per-cell 2
 printf 'feature = svd\nkernel_kind = grassmann\nr = 5\n' > "$root/grassmann.cfg"
 lockern --out-dir "$root/holdout-grassmann" holdout --synthetic --per-cell 2 \
   --config "$root/grassmann.cfg"
+
+lockern kernel-eval --N 8 --q 18 --steps 20 > "$root/kernel-eval.csv"
+status=0
+lockern kernel-eval --N 8 --q 18 --gamma -1 > /dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "kernel-eval with gamma -1 exited $status, not 2" >&2
+  exit 1
+fi
+for feature in svd pca-input; do
+  lockern --out-dir "$root/features-$feature" features --synthetic --feature "$feature"
+done
 
 refused=(
   'classifier = knn\nC = nan\n'

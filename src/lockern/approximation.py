@@ -5,7 +5,6 @@ behavior numerically.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,13 +53,6 @@ class ErrorProfile:
     delta: np.ndarray  # distance to nearest node
     abs_error: np.ndarray
     model_value: np.ndarray
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["delta", "abs_error", "model_value"])
-            for d, e, v in zip(self.delta, self.abs_error, self.model_value):
-                w.writerow([repr(float(d)), repr(float(e)), repr(float(v))])
 
 
 def minimal_separation(points) -> float:

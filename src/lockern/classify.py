@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GramMatrix, KernelSpec, _check_finite, _flat_rows, _sq_dists
+from .kernels import GramMatrix, _check_finite, _flat_rows, _sq_dists
 
 __all__ = [
     "SvmModel",
@@ -31,8 +31,6 @@ class SvmModel:
     support_coeffs: np.ndarray  # alpha_i * y_i for support vectors
     support_ids: np.ndarray  # indices into the training set
     bias: float
-    spec: KernelSpec | None
-    C: float
     # the solve's report; a model built by hand keeps these defaults
     iterations: int = 0  # pair updates made
     kkt_gap: float = 0.0  # max violation yg[i] - yg[j] when the solve stopped
@@ -50,16 +48,14 @@ class MulticlassModel:
         return np.unique(np.concatenate([m.support_ids for m in self.models]))
 
 
-def label_indicators(labels, classes=None):
+def label_indicators(labels):
     """Signed class-membership targets: row c is +1 where the label equals
-    classes[c] and -1 elsewhere. Returns (classes, indicator matrix)."""
+    classes[c] and -1 elsewhere, with classes the sorted distinct labels.
+    Returns (classes, indicator matrix)."""
     labels = np.asarray(labels)
-    if classes is None:
-        classes = sorted(np.unique(labels).tolist())
-    elif not set(np.unique(labels).tolist()) <= set(classes):
-        raise ValueError("labels contain classes outside the given list")
+    classes = sorted(np.unique(labels).tolist())
     signs = np.where(labels[None, :] == np.asarray(classes)[:, None], 1.0, -1.0)
-    return list(classes), signs
+    return classes, signs
 
 
 def _gram_entries(gram: GramMatrix | np.ndarray):
@@ -115,11 +111,20 @@ def svm_train_binary(gram: GramMatrix | np.ndarray, labels, C: float = 1.0) -> S
     below KKT_TOL or the pair-update cap is hit; deterministic (no RNG).
     Warns when the Gram matrix is noticeably indefinite.
     """
+    return _solve(gram, [labels], C)[0]
+
+
+def _solve(gram: GramMatrix | np.ndarray, targets, C: float) -> list:
+    """One SvmModel per row of `targets`, each a +-1 labelling of the
+    Gram's samples, solved on the one Gram: every target is checked first,
+    then the Gram, once, for a non-finite entry and for indefiniteness, and
+    its columns are laid out once for every solve."""
     K, spec = _gram_entries(gram)
-    y = _check_problem(K, labels, C)
+    targets = [_check_problem(K, y, C) for y in targets]
     _check_finite(spec, K)
     _warn_if_indefinite(K)
-    return _smo(K, _column_rows(K), spec, y, C)
+    cols = _column_rows(K)
+    return [_smo(K, cols, y, C) for y in targets]
 
 
 def _column_rows(K: np.ndarray) -> list:
@@ -132,9 +137,8 @@ def _column_rows(K: np.ndarray) -> list:
     return list(K)
 
 
-def _smo(K: np.ndarray, cols: list, spec: KernelSpec | None, y: np.ndarray,
-         C: float) -> SvmModel:
-    """The dual solve of svm_train_binary on validated inputs; cols[i] is
+def _smo(K: np.ndarray, cols: list, y: np.ndarray, C: float) -> SvmModel:
+    """The dual solve of `_solve` on validated inputs; cols[i] is
     K[:, i] (`_column_rows`).
 
     Carries yg = -y * grad, with grad the gradient of the dual objective
@@ -212,8 +216,6 @@ def _smo(K: np.ndarray, cols: list, spec: KernelSpec | None, y: np.ndarray,
         support_coeffs=alpha[sv] * y[sv],
         support_ids=sv,
         bias=float(bias),
-        spec=spec,
-        C=float(C),
         iterations=iterations,
         kkt_gap=gap,
         converged=converged,
@@ -233,37 +235,26 @@ def one_vs_rest_train(gram: GramMatrix | np.ndarray, labels, C: float = 1.0) -> 
     classes, signs = label_indicators(labels)
     if len(classes) < 2:
         raise ValueError("need at least two classes")
-    K, spec = _gram_entries(gram)
-    targets = [_check_problem(K, y, C) for y in signs]
-    # once per Gram, not once per class
-    _check_finite(spec, K)
-    _warn_if_indefinite(K)
-    cols = _column_rows(K)
-    models = [_smo(K, cols, spec, y, C) for y in targets]
-    return MulticlassModel(models=models, classes=classes)
+    return MulticlassModel(models=_solve(gram, signs, C), classes=classes)
 
 
-def one_vs_rest_predict(mc: MulticlassModel, kernel_rows, columns=None):
-    """Labels of test samples from their kernel values against training
-    samples: kernel_rows[k, c] is the kernel value of test sample k and
-    training sample columns[c]. `columns` is every training sample in order
-    (None), or any increasing index array that holds every support vector of
-    every class, such as mc.support_union(). One product per class scores
+def one_vs_rest_predict(mc: MulticlassModel, kernel_rows) -> list:
+    """Labels of test samples from their kernel values against the support
+    vectors: kernel_rows[k, c] is the kernel value of test sample k and
+    training sample mc.support_union()[c]. One product per class scores
     every row; the highest decision value wins, and ties break to the lowest
-    class index. A 1-d row gives one label, a matrix a list of them.
+    class index.
     """
+    union = mc.support_union()
     K = np.asarray(kernel_rows, dtype=float)
-    rows = np.atleast_2d(K)
-    scores = np.empty((len(mc.models), len(rows)))
+    if K.ndim != 2 or K.shape[1] != len(union):
+        raise ValueError(f"kernel rows must be an (n_test, {len(union)}) matrix, one "
+                         f"column per support vector; got shape {K.shape}")
+    scores = np.empty((len(mc.models), len(K)))
     for score, m in zip(scores, mc.models):
-        ids = m.support_ids
-        if columns is not None:
-            ids = np.searchsorted(columns, ids)
-            if not np.array_equal(np.take(columns, ids, mode="clip"), m.support_ids):
-                raise ValueError("columns must hold every support vector, in increasing order")
-        np.add(rows[:, ids] @ m.support_coeffs, m.bias, out=score)
-    labels = [mc.classes[c] for c in scores.argmax(axis=0).tolist()]
-    return labels[0] if K.ndim == 1 else labels
+        np.add(K[:, np.searchsorted(union, m.support_ids)] @ m.support_coeffs, m.bias,
+               out=score)
+    return [mc.classes[c] for c in scores.argmax(axis=0).tolist()]
 
 
 def knn_predict(train_features, train_labels, test_features, k: int) -> list:

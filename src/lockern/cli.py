@@ -29,9 +29,9 @@ from .experiments import (
     sweep_train_fraction,
 )
 from .features import svd_features, zero_pad_stack
-from .hermite import build_localized_kernel, eval_localized
+from .hermite import eval_localized
 from .io import read_manifest, read_spectrogram_csv
-from .kernels import DEFAULT_PARAMS
+from .kernels import DEFAULT_PARAMS, KernelSpec
 
 class UsageError(Exception):
     pass
@@ -138,11 +138,11 @@ def _cmd_kernel_eval(args) -> int:
     if args.steps < 1:
         raise UsageError("--steps must be >= 1")
     try:
-        spec = build_localized_kernel(args.N, args.q, args.gamma)
+        spec = KernelSpec("localized", {"N": args.N, "q": args.q, "gamma": args.gamma})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     xs = np.linspace(0.0, args.x_max, args.steps + 1)  # endpoints inclusive
-    vals = eval_localized(spec, args.gamma * xs)
+    vals = eval_localized(spec.localized, spec.params["gamma"] * xs)
     out = sys.stdout if args.output == "-" else open(
         os.path.join(args.out_dir, args.output), "w", newline="\n"
     )

@@ -27,7 +27,7 @@ __all__ = ["BENCHMARKS", "run_benchmark", "circle_fit", "circle_probes",
 
 def localization_constant(N: float, q: int, S: int, x_max: float = 20.0, steps: int = 2000):
     """Empirical sup of |phi(x)| * max(1, (N x)^S) / N^q over an x-grid."""
-    spec = build_localized_kernel(N, q, gamma=1.0)
+    spec = build_localized_kernel(N, q)
     xs = np.linspace(0.0, x_max, steps + 1)
     vals = np.abs(eval_localized(spec, xs))
     envelope = np.maximum(1.0, (N * xs) ** S)

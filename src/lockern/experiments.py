@@ -474,7 +474,7 @@ def _fold_eig(pool: _PoolGram, train, k: int) -> _FoldEig:
     return _FoldEig(values, vectors, c, largest_norm2, time.perf_counter() - t0)
 
 
-def _pca_fold(pool: _PoolGram, r: int, train, test, eig: _FoldEig | None = None):
+def _pca_fold(pool: _PoolGram, r: int, train, test, eig: _FoldEig):
     """PCA features of one fold by kernel PCA of the pool's linear Gram
     (Schoelkopf, Smola and Mueller, Neural Computation 1998), the basis and
     its scale fit on the training fold only. With m training samples and c
@@ -487,7 +487,8 @@ def _pca_fold(pool: _PoolGram, r: int, train, test, eig: _FoldEig | None = None)
     sum to 0 themselves. The r-th eigenvalue must exceed m * eps times the
     larger of the first and the training block's largest diagonal entry.
     The eigenpairs are `eig`, the fold's `_fold_eig` with at least r of
-    them, or are computed here. The coordinates are `pca_project(fit_pca(X, r), .)`
+    them (all the fold's, if it has fewer, which the rank check refuses).
+    The coordinates are `pca_project(fit_pca(X, r), .)`
     of the padded rows up to the sign of each column and rounding: no
     D-dimensional component is formed, so none is sign-canonicalised, and
     the radial kernels, k-NN and the scale read squared distances, which a
@@ -496,8 +497,6 @@ def _pca_fold(pool: _PoolGram, r: int, train, test, eig: _FoldEig | None = None)
     m, D = len(train), pool.width
     if r > min(m, D):
         raise RankError(f"r={r} out of range for {m}x{D} data")
-    if eig is None:
-        eig = _fold_eig(pool, train, r)
     eigvals, eigvecs = eig.values[:r], eig.vectors[:, :r]
     # fit_pca's rule, with the uncentred entries' rounding as a floor
     if eigvals[-1] <= m * np.finfo(float).eps * max(eigvals[0], eig.largest_norm2):
@@ -563,15 +562,19 @@ def _scores(config: ExperimentConfig, classes: int, labels, pool_gram: _PoolGram
     loop. `labels` and the `pool_gram` are the pool's, in pool order, made
     once per call before the first fold, and each fold is a (train, test)
     pair of positions in the pool. The kernel is the config's, built with
-    it. `eigs`, for PCA features, holds each fold's `_fold_eig`, shared by
-    the r values of a sweep; without it each fold makes its own."""
-    eigs = eigs or [None] * len(folds)
+    it. Every PCA fold reads the eigenpairs of its `_fold_eig`, which
+    `eigs` holds: a sweep's, kept to its largest r and shared by its r
+    values, or else made here at config.r. SVD folds have none."""
+    if config.feature == "svd":
+        eigs = [None] * len(folds)
+    elif eigs is None:
+        eigs = [_fold_eig(pool_gram, train, config.r) for train, _ in folds]
     return [_fit_and_score(config, classes, labels, pool_gram, train, test, eig)
             for (train, test), eig in zip(folds, eigs)]
 
 
 def _fit_and_score(config: ExperimentConfig, classes: int, labels, pool_gram: _PoolGram,
-                   train, test, eig=None):
+                   train, test, eig: _FoldEig | None):
     """Per-fold work on the call's pool matrix. Returns
     (accuracy %, train seconds, test seconds). The SVM reads the test
     kernel values against its support vectors only (`support_union`): every
@@ -595,16 +598,16 @@ def _fit_and_score(config: ExperimentConfig, classes: int, labels, pool_gram: _P
         sv = model.support_union()
         rows = (cross_gram(spec, test_f, train_f[sv]) if pca
                 else pool_gram.test_block(test, train[sv]))
-        preds = one_vs_rest_predict(model, rows, sv)
+        preds = one_vs_rest_predict(model, rows)
     else:
         train_time = time.perf_counter() - t0
         t1 = time.perf_counter()
         preds = knn_predict(train_f, train_labels, test_f, config.knn_k)
     test_time = time.perf_counter() - t1
-    # a shared decomposition is charged to every fold that reads it, and the
-    # pool entries this fold reads at the pool matrix's rate, so every fold
-    # counts its share of the per-call work
-    if eig is not None:
+    # a fold's decomposition, shared by a sweep's r values, is charged to
+    # every fold that reads it, and the pool entries this fold reads at the
+    # pool matrix's rate, so every fold counts its share of the per-call work
+    if pca:
         train_time += eig.seconds
     train_time += pool_gram.seconds_for(len(train), len(train))
     test_time += pool_gram.seconds_for(len(test), len(train))

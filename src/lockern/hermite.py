@@ -170,7 +170,6 @@ class LocalizedKernelSpec:
 
     N: float
     q: int
-    gamma: float
     coeffs: np.ndarray = field(repr=False)
 
     @property
@@ -217,7 +216,7 @@ def localized_degree(N: float, q: int) -> int:
     return 2 * int(math.floor(N * N / 2.0))
 
 
-def build_localized_kernel(N: float, q: int, gamma: float = 0.8) -> LocalizedKernelSpec:
+def build_localized_kernel(N: float, q: int) -> LocalizedKernelSpec:
     """Precompute the psi_{2l} coefficients of the localized kernel.
 
     For q >= 2 the coefficient of psi_{2l} is
@@ -225,25 +224,26 @@ def build_localized_kernel(N: float, q: int, gamma: float = 0.8) -> LocalizedKer
             * Gamma((q-1)/2 + m - l)/(m-l)!  * psi_{2l}(0),
     with L = floor(N^2/2). For q = 1 it collapses to H(sqrt(2l)/N)*psi_{2l}(0).
     The prefactor is fixed so the expansion equals the defining sum of
-    cutoff-weighted P_{m,q} terms exactly.
+    cutoff-weighted P_{m,q} terms exactly. The Gamma-ratio weights
+    w_k = Gamma((q-1)/2 + k)/k! depend on m - l only, so they are computed
+    once, for k = 0..L, and each l dots its cutoff tail with their prefix.
+    The expansion does not depend on the scale at which the kernel reads
+    distances; that scale is the `KernelSpec`'s gamma.
     """
     L = localized_degree(N, q) // 2
-    if not 0 < gamma < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    psi0 = _even_psi_at_zero(L)  # psi_{2l}(0) carries the (-1)^l sign
+    psi0 = np.array(_even_psi_at_zero(L))  # psi_{2l}(0) carries the (-1)^l sign
     h_vals = np.array([cutoff(math.sqrt(2.0 * m) / N) for m in range(L + 1)])
-    coeffs = np.empty(L + 1)
     if q == 1:
-        for ell in range(L + 1):
-            coeffs[ell] = h_vals[ell] * psi0[ell]
+        coeffs = h_vals * psi0
     else:
         a = (q - 1) / 2.0
         prefactor = math.pi ** (-(q - 1) / 2.0) / math.gamma(a)
+        k = np.arange(L + 1)
+        w = np.exp(gammaln(a + k) - gammaln(k + 1))
+        coeffs = np.empty(L + 1)
         for ell in range(L + 1):
-            ms = np.arange(ell, L + 1)
-            w = np.exp(gammaln(a + ms - ell) - gammaln(ms - ell + 1))
-            coeffs[ell] = prefactor * float(np.dot(h_vals[ell:], w)) * psi0[ell]
-    return LocalizedKernelSpec(N=float(N), q=int(q), gamma=float(gamma), coeffs=coeffs)
+            coeffs[ell] = prefactor * float(np.dot(h_vals[ell:], w[:L + 1 - ell])) * psi0[ell]
+    return LocalizedKernelSpec(N=float(N), q=int(q), coeffs=coeffs)
 
 
 def eval_localized(spec: LocalizedKernelSpec, x):

@@ -61,7 +61,8 @@ def _check_params(kind: str, params) -> None:
     """Refuse an unknown kernel kind, a parameter that its kind does not
     read (a key outside `DEFAULT_PARAMS[kind]`), or a scale parameter that
     is not positive and finite. The localized N and q are checked where the
-    kernel is built (`build_localized_kernel`)."""
+    kernel's expansion is built (`build_localized_kernel`); its gamma, the
+    scale at which it reads distances, is checked and held here only."""
     if kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}")
     unread = [key for key in params if key not in DEFAULT_PARAMS[kind]]
@@ -77,7 +78,10 @@ def _check_params(kind: str, params) -> None:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Which kernel to use, with its hyperparameters."""
+    """Which kernel to use, with its hyperparameters, defaults filled in
+    from `DEFAULT_PARAMS`. The localized kind's expansion depends on N and
+    q only; its gamma, the scale at which it reads distances, is held in
+    `params` alone."""
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -90,9 +94,7 @@ class KernelSpec:
         merged.update(self.params)
         object.__setattr__(self, "params", merged)
         if self.kind == "localized":
-            spec = build_localized_kernel(
-                N=merged["N"], q=int(merged["q"]), gamma=merged["gamma"]
-            )
+            spec = build_localized_kernel(N=merged["N"], q=int(merged["q"]))
             object.__setattr__(self, "_localized", spec)
 
     @property
@@ -256,8 +258,7 @@ def _statistic(spec: KernelSpec, FA: tuple, FB: tuple) -> np.ndarray:
 def _profile(spec: KernelSpec, s: np.ndarray) -> np.ndarray:
     """Kernel values at pair statistics s (see `_statistic`)."""
     if spec.kind == "localized":
-        loc = spec.localized
-        return eval_localized(loc, loc.gamma * np.sqrt(s))
+        return eval_localized(spec.localized, spec.params["gamma"] * np.sqrt(s))
     if spec.kind in ("laplace_svd", "gaussian_svd"):
         return np.exp(-s)
     return np.exp(-spec.params["gamma"] * s)
@@ -300,7 +301,7 @@ def _check_finite(spec: KernelSpec | None, K: np.ndarray) -> None:
     if spec.kind == "localized":
         loc = spec.localized
         raise ValueError(
-            f"localized kernel (N={loc.N:g}, q={loc.q}, gamma={loc.gamma:g}, degree "
+            f"localized kernel (N={loc.N:g}, q={loc.q}, gamma={spec.params['gamma']:g}, degree "
             f"{loc.degree}) gave a non-finite value {K[idx]} {where}: the kernel is "
             "finite wherever gamma times the distance is a number, so a coordinate "
             "of that pair is not finite"

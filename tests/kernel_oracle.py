@@ -1,6 +1,7 @@
 """Reference bodies that the kernel layer replaced, kept as oracles: the
-scalar per-pair kernels and the per-pair Psi sum, the allocating Clenshaw
-pass and a 50-digit sum of the localized kernel's expansion, the full Gram
+scalar per-pair kernels and the per-pair Psi sum, the per-l coefficient
+loop of the localized kernel, the allocating Clenshaw pass and a 50-digit
+sum of the localized kernel's expansion, the full Gram
 symmetrised after the fact, the two-pass error profile,
 the minimal separation from the full distance matrix, the per-pair k-NN
 vote, the `eigvalsh`-only indefiniteness test, and the STFT frames cut one
@@ -14,7 +15,16 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from lockern.hermite import _T_MAX, LocalizedKernelSpec, eval_localized
+from scipy.special import gammaln
+
+from lockern.hermite import (
+    _T_MAX,
+    LocalizedKernelSpec,
+    _even_psi_at_zero,
+    cutoff,
+    eval_localized,
+    localized_degree,
+)
 from lockern.kernels import DiscreteQuadrature, KernelSpec, _sq_dists, _stack, cross_gram
 
 PI_QUARTER = math.pi ** (-0.25)
@@ -42,8 +52,7 @@ def pair_oracle(spec: KernelSpec):
             return math.exp(-p["alpha"] * dU ** 2 - p["beta"] * dS ** 2)
         if spec.kind == "euclidean_rbf":
             return math.exp(-p["gamma"] * float(np.sum(diff(a, b) ** 2)))
-        loc = spec.localized
-        return float(eval_localized(loc, loc.gamma * np.linalg.norm(diff(a, b))))
+        return float(eval_localized(spec.localized, p["gamma"] * np.linalg.norm(diff(a, b))))
 
     return k
 
@@ -55,6 +64,27 @@ def psi_oracle(spec: KernelSpec, quad: DiscreteQuadrature, x, y) -> float:
     kx = np.array([k(x, z) for z in quad.nodes])
     ky = np.array([k(y, z) for z in quad.nodes])
     return float(np.sum(quad.weights * quad.density_f0 * kx * ky))
+
+
+def coeffs_oracle(N: float, q: int) -> np.ndarray:
+    """The localized kernel's psi_{2l} coefficients, one l at a time: for
+    q >= 2 each l computes its own Gamma-ratio weights for m = l..L and
+    dots them with the cutoff tail; for q = 1 one product per l."""
+    L = localized_degree(N, q) // 2
+    psi0 = _even_psi_at_zero(L)
+    h_vals = np.array([cutoff(math.sqrt(2.0 * m) / N) for m in range(L + 1)])
+    coeffs = np.empty(L + 1)
+    if q == 1:
+        for ell in range(L + 1):
+            coeffs[ell] = h_vals[ell] * psi0[ell]
+    else:
+        a = (q - 1) / 2.0
+        prefactor = math.pi ** (-(q - 1) / 2.0) / math.gamma(a)
+        for ell in range(L + 1):
+            ms = np.arange(ell, L + 1)
+            w = np.exp(gammaln(a + ms - ell) - gammaln(ms - ell + 1))
+            coeffs[ell] = prefactor * float(np.dot(h_vals[ell:], w)) * psi0[ell]
+    return coeffs
 
 
 def clenshaw_oracle(spec: LocalizedKernelSpec, x):

@@ -303,17 +303,6 @@ class TestEvaluateAndProfile:
         assert prof.delta[0] == pytest.approx(0.1)
         assert prof.delta[-1] == pytest.approx(3.0)
 
-    def test_profile_csv(self, tmp_path):
-        model = self._toy_model()
-        prof = error_profile(model, np.zeros(2), [np.array([0.5]), np.array([1.0])])
-        path = tmp_path / "profile.csv"
-        prof.write_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "delta,abs_error,model_value"
-        assert len(rows) == 3
-        back = [float(v) for v in rows[1].split(",")]
-        assert back[0] == prof.delta[0]
-
     def test_empty_probes(self):
         with pytest.raises(ValueError):
             error_profile(self._toy_model(), [], [])

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from lockern.classify import (
 )
 from lockern.experiments import (
     ExperimentConfig,
+    _fold_eig,
     _pca_fold,
     holdout_subject,
     run_experiment,
@@ -88,15 +90,6 @@ class TestLabelIndicators:
             signs,
             [[-1.0, 1.0, -1.0, -1.0], [-1.0, -1.0, -1.0, 1.0], [1.0, -1.0, 1.0, -1.0]],
         )
-
-    def test_explicit_classes(self):
-        classes, signs = label_indicators(["a", "a"], classes=["a", "b"])
-        assert classes == ["a", "b"]
-        np.testing.assert_array_equal(signs, [[1.0, 1.0], [-1.0, -1.0]])
-
-    def test_unknown_class_rejected(self):
-        with pytest.raises(ValueError):
-            label_indicators([0, 3], classes=[0, 1])
 
 
 class TestSvmBinary:
@@ -292,8 +285,6 @@ class TestSvmBinary:
             support_coeffs=np.array([0.5, -0.5]),
             support_ids=np.array([0, 1]),
             bias=0.0,
-            spec=None,
-            C=1.0,
         )
         assert svm_predict(model, [2.0, 1.0]) == pytest.approx(0.5)
         with pytest.raises(ValueError):
@@ -434,9 +425,9 @@ class TestOneVsRest:
         g = gram(KernelSpec("euclidean_rbf", {"gamma": 0.5}), list(X))
         mc = one_vs_rest_train(g, y, C=5.0)
         binary = svm_train_binary(g, y, C=5.0)
-        for i in range(len(y)):
-            pred = one_vs_rest_predict(mc, g.entries[i])
-            assert pred == np.sign(svm_predict(binary, g.entries[i][binary.support_ids]))
+        preds = one_vs_rest_predict(mc, g.entries[:, mc.support_union()])
+        for pred, row in zip(preds, g.entries):
+            assert pred == np.sign(svm_predict(binary, row[binary.support_ids]))
 
     def test_three_class_blobs(self):
         rng = np.random.default_rng(4)
@@ -445,37 +436,40 @@ class TestOneVsRest:
         y = np.repeat([0, 1, 2], 8)
         g = gram(KernelSpec("euclidean_rbf", {"gamma": 0.5}), list(X))
         mc = one_vs_rest_train(g, y, C=10.0)
-        preds = [one_vs_rest_predict(mc, g.entries[i]) for i in range(len(y))]
+        preds = one_vs_rest_predict(mc, g.entries[:, mc.support_union()])
         np.testing.assert_array_equal(preds, y)
 
     def test_matrix_rows_and_support_columns(self):
-        # a whole test matrix at once, or only its support columns, gives
-        # the labels of one row at a time
+        # the support-column matrix gives, row by row, the label of the
+        # highest per-class decision value of svm_predict
         rng = np.random.default_rng(4)
         centers = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
         X = np.vstack([rng.normal(c, 0.8, (10, 2)) for c in centers])
         y = np.repeat(["a", "b", "c"], 10)
         K = gram(KernelSpec("euclidean_rbf", {"gamma": 0.5}), X).entries
         mc = one_vs_rest_train(K, y, C=1.0)
-        labels = one_vs_rest_predict(mc, K)
-        assert labels == [one_vs_rest_predict(mc, row) for row in K]
         sv = mc.support_union()
         assert np.array_equal(sv, np.unique(np.concatenate([m.support_ids for m in mc.models])))
         assert 0 < len(sv) < len(y)
-        assert one_vs_rest_predict(mc, K[:, sv], sv) == labels
-        with pytest.raises(ValueError, match="every support vector"):
-            one_vs_rest_predict(mc, K[:, sv[1:]], sv[1:])
+        labels = one_vs_rest_predict(mc, K[:, sv])
+        assert labels == [mc.classes[int(np.argmax([svm_predict(m, row[m.support_ids])
+                                                    for m in mc.models]))] for row in K]
+        # every other shape is refused, naming the width it should have and
+        # the one it has: the full rows, a missing column, one 1-d row
+        for wrong in (K, K[:, sv[1:]], K[0, sv]):
+            message = (f"(n_test, {len(sv)}) matrix, one column per support vector; "
+                       f"got shape {wrong.shape}")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                one_vs_rest_predict(mc, wrong)
 
     def test_tie_breaks_to_lowest_class(self):
         same = SvmModel(
             support_coeffs=np.array([1.0]),
             support_ids=np.array([0]),
             bias=0.0,
-            spec=None,
-            C=1.0,
         )
         mc = MulticlassModel(models=[same, same], classes=[3, 7])
-        assert one_vs_rest_predict(mc, np.array([0.5])) == 3
+        assert one_vs_rest_predict(mc, np.array([[0.5], [-1.0]])) == [3, 3]
 
     def test_indefinite_gram_warns_once(self):
         # one Gram shared by every class: checked once, not once per class
@@ -578,6 +572,7 @@ def gesture_folds():
         for trial in range(2):
             rng = np.random.default_rng(seed + trial)
             train_idx, test_idx = _stratified_split(labels, config.train_ratio, rng)
-            train_f, test_f = _pca_fold(pool_gram, config.r, train_idx, test_idx)
+            eig = _fold_eig(pool_gram, train_idx, config.r)
+            train_f, test_f = _pca_fold(pool_gram, config.r, train_idx, test_idx, eig)
             folds.append((train_f, labels[train_idx].tolist(), test_f))
     return folds

@@ -167,8 +167,8 @@ class TestFeatureExtraction:
         randomised = list(per_sample)
         for i in test:
             randomised[i] = replace(per_sample[i], data=rng.random(per_sample[i].data.shape))
-        fa, ta = _pca_fold(_padded_pool(per_sample, target), config.r, train, test)
-        fb, tb = _pca_fold(_padded_pool(randomised, target), config.r, train, test)
+        fa, ta = _own_pca_fold(_padded_pool(per_sample, target), config.r, train, test)
+        fb, tb = _own_pca_fold(_padded_pool(randomised, target), config.r, train, test)
         assert fa.tobytes() == fb.tobytes()
         assert not np.allclose(ta, tb)
 
@@ -185,7 +185,7 @@ class TestFeatureExtraction:
         per_sample = [spectrogram for _, spectrogram in pairs]
         train, test = _stratified_split(labels, config.train_ratio, np.random.default_rng(seed))
         pool = _padded_pool(per_sample, target, binary=mode == "binary")
-        got_train, got_test = _pca_fold(pool, config.r, train, test)
+        got_train, got_test = _own_pca_fold(pool, config.r, train, test)
         train_mat = zero_pad_stack([per_sample[i] for i in train], target)
         basis = fit_pca(train_mat, config.r)
         want_train = pca_project(basis, train_mat)
@@ -215,13 +215,13 @@ class TestFeatureExtraction:
             A, B = draw((2, 4, 3))
             specs = [Spectrogram(a * A + b * B) for a, b in draw((10, 2))]
             pool = _padded_pool(specs, 3)
-            assert [f.shape for f in _pca_fold(pool, 2, train, test)] == [(8, 2), (2, 2)]
+            assert [f.shape for f in _own_pca_fold(pool, 2, train, test)] == [(8, 2), (2, 2)]
             with pytest.raises(RankError, match=re.escape("data rank below r=3; lower r")):
                 fit_pca(zero_pad_stack(specs[:8], 3), 3)
             with pytest.raises(RankError, match=re.escape("data rank below r=3; lower r")):
-                _pca_fold(pool, 3, train, test)
+                _own_pca_fold(pool, 3, train, test)
             with pytest.raises(RankError, match=re.escape("r=13 out of range for 8x12 data")):
-                _pca_fold(pool, 13, train, test)
+                _own_pca_fold(pool, 13, train, test)
 
     def test_svd_feature_shape(self, small_gestures):
         config = ExperimentConfig(feature="svd", kernel_kind="grassmann", r=4)
@@ -232,6 +232,12 @@ class TestFeatureExtraction:
     def test_unknown_feature(self):
         with pytest.raises(ValueError, match="unknown feature kind 'wavelet'"):
             ExperimentConfig(feature="wavelet")
+
+
+def _own_pca_fold(pool, r, train, test):
+    """The fold's PCA features from its own eigenpairs at r, as a single
+    run makes them."""
+    return _pca_fold(pool, r, train, test, experiments._fold_eig(pool, train, r))
 
 
 def _record_calls(monkeypatch, name):
@@ -258,9 +264,9 @@ def checked_predict(monkeypatch):
     calls = []
     predict = experiments.one_vs_rest_predict
 
-    def checked(mc, rows, columns=None):
-        labels = predict(mc, rows, columns)
-        cols = np.arange(rows.shape[1]) if columns is None else columns
+    def checked(mc, rows):
+        labels = predict(mc, rows)
+        cols = mc.support_union()
         expected = []
         for row in rows:
             scores = [svm_predict(m, row[np.searchsorted(cols, m.support_ids)])
@@ -867,16 +873,18 @@ class TestSupportColumns:
             sv = mc.support_union()
             full, support = pool.test_block(test, train), pool.test_block(test, train[sv])
         else:
-            train_f, test_f = _pca_fold(pool, config.r, train, test)
+            train_f, test_f = _own_pca_fold(pool, config.r, train, test)
             mc = one_vs_rest_train(kernels.gram(config.kernel, train_f), labels[train].tolist())
             sv = mc.support_union()
             full = kernels.cross_gram(config.kernel, test_f, train_f)
             support = kernels.cross_gram(config.kernel, test_f, train_f[sv])
         assert 0 < len(sv) < len(train)
         assert np.array_equal(support, full[:, sv])
-        # and the prediction on those columns is the prediction on the full rows
-        assert (experiments.one_vs_rest_predict(mc, support, sv)
-                == experiments.one_vs_rest_predict(mc, full))
+        # and the prediction on those columns is the per-row svm_predict
+        # argmax on the full rows
+        assert experiments.one_vs_rest_predict(mc, support) == [
+            mc.classes[int(np.argmax([svm_predict(m, row[m.support_ids]) for m in mc.models]))]
+            for row in full]
 
 
 class TestDimensionSweepEigh:
@@ -912,7 +920,7 @@ class TestDimensionSweepEigh:
         assert eig.vectors.base is None  # not a view of the full eigenvector matrix
         for r in (1, 4, 9):
             shared = _pca_fold(pool, r, train, test, eig)
-            for a, b in zip(shared, _pca_fold(pool, r, train, test)):
+            for a, b in zip(shared, _own_pca_fold(pool, r, train, test)):
                 assert np.array_equal(a, b)
 
 

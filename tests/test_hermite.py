@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_oracle import clenshaw_oracle, mpmath_oracle
+from kernel_oracle import clenshaw_oracle, coeffs_oracle, mpmath_oracle
 
 from lockern import hermite
 from lockern.hermite import (
@@ -169,11 +169,11 @@ class TestProjKernel:
 
 class TestBuildLocalizedKernel:
     def test_coefficient_counts(self):
-        assert len(build_localized_kernel(1, 3, 1.0).coeffs) == 1
-        spec = build_localized_kernel(4, 2, 0.8)
+        assert len(build_localized_kernel(1, 3).coeffs) == 1
+        spec = build_localized_kernel(4, 2)
         assert len(spec.coeffs) == 9
         assert spec.degree == 16
-        spec = build_localized_kernel(8, 18, 0.8)
+        spec = build_localized_kernel(8, 18)
         assert len(spec.coeffs) == 33
         assert spec.degree == 64
 
@@ -185,10 +185,33 @@ class TestBuildLocalizedKernel:
 
     @pytest.mark.parametrize("gamma", [math.inf, math.nan, -1.0, 0.0, -math.inf])
     def test_gamma_must_be_positive_and_finite(self, gamma):
-        with pytest.raises(ValueError, match="gamma must be positive and finite"):
-            build_localized_kernel(8.0, 18, gamma)
+        # the kernel's scale is the KernelSpec's; its expansion has none
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
             KernelSpec("localized", {"N": 8.0, "q": 18, "gamma": gamma})
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 10, 18, 30])
+    def test_coefficients_match_per_l_oracle(self, q):
+        # one set of Gamma-ratio weights for every l gives bitwise the
+        # coefficients of weights computed per l
+        for N in (1, 1.5, 2, 3, 4, 6, 8, 12, 16, 24, 32, 50):
+            got = build_localized_kernel(N, q).coeffs
+            assert got.tobytes() == coeffs_oracle(N, q).tobytes(), N
+
+    @pytest.mark.parametrize("N, q", [(1.0, 2), (8.0, 18), (32.0, 3), (50.0, 30), (8.0, 1)])
+    def test_gammaln_work_is_linear_in_the_degree(self, N, q, monkeypatch):
+        # at most 2(L+1) gammaln arguments per build, not O(L^2)
+        seen = []
+        real = hermite.gammaln
+
+        def counted(x):
+            seen.append(np.size(x))
+            return real(x)
+
+        monkeypatch.setattr(hermite, "gammaln", counted)
+        L = localized_degree(N, q) // 2
+        build_localized_kernel(N, q)
+        assert sum(seen) <= 2 * (L + 1)
+        assert q == 1 or sum(seen) > 0
 
     @pytest.mark.parametrize("N", [1.0, 1.5, 2.0, 3.7, 4.0, 8.0, 32.0])
     def test_degree_helper_matches_built_kernel(self, N):
@@ -218,7 +241,7 @@ class TestBuildLocalizedKernel:
     def test_equals_cutoff_weighted_projection_sum(self, q):
         # the coefficient expansion must reproduce the defining sum exactly
         N = 3.0
-        spec = build_localized_kernel(N, q, 1.0)
+        spec = build_localized_kernel(N, q)
         L = int(N * N / 2)
         for x in (0.0, 0.7, 2.3):
             direct = sum(
@@ -230,7 +253,7 @@ class TestBuildLocalizedKernel:
 class TestEvalLocalized:
     @pytest.mark.parametrize("N, q", [(1.0, 1), (4.0, 2), (8.0, 18), (12.0, 5)])
     def test_in_place_pass_matches_allocating_oracle(self, N, q):
-        spec = build_localized_kernel(N, q, 1.0)
+        spec = build_localized_kernel(N, q)
         rng = np.random.default_rng(int(N * 100 + q))
         arrays = [
             rng.uniform(-15.0, 15.0, 257),
@@ -254,7 +277,7 @@ class TestEvalLocalized:
     def test_chunks_match_one_pass(self, monkeypatch, n):
         # n points run in ceil(n / 2^14) near-equal passes, bitwise as one
         # pass; the points span the clamp and the rescaled far field
-        spec = build_localized_kernel(12.0, 5, 1.0)
+        spec = build_localized_kernel(12.0, 5)
         x = np.random.default_rng(n).uniform(-80.0, 80.0, n)
         x[::97] = np.nan
         chunked = eval_localized(spec, x)
@@ -337,7 +360,7 @@ class TestEvalLocalized:
 
 @lru_cache(maxsize=None)
 def cached_kernel(N, q):
-    return build_localized_kernel(N, q, 1.0)
+    return build_localized_kernel(N, q)
 
 
 def oracle_bound_ratio(spec, xs, evaluate=eval_localized):

@@ -444,8 +444,11 @@ class TestKernelSpec:
         other = KernelSpec("localized", {"N": 8.0}).localized
         with pytest.raises(TypeError):
             KernelSpec("localized", {"N": 4.0}, _localized=other)
-        loc = KernelSpec("localized", {"N": 4.0, "q": 3, "gamma": 0.5}).localized
-        assert (loc.N, loc.q, loc.gamma, loc.degree) == (4.0, 3, 0.5, 16)
+        spec = KernelSpec("localized", {"N": 4.0, "q": 3, "gamma": 0.5})
+        loc = spec.localized
+        assert (loc.N, loc.q, loc.degree, spec.params["gamma"]) == (4.0, 3, 16, 0.5)
+        # the scale is the KernelSpec's alone: the expansion holds N and q
+        assert not hasattr(loc, "gamma")
 
 
 class TestPsiKernel:
