@@ -778,6 +778,19 @@ class TestPoolGram:
                 assert row.train_time_s >= 0.2 * n_train * n_train / M**2
                 assert row.test_time_s >= 0.2 * n_test * n_train / M**2
 
+    def test_pca_folds_are_charged_their_decomposition(self, small_gestures, monkeypatch):
+        # every PCA fold's train_time_s holds its _fold_eig's seconds: in a
+        # single run, in a holdout and in each r of a dimension sweep
+        fold_eig = experiments._fold_eig
+        monkeypatch.setattr(experiments, "_fold_eig",
+                            lambda *args: replace(fold_eig(*args), seconds=100.0))
+        config = ExperimentConfig(r=6, classifier="knn", trials=2)
+        rows = (run_experiment(config, small_gestures).rows
+                + holdout_subject(config, small_gestures).rows
+                + [table.rows[0] for _, table in sweep_dimension(config, small_gestures, [2, 6])])
+        assert len(rows) == 9
+        assert all(100.0 <= row.train_time_s < 101.0 for row in rows)
+
     def test_pca_builds_kernels_per_fold(self, small_gestures, monkeypatch):
         # a Gram and a cross-Gram per fold, one localized kernel per config
         grams = _record_calls(monkeypatch, "gram")
