@@ -2,11 +2,13 @@
 # Runs each experiment command once through the installed `lockern` script,
 # on a small synthetic set with a k-NN config, and `experiment` with that
 # config under unit and under magnitude preprocessing (the default is
-# binary). Two SVM runs follow: `experiment` with the default config (PCA,
-# localized kernel) and `holdout` with an SVD Grassmann config. `kernel-eval`
+# binary). Three SVM runs follow: `experiment` with the default config (PCA,
+# localized kernel), and `holdout` and `sweep-frac` with an SVD Grassmann
+# config, whose fractions share one pool of SVD features. `kernel-eval`
 # tabulates the default localized kernel and must exit 2 for a negative
 # gamma, and `features` writes the synthetic set's SVD features and PCA
-# inputs. Then it checks that each refused
+# inputs and must exit 2 for an --r below 1, creating no output directory.
+# Then it checks that each refused
 # config exits 1 and creates no output directory: a NaN C, a localized q
 # below 1, and a negative euclidean_rbf gamma.
 # Usage: scripts/cli_smoke.sh <directory for the runs' outputs>
@@ -28,6 +30,8 @@ lockern --out-dir "$root/experiment-svm" experiment --synthetic --per-cell 2
 printf 'feature = svd\nkernel_kind = grassmann\nr = 5\n' > "$root/grassmann.cfg"
 lockern --out-dir "$root/holdout-grassmann" holdout --synthetic --per-cell 2 \
   --config "$root/grassmann.cfg"
+lockern --out-dir "$root/sweep-frac-grassmann" sweep-frac --synthetic --per-cell 2 \
+  --config "$root/grassmann.cfg"
 
 lockern kernel-eval --N 8 --q 18 --steps 20 > "$root/kernel-eval.csv"
 status=0
@@ -39,6 +43,16 @@ fi
 for feature in svd pca-input; do
   lockern --out-dir "$root/features-$feature" features --synthetic --feature "$feature"
 done
+status=0
+lockern --out-dir "$root/features-r0" features --synthetic --r 0 || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "features with --r 0 exited $status, not 2" >&2
+  exit 1
+fi
+if [ -e "$root/features-r0" ]; then
+  echo "features with --r 0 left $root/features-r0 behind" >&2
+  exit 1
+fi
 
 refused=(
   'classifier = knn\nC = nan\n'

@@ -80,8 +80,17 @@ def _dominance_ratio(K: np.ndarray) -> float:
     return float(np.max(off / np.abs(diag)))
 
 
+def _check_flat(spec: KernelSpec) -> None:
+    """Refuse a kernel that does not take flat vectors (`kernels.FLAT_KINDS`):
+    the minimal separation and the nearest-node distances are Euclidean."""
+    if spec.kind not in FLAT_KINDS:
+        raise ValueError(f"{spec.kind} is not a kernel on flat vectors")
+
+
 def fit_empirical(spec: KernelSpec, nodes, values) -> CollocationModel:
-    """Interpolatory fit: solve sum_k a_k K(y_j, y_k) = f_j directly."""
+    """Interpolatory fit: solve sum_k a_k K(y_j, y_k) = f_j directly. The
+    kernel must be a flat kind."""
+    _check_flat(spec)
     nodes = list(nodes)
     values = np.asarray(values, dtype=float)
     if len(nodes) != len(values):
@@ -128,8 +137,9 @@ def fit_theoretical(spec: KernelSpec, nodes, f_values, quad: DiscreteQuadrature)
     both the normal equations and the collocation matrix of the dominance
     ratio. For the flat kinds its node block is bitwise the `gram` of the
     nodes: their squared distances are exactly symmetric and the profile is
-    elementwise.
+    elementwise. The kernel must be a flat kind.
     """
+    _check_flat(spec)
     nodes = list(nodes)
     f_values = np.asarray(f_values, dtype=float)
     if len(f_values) != len(quad.nodes):
@@ -159,8 +169,7 @@ def error_profile(model: CollocationModel, truth, probes) -> ErrorProfile:
     truth = np.asarray(truth, dtype=float)
     if len(probes) == 0:
         raise ValueError("no probes")
-    if model.spec.kind not in FLAT_KINDS:
-        raise ValueError(f"{model.spec.kind} is not a kernel on flat vectors")
+    _check_flat(model.spec)
     K, d2 = _cross_gram_statistics(model.spec, probes, model.nodes)
     vals = K @ model.coeffs
     # sqrt is monotone and correctly rounded: the root of the least square

@@ -173,24 +173,24 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_features(args) -> int:
+    if args.r < 1:
+        raise UsageError(f"--r {args.r} is below 1")
     dataset = _load_dataset(args)
     os.makedirs(args.out_dir, exist_ok=True)
     target = max(s.data.shape[1] for s in dataset.samples)
     indices = range(len(dataset.samples))
     for i, spec in _preprocessed_samples(args.preprocessing, dataset.samples, indices):
+        # each sample's features before its file: a refused sample leaves none
+        if args.feature == "svd":
+            feat = svd_features(spec, args.r)
+            rows = [["singular_values"] + [repr(float(s)) for s in feat.S]]
+            rows += [[repr(float(v)) for v in row] for row in feat.U]
+        else:
+            vec = zero_pad_stack([spec], target)[0]
+            rows = [["flat_vector"]] + [[repr(float(v))] for v in vec]
         path = os.path.join(args.out_dir, f"sample{i:04d}.csv")
         with open(path, "w", newline="\n") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            if args.feature == "svd":
-                feat = svd_features(spec, args.r)
-                w.writerow(["singular_values"] + [repr(float(s)) for s in feat.S])
-                for row in feat.U:
-                    w.writerow([repr(float(v)) for v in row])
-            else:
-                vec = zero_pad_stack([spec], target)[0]
-                w.writerow(["flat_vector"])
-                for v in vec:
-                    w.writerow([repr(float(v))])
+            csv.writer(fh, lineterminator="\n").writerows(rows)
     _write_run_manifest(args.out_dir, args)
     return 0
 

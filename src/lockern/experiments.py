@@ -334,13 +334,6 @@ def _preprocessed_samples(mode: str, samples, indices):
                                  samples[i].label, samples[i].subject)
 
 
-def _single_blocks(pairs):
-    """One `_Block` per (index, preprocessed Spectrogram) pair, a view of its
-    data: the blocks of a pool that `_preprocessed` did not make in order."""
-    for i, spec in pairs:
-        yield _Block([i], spec.data.ravel(order="F"), np.array([spec.data.shape]))
-
-
 def _blocks(samples, indices):
     """Runs of consecutive `indices` whose samples hold at most
     _PREPROCESS_BLOCK_ELEMS elements in all; a larger sample is a run alone."""
@@ -534,26 +527,20 @@ def _splits(config: ExperimentConfig, labels) -> list:
             for t in range(config.trials)]
 
 
-def _pool_gram(config: ExperimentConfig, dataset: GestureSet, pairs=None) -> _PoolGram:
-    """The call's pool matrix (`_PoolGram`). `pairs` gives the pool's
-    preprocessed samples as (index, Spectrogram) pairs, in pool order.
-    Without it the pool is every sample of the data set, preprocessed here
-    one block at a time: SVD features keep only each sample's features, and
-    PCA inputs are written into P block by block, so no per-sample
-    spectrogram is held. PCA inputs are padded to the data set's widest."""
+def _pool_gram(config: ExperimentConfig, dataset: GestureSet, indices) -> _PoolGram:
+    """The call's pool matrix (`_PoolGram`) of the samples of `indices`, in
+    that order, preprocessed here one block at a time: SVD features keep
+    only each sample's features, and PCA inputs are written into P block by
+    block, so no per-sample spectrogram is held. PCA inputs are padded to
+    the data set's widest."""
     mode = config.preprocessing
-    every = range(len(dataset.samples))
     if config.feature == "svd":
-        if pairs is None:
-            pairs = _preprocessed_samples(mode, dataset.samples, every)
-        return _PoolGram.of_kernel(config.kernel,
-                                   [svd_features(spec, config.r) for _, spec in pairs])
-    if pairs is None:
-        blocks, n_samples = _preprocessed(mode, dataset.samples, every), len(every)
-    else:
-        blocks, n_samples = _single_blocks(pairs), len(pairs)
+        return _PoolGram.of_kernel(config.kernel, [
+            svd_features(spec, config.r)
+            for _, spec in _preprocessed_samples(mode, dataset.samples, indices)])
     target_frames = max(s.data.shape[1] for s in dataset.samples)
-    return _PoolGram.of_padded(blocks, n_samples, target_frames, mode == "binary")
+    return _PoolGram.of_padded(_preprocessed(mode, dataset.samples, indices), len(indices),
+                               target_frames, mode == "binary")
 
 
 def _scores(config: ExperimentConfig, classes: int, labels, pool_gram: _PoolGram,
@@ -636,7 +623,8 @@ def run_experiment(config: ExperimentConfig, dataset: GestureSet) -> ResultTable
     splits (one row)."""
     labels = np.array([s.label for s in dataset.samples])
     folds = _splits(config, labels)
-    scores = _scores(config, dataset.classes, labels, _pool_gram(config, dataset), folds)
+    pool_gram = _pool_gram(config, dataset, range(len(labels)))
+    scores = _scores(config, dataset.classes, labels, pool_gram, folds)
     return _split_table(config, scores)
 
 
@@ -667,17 +655,18 @@ def _sweep_configs(configs: list, dataset: GestureSet) -> list:
     folds = _splits(config, labels)
     eigs = None
     if config.feature == "pca":
-        pool_gram = _pool_gram(config, dataset)
+        pool_gram = _pool_gram(config, dataset, range(len(labels)))
         top = max(c.r for c in configs)
         eigs = [_fold_eig(pool_gram, train, top) for train, _ in folds]
     else:
-        pairs = list(_preprocessed_samples(config.preprocessing, dataset.samples,
-                                           range(len(dataset.samples))))
+        specs = [spec for _, spec in _preprocessed_samples(config.preprocessing, dataset.samples,
+                                                           range(len(labels)))]
     out = []
     for config_r in configs:
         try:
             if config.feature == "svd":
-                pool_gram = _pool_gram(config_r, dataset, pairs)
+                pool_gram = _PoolGram.of_kernel(config_r.kernel, [svd_features(spec, config_r.r)
+                                                                  for spec in specs])
             scores = _scores(config_r, dataset.classes, labels, pool_gram, folds, eigs)
             out.append((config_r.r, _split_table(config_r, scores)))
         except _SWEEP_SKIPS as exc:
@@ -697,22 +686,32 @@ def sweep_train_fraction(config: ExperimentConfig, dataset: GestureSet,
     """(fraction, result) per fraction: a stratified subsample of the
     training pool, then the usual repeated-split protocol on it. The result
     is the ResultTable, or the RankError or MissingClassError that skipped
-    this fraction; any other error propagates. Each sample is preprocessed
-    once per call, and each fraction's pool takes one pool matrix. A
-    fraction outside (0, 1], NaN included, is refused before any sample is
-    preprocessed."""
+    this fraction; any other error propagates. A fraction outside (0, 1],
+    NaN included, is refused before any sample is preprocessed.
+
+    One pool matrix is made per call, of the union of the fractions' pools;
+    each fraction's folds are positions in it. Every fraction draws its
+    subsample with the same per-class permutations, so the pools are nested
+    and the union is the largest. SVD features that refuse a sample at
+    config.r (a RankError while the pool is built) refuse the data set, so
+    every fraction records that error."""
     _check_fractions(fractions)
     labels = np.array([s.label for s in dataset.samples])
     pools = [_stratified_split(labels, frac, np.random.default_rng(config.seed))[0]
              if frac < 1.0 else np.arange(len(labels)) for frac in fractions]
-    folds = [_splits(config, labels[pool]) for pool in pools]
-    used = np.unique(np.concatenate(pools)) if pools else []
-    preprocessed = dict(_preprocessed_samples(config.preprocessing, dataset.samples, used))
+    if not pools:
+        return []
+    used = np.unique(np.concatenate(pools))
+    try:
+        pool_gram = _pool_gram(config, dataset, used)
+    except RankError as exc:
+        return [(frac, exc) for frac in fractions]
     out = []
-    for frac, pool, pool_folds in zip(fractions, pools, folds):
+    for frac, pool in zip(fractions, pools):
+        at = np.searchsorted(used, pool)
+        folds = [(at[train], at[test]) for train, test in _splits(config, labels[pool])]
         try:
-            pool_gram = _pool_gram(config, dataset, [(i, preprocessed[i]) for i in pool])
-            scores = _scores(config, dataset.classes, labels[pool], pool_gram, pool_folds)
+            scores = _scores(config, dataset.classes, labels[used], pool_gram, folds)
             out.append((frac, _split_table(config, scores)))
         except _SWEEP_SKIPS as exc:
             out.append((frac, exc))
@@ -730,7 +729,8 @@ def holdout_subject(config: ExperimentConfig, dataset: GestureSet) -> ResultTabl
     folds = [(np.flatnonzero(subjects != subject), np.flatnonzero(subjects == subject))
              for subject in dataset.subjects]
     labels = np.array([s.label for s in dataset.samples])
-    scores = _scores(config, dataset.classes, labels, _pool_gram(config, dataset), folds)
+    pool_gram = _pool_gram(config, dataset, range(len(labels)))
+    scores = _scores(config, dataset.classes, labels, pool_gram, folds)
     method = config.method_name()
     return ResultTable(rows=[
         ResultRow(method=f"{method} holdout={subject}", r=config.r, accuracy_mean=acc,

@@ -37,6 +37,9 @@ def write_spectrogram_csv(spec: Spectrogram, path, complex_pairs: bool = False) 
 
 
 def read_spectrogram_csv(path, label=None, subject=None) -> Spectrogram:
+    """One row per frequency bin, each as long as the first; a `complex`
+    header marks rows of real,imag pairs, read as their magnitudes. A
+    malformed row is refused with its `path:line`."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -46,11 +49,17 @@ def read_spectrogram_csv(path, label=None, subject=None) -> Spectrogram:
     state = header[1] if len(header) > 1 else "magnitude"
     data_rows = []
     for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[1]):
+            raise ValueError(f"{path}:{lineno}: row has {len(row)} values, "
+                             f"the first row {len(rows[1])}")
         try:
             vals = [float(v) for v in row]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: malformed CSV row") from exc
         if is_complex:
+            if len(vals) % 2:
+                raise ValueError(f"{path}:{lineno}: complex row has {len(vals)} values, "
+                                 "not real,imag pairs")
             re, im = vals[0::2], vals[1::2]
             vals = list(np.abs(np.array(re) + 1j * np.array(im)))
             state = "magnitude"

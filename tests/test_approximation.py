@@ -23,6 +23,7 @@ from lockern.approximation import (
     minimal_separation,
     sigma_n,
 )
+from lockern.features import SubspaceFeature
 from lockern.kernels import DiscreteQuadrature, KernelSpec, cross_gram
 
 
@@ -361,8 +362,22 @@ class TestEvaluateAndProfile:
         with pytest.raises(ValueError, match=r"N=32, q=18.* at entry \(1, 0\)"):
             error_profile(model, np.zeros(2), [np.array([0.5]), np.array([np.nan])])
 
-    def test_needs_flat_kernel(self):
+    def test_needs_flat_kernel(self, monkeypatch):
+        # both fits refuse a subspace kernel before any kernel value is made
+        spec = KernelSpec("grassmann")
         model = CollocationModel(nodes=[np.eye(3)[:, :1]], coeffs=np.ones(1),
-                                 spec=KernelSpec("grassmann"), eta=np.inf, dominance_ratio=0.0)
+                                 spec=spec, eta=np.inf, dominance_ratio=0.0)
         with pytest.raises(ValueError, match="grassmann is not a kernel on flat vectors"):
             error_profile(model, np.zeros(1), [np.eye(3)[:, :1]])
+
+        def no_kernel_values(*args):
+            raise AssertionError("a kernel value was computed")
+
+        monkeypatch.setattr(approximation, "gram", no_kernel_values)
+        monkeypatch.setattr(approximation, "cross_gram", no_kernel_values)
+        nodes = [SubspaceFeature(U=np.eye(3)[:, [k]], S=np.ones(1)) for k in range(3)]
+        quad = DiscreteQuadrature(nodes=nodes, weights=np.ones(3), density_f0=np.ones(3))
+        for fit in (lambda: fit_empirical(spec, nodes, np.zeros(3)),
+                    lambda: fit_theoretical(spec, nodes, np.zeros(3), quad)):
+            with pytest.raises(ValueError, match="grassmann is not a kernel on flat vectors"):
+                fit()

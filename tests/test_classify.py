@@ -568,7 +568,7 @@ def gesture_folds():
         ds = gen_synthetic_gestures(per_cell=10, seed=seed)
         config = ExperimentConfig(classifier="knn", seed=seed)
         labels = np.array([s.label for s in ds.samples])
-        pool_gram = _pool_gram(config, ds)
+        pool_gram = _pool_gram(config, ds, range(len(labels)))
         for trial in range(2):
             rng = np.random.default_rng(seed + trial)
             train_idx, test_idx = _stratified_split(labels, config.train_ratio, rng)

@@ -146,6 +146,17 @@ class TestFeaturesCommand:
         digest = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
         assert digest == "e9e2238838f80910ef027e92cf8c87acb93f553cc4b1215bc844f635695b3ce6"
 
+    def test_refused_r_leaves_no_output(self, tmp_path, capsys):
+        # an --r below 1 is a usage error before any data are read; an --r
+        # that a sample's SVD refuses exits 1 before that sample's file opens
+        out = tmp_path / "out"
+        assert run(["--out-dir", str(out), "features", "--synthetic", "--r", "0"]) == 2
+        assert "--r 0 is below 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["--out-dir", str(out), "features", "--synthetic", "--r", "500"]) == 1
+        assert "r=500 out of range for 64x" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_requires_dataset_flag(self, capsys):
         assert run(["features"]) == 2
         assert "either --synthetic or --manifest" in capsys.readouterr().err
@@ -327,13 +338,18 @@ class TestExperimentCommand:
         assert (tmp_path / "out" / "results.csv").exists()
 
     def test_malformed_spectrogram_exits_1(self, tmp_path, capsys):
-        (tmp_path / "bad.csv").write_text("real,magnitude\n1.0,oops\n")
         write_manifest([("bad.csv", 0, "A")], tmp_path / "manifest.csv")
-        code = run(
-            ["experiment", "--manifest", str(tmp_path / "manifest.csv")]
-        )
-        assert code == 1
-        assert "malformed" in capsys.readouterr().err
+        for text, message in [
+            ("real,magnitude\n1.0,oops\n", "bad.csv:2: malformed CSV row"),
+            ("complex,magnitude\n1,2,3\n", "bad.csv:2: complex row has 3 values"),
+            ("real,magnitude\n1.0,2.0\n1.0\n", "bad.csv:3: row has 1 values, the first row 2"),
+        ]:
+            (tmp_path / "bad.csv").write_text(text)
+            code = run(
+                ["experiment", "--manifest", str(tmp_path / "manifest.csv")]
+            )
+            assert code == 1
+            assert message in capsys.readouterr().err
 
     def test_missing_manifest_exits_2(self, tmp_path):
         code = run(["experiment", "--manifest", str(tmp_path / "none.csv")])

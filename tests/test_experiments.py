@@ -23,7 +23,6 @@ from lockern.experiments import (
     _PoolGram,
     _preprocessed,
     _preprocessed_samples,
-    _single_blocks,
     _stratified_split,
 )
 from lockern.features import (
@@ -33,9 +32,11 @@ from preprocess_oracle import preprocess_oracle
 
 
 def _padded_pool(specs, target_frames, binary=False):
-    """`_PoolGram.of_padded` of a list of preprocessed spectrograms."""
-    return _PoolGram.of_padded(_single_blocks(enumerate(specs)), len(specs), target_frames,
-                               binary)
+    """`_PoolGram.of_padded` of a list of preprocessed spectrograms, one
+    `_Block` per spectrogram."""
+    blocks = (experiments._Block([i], spec.data.ravel(order="F"), np.array([spec.data.shape]))
+              for i, spec in enumerate(specs))
+    return _PoolGram.of_padded(blocks, len(specs), target_frames, binary)
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +318,17 @@ class TestPerSampleWorkOnce:
         sweep_train_fraction(knn, small_gestures, fractions=(0.4, 0.6, 1.0))
         assert _once_each(preprocessed, small_gestures.samples)
 
+        # a fraction sweep's pools share one pool matrix: each used sample
+        # (the largest pool's) is decomposed once, whatever the fractions
+        preprocessed.clear()
+        decomposed.clear()
+        labels = np.array([s.label for s in small_gestures.samples])
+        used, _ = _stratified_split(labels, 0.6, np.random.default_rng(config.seed))
+        out = sweep_train_fraction(replace(config, r=5), small_gestures, fractions=(0.4, 0.6))
+        assert all(isinstance(table, experiments.ResultTable) for _, table in out)
+        assert _once_each(preprocessed, [small_gestures.samples[i] for i in used])
+        assert len(decomposed) == len(used)
+
 
 class TestPreprocessed:
     @pytest.mark.parametrize("mode", ["binary", "unit", "magnitude"])
@@ -588,10 +600,46 @@ class TestSweeps:
         assert isinstance(out[1], MissingClassError)
 
     def test_fraction_one_matches_plain_run(self, small_gestures):
-        config = ExperimentConfig(classifier="knn", knn_k=1, r=6, trials=1, seed=42)
-        out = sweep_train_fraction(config, small_gestures, fractions=(1.0,))
-        plain = run_experiment(config, small_gestures)
-        assert out[0][1].rows[0].accuracy_mean == plain.rows[0].accuracy_mean
+        # each fraction's row is a plain run on a data set of its pool alone:
+        # its blocks of the call's one pool matrix are that run's matrix
+        samples = small_gestures.samples
+        labels = np.array([s.label for s in samples])
+        fractions = (0.4, 0.7, 1.0)
+        for config in [
+            ExperimentConfig(classifier="knn", knn_k=1, r=6, trials=3, seed=42),
+            ExperimentConfig(feature="svd", r=4, kernel_kind="laplace_svd", trials=3, seed=42),
+        ]:
+            out = sweep_train_fraction(config, small_gestures, fractions)
+            assert [frac for frac, _ in out] == list(fractions)
+            for frac, table in out:
+                pool = (_stratified_split(labels, frac, np.random.default_rng(config.seed))[0]
+                        if frac < 1.0 else np.arange(len(samples)))
+                plain = run_experiment(config, replace(small_gestures,
+                                                       samples=[samples[i] for i in pool]))
+                assert ([(row.method, row.r, row.accuracy_mean, row.accuracy_var)
+                         for row in table.rows]
+                        == [(row.method, row.r, row.accuracy_mean, row.accuracy_var)
+                            for row in plain.rows])
+
+    def test_fraction_sweep_rank_error_skips_every_fraction(self, small_gestures,
+                                                             monkeypatch):
+        # a spectrogram with fewer frames than r refuses the SVD features of
+        # the data set: every fraction records the RankError, also those
+        # whose pool does not hold that sample, and no kernel value is made
+        grams = _record_calls(monkeypatch, "gram")
+        config = ExperimentConfig(feature="svd", r=5, kernel_kind="grassmann", trials=2)
+        samples = list(small_gestures.samples)
+        labels = np.array([s.label for s in samples])
+        smallest, _ = _stratified_split(labels, 0.3, np.random.default_rng(config.seed))
+        narrow = min(set(range(len(samples))) - set(smallest))
+        samples[narrow] = replace(samples[narrow], data=samples[narrow].data[:, :3])
+        out = sweep_train_fraction(config, replace(small_gestures, samples=samples),
+                                   fractions=(0.3, 0.7, 1.0))
+        assert [frac for frac, _ in out] == [0.3, 0.7, 1.0]
+        for _, error in out:
+            assert isinstance(error, RankError)
+            assert str(error) == "r=5 out of range for 64x3 spectrogram"
+        assert grams == []
 
     def test_fraction_sweep_shrinks_pool(self, small_gestures):
         config = ExperimentConfig(classifier="knn", knn_k=1, r=6, trials=1, seed=42)
@@ -653,7 +701,7 @@ class TestPoolGram:
         sweep_dimension(svd, small_gestures, [2, 3])
         assert (len(grams), len(crosses)) == (4, 0)
         sweep_train_fraction(svd, small_gestures, fractions=(0.6, 1.0))
-        assert (len(grams), len(crosses)) == (6, 0)
+        assert (len(grams), len(crosses)) == (5, 0)
 
     @pytest.mark.parametrize("trials, train_ratio, bound_pooled", [
         (1, 0.8, False), (2, 0.5, True), (2, 0.4, False), (5, 0.2, True),
@@ -702,6 +750,12 @@ class TestPoolGram:
         out = sweep_dimension(replace(pca, trials=1), small_gestures, [2, 3, 4, 5])
         assert all(isinstance(table, experiments.ResultTable) for _, table in out)
         assert padded == [M, M, M, M]
+        # a fraction sweep pads the union of its pools, the largest, once
+        labels = np.array([s.label for s in small_gestures.samples])
+        used, _ = _stratified_split(labels, 0.7, np.random.default_rng(pca.seed))
+        out = sweep_train_fraction(pca, small_gestures, fractions=(0.3, 0.7, 0.5))
+        assert all(isinstance(table, experiments.ResultTable) for _, table in out)
+        assert padded == [M, M, M, M, len(used)] and len(used) < M
 
     def test_binary_pool_gram_is_the_float64_product(self, small_gestures):
         # binary P is formed in float32, and its P P' is bitwise the float64
@@ -709,7 +763,7 @@ class TestPoolGram:
         samples = small_gestures.samples
         target = max(s.data.shape[1] for s in samples)
         P = zero_pad_stack([preprocess_oracle(s, "binary") for s in samples], target)
-        pool = experiments._pool_gram(ExperimentConfig(), small_gestures)
+        pool = experiments._pool_gram(ExperimentConfig(), small_gestures, range(len(samples)))
         assert pool.entries.dtype == np.float64
         assert pool.entries.tobytes() == (P @ P.T).tobytes()
         assert pool.width == P.shape[1]
@@ -880,7 +934,7 @@ class TestSupportColumns:
             params = {"N": 8.0, "q": 18} if kind == "localized" else {"gamma": 0.5}
             config = ExperimentConfig(r=30, kernel_kind=kind, kernel_params=params, seed=3000)
         ((train, test),) = experiments._splits(replace(config, trials=1), labels)
-        pool = experiments._pool_gram(config, ds)
+        pool = experiments._pool_gram(config, ds, range(len(ds.samples)))
         if kind == "grassmann":
             mc = one_vs_rest_train(pool.train_block(train), labels[train].tolist())
             sv = mc.support_union()
@@ -927,7 +981,7 @@ class TestDimensionSweepEigh:
         config = ExperimentConfig(r=6, classifier="knn")
         labels = np.array([s.label for s in small_gestures.samples])
         ((train, test),) = experiments._splits(replace(config, trials=1), labels)
-        pool = experiments._pool_gram(config, small_gestures)
+        pool = experiments._pool_gram(config, small_gestures, range(len(labels)))
         eig = experiments._fold_eig(pool, train, 9)
         assert eig.values.shape == (9,) and eig.vectors.shape == (len(train), 9)
         assert eig.vectors.base is None  # not a view of the full eigenvector matrix

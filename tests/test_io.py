@@ -59,9 +59,17 @@ class TestSpectrogramCsv:
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("real,magnitude\n1.0,2.0\n1.0,oops\n")
-        with pytest.raises(ValueError, match=r":3"):
-            read_spectrogram_csv(path)
+        for text, message in [
+            ("real,magnitude\n1.0,2.0\n1.0,oops\n", ":3: malformed CSV row"),
+            # re = [1, 3] and im = [2] would broadcast to two magnitudes
+            ("complex,magnitude\n1,2,3\n", ":2: complex row has 3 values, not real,imag pairs"),
+            ("real,magnitude\n1.0,2.0\n1.0,2.0\n1.0\n", ":4: row has 1 values, the first row 2"),
+            ("complex,magnitude\n1,2,3,4\n1,2\n", ":3: row has 2 values, the first row 4"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ValueError) as info:
+                read_spectrogram_csv(path)
+            assert str(info.value) == f"{path}{message}"
 
 
 class TestManifest:
