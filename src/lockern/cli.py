@@ -176,11 +176,12 @@ def _cmd_features(args) -> int:
     if args.r < 1:
         raise UsageError(f"--r {args.r} is below 1")
     dataset = _load_dataset(args)
-    os.makedirs(args.out_dir, exist_ok=True)
     target = max(s.data.shape[1] for s in dataset.samples)
     indices = range(len(dataset.samples))
     for i, spec in _preprocessed_samples(args.preprocessing, dataset.samples, indices):
-        # each sample's features before its file: a refused sample leaves none
+        # each sample's features before its file, and the directory with the
+        # first file: a refused sample leaves no file, a refused first one
+        # no directory
         if args.feature == "svd":
             feat = svd_features(spec, args.r)
             rows = [["singular_values"] + [repr(float(s)) for s in feat.S]]
@@ -188,6 +189,7 @@ def _cmd_features(args) -> int:
         else:
             vec = zero_pad_stack([spec], target)[0]
             rows = [["flat_vector"]] + [[repr(float(v))] for v in vec]
+        os.makedirs(args.out_dir, exist_ok=True)
         path = os.path.join(args.out_dir, f"sample{i:04d}.csv")
         with open(path, "w", newline="\n") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)

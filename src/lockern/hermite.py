@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "LocalizedKernelSpec",
@@ -225,8 +224,11 @@ def build_localized_kernel(N: float, q: int) -> LocalizedKernelSpec:
     with L = floor(N^2/2). For q = 1 it collapses to H(sqrt(2l)/N)*psi_{2l}(0).
     The prefactor is fixed so the expansion equals the defining sum of
     cutoff-weighted P_{m,q} terms exactly. The Gamma-ratio weights
-    w_k = Gamma((q-1)/2 + k)/k! depend on m - l only, so they are computed
-    once, for k = 0..L, and each l dots its cutoff tail with their prefix.
+    w_k = Gamma(a + k)/k!, a = (q-1)/2, depend on m - l only; they come from
+    w_0 = Gamma(a) and w_k = w_{k-1} (a + k - 1)/k, one cumulative product,
+    and the tails sum_k H(sqrt(2(l+k))/N) w_k for every l are one
+    correlation of the cutoff values with them. Against the exact sum the
+    coefficients are within 4 max(degree, 1) eps max_l |c_l|.
     The expansion does not depend on the scale at which the kernel reads
     distances; that scale is the `KernelSpec`'s gamma.
     """
@@ -238,11 +240,9 @@ def build_localized_kernel(N: float, q: int) -> LocalizedKernelSpec:
     else:
         a = (q - 1) / 2.0
         prefactor = math.pi ** (-(q - 1) / 2.0) / math.gamma(a)
-        k = np.arange(L + 1)
-        w = np.exp(gammaln(a + k) - gammaln(k + 1))
-        coeffs = np.empty(L + 1)
-        for ell in range(L + 1):
-            coeffs[ell] = prefactor * float(np.dot(h_vals[ell:], w[:L + 1 - ell])) * psi0[ell]
+        k = np.arange(1, L + 1)
+        w = np.cumprod(np.concatenate(([math.gamma(a)], (a + k - 1) / k)))
+        coeffs = prefactor * np.correlate(h_vals, w, "full")[L:] * psi0
     return LocalizedKernelSpec(N=float(N), q=int(q), coeffs=coeffs)
 
 

@@ -39,11 +39,14 @@ def write_spectrogram_csv(spec: Spectrogram, path, complex_pairs: bool = False) 
 def read_spectrogram_csv(path, label=None, subject=None) -> Spectrogram:
     """One row per frequency bin, each as long as the first; a `complex`
     header marks rows of real,imag pairs, read as their magnitudes. A
-    malformed row is refused with its `path:line`."""
+    malformed row is refused with its `path:line`, and a file without data
+    rows with its path."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path}: empty spectrogram file")
+    if len(rows) == 1:
+        raise ValueError(f"{path}: no data rows after the header")
     header = rows[0]
     is_complex = header and header[0] == "complex"
     state = header[1] if len(header) > 1 else "magnitude"

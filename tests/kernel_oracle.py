@@ -1,6 +1,6 @@
 """Reference bodies that the kernel layer replaced, kept as oracles: the
-scalar per-pair kernels and the per-pair Psi sum, the per-l coefficient
-loop of the localized kernel, the allocating Clenshaw pass and a 50-digit
+scalar per-pair kernels and the per-pair Psi sum, a 40-digit sum of the
+localized kernel's coefficients, the allocating Clenshaw pass and a 50-digit
 sum of the localized kernel's expansion, the full Gram
 symmetrised after the fact, the two-pass error profile,
 the minimal separation from the full distance matrix, the per-pair k-NN
@@ -14,8 +14,6 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
-
-from scipy.special import gammaln
 
 from lockern.hermite import (
     _T_MAX,
@@ -66,25 +64,30 @@ def psi_oracle(spec: KernelSpec, quad: DiscreteQuadrature, x, y) -> float:
     return float(np.sum(quad.weights * quad.density_f0 * kx * ky))
 
 
+COEFF_DIGITS = 40
+
+
 def coeffs_oracle(N: float, q: int) -> np.ndarray:
-    """The localized kernel's psi_{2l} coefficients, one l at a time: for
-    q >= 2 each l computes its own Gamma-ratio weights for m = l..L and
-    dots them with the cutoff tail; for q = 1 one product per l."""
+    """The localized kernel's psi_{2l} coefficients at COEFF_DIGITS digits,
+    each rounded once to float, from the same float cutoff values and
+    psi_{2l}(0): for q >= 2 the prefactor pi^{-(q-1)/2}/Gamma(a) and the
+    weights Gamma(a + k)/k!, a = (q-1)/2, in mpmath, and each l's tail
+    summed by `mpmath.fsum`; for q = 1 one product per l."""
     L = localized_degree(N, q) // 2
     psi0 = _even_psi_at_zero(L)
-    h_vals = np.array([cutoff(math.sqrt(2.0 * m) / N) for m in range(L + 1)])
-    coeffs = np.empty(L + 1)
+    h_vals = [cutoff(math.sqrt(2.0 * m) / N) for m in range(L + 1)]
     if q == 1:
-        for ell in range(L + 1):
-            coeffs[ell] = h_vals[ell] * psi0[ell]
-    else:
-        a = (q - 1) / 2.0
-        prefactor = math.pi ** (-(q - 1) / 2.0) / math.gamma(a)
-        for ell in range(L + 1):
-            ms = np.arange(ell, L + 1)
-            w = np.exp(gammaln(a + ms - ell) - gammaln(ms - ell + 1))
-            coeffs[ell] = prefactor * float(np.dot(h_vals[ell:], w)) * psi0[ell]
-    return coeffs
+        return np.array(h_vals) * np.array(psi0)
+    with mpmath.workdps(COEFF_DIGITS):
+        a = mpmath.mpf(q - 1) / 2
+        prefactor = mpmath.pi ** -a / mpmath.gamma(a)
+        w = [mpmath.gamma(a + k) / mpmath.factorial(k) for k in range(L + 1)]
+        h = [mpmath.mpf(v) for v in h_vals]
+        return np.array([
+            float(prefactor * mpmath.fsum(h[ell + k] * w[k] for k in range(L + 1 - ell))
+                  * mpmath.mpf(psi0[ell]))
+            for ell in range(L + 1)
+        ])
 
 
 def clenshaw_oracle(spec: LocalizedKernelSpec, x):

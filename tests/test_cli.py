@@ -155,7 +155,7 @@ class TestFeaturesCommand:
         assert not out.exists()
         assert run(["--out-dir", str(out), "features", "--synthetic", "--r", "500"]) == 1
         assert "r=500 out of range for 64x" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_requires_dataset_flag(self, capsys):
         assert run(["features"]) == 2
@@ -343,6 +343,7 @@ class TestExperimentCommand:
             ("real,magnitude\n1.0,oops\n", "bad.csv:2: malformed CSV row"),
             ("complex,magnitude\n1,2,3\n", "bad.csv:2: complex row has 3 values"),
             ("real,magnitude\n1.0,2.0\n1.0\n", "bad.csv:3: row has 1 values, the first row 2"),
+            ("real,magnitude\n", "bad.csv: no data rows after the header"),
         ]:
             (tmp_path / "bad.csv").write_text(text)
             code = run(

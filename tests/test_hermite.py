@@ -191,27 +191,16 @@ class TestBuildLocalizedKernel:
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 10, 18, 30])
     def test_coefficients_match_per_l_oracle(self, q):
-        # one set of Gamma-ratio weights for every l gives bitwise the
-        # coefficients of weights computed per l
-        for N in (1, 1.5, 2, 3, 4, 6, 8, 12, 16, 24, 32, 50):
+        # the recurrence weights and the one correlation stay within
+        # 4 max(degree, 1) eps max|c| of a 40-digit sum; weights from
+        # exp(gammaln) miss this bound at N = 1 and 1.5 with q = 30. The
+        # 40-digit oracle takes seconds from N = 32 on, so only q = 18 runs it.
+        grid = (1, 1.5, 2, 3, 4, 6, 8, 12, 16, 24) + ((32, 50) if q == 18 else ())
+        for N in grid:
             got = build_localized_kernel(N, q).coeffs
-            assert got.tobytes() == coeffs_oracle(N, q).tobytes(), N
-
-    @pytest.mark.parametrize("N, q", [(1.0, 2), (8.0, 18), (32.0, 3), (50.0, 30), (8.0, 1)])
-    def test_gammaln_work_is_linear_in_the_degree(self, N, q, monkeypatch):
-        # at most 2(L+1) gammaln arguments per build, not O(L^2)
-        seen = []
-        real = hermite.gammaln
-
-        def counted(x):
-            seen.append(np.size(x))
-            return real(x)
-
-        monkeypatch.setattr(hermite, "gammaln", counted)
-        L = localized_degree(N, q) // 2
-        build_localized_kernel(N, q)
-        assert sum(seen) <= 2 * (L + 1)
-        assert q == 1 or sum(seen) > 0
+            want = coeffs_oracle(N, q)
+            unit = max(localized_degree(N, q), 1) * np.finfo(float).eps
+            assert np.abs(got - want).max() <= 4 * unit * np.abs(want).max(), N
 
     @pytest.mark.parametrize("N", [1.0, 1.5, 2.0, 3.7, 4.0, 8.0, 32.0])
     def test_degree_helper_matches_built_kernel(self, N):

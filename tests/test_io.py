@@ -57,6 +57,14 @@ class TestSpectrogramCsv:
         with pytest.raises(ValueError, match="empty"):
             read_spectrogram_csv(path)
 
+    @pytest.mark.parametrize("text", ["real,magnitude\n", "complex,magnitude\n", "real"])
+    def test_header_only_file_rejected(self, tmp_path, text):
+        path = tmp_path / "header.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_spectrogram_csv(path)
+        assert str(info.value) == f"{path}: no data rows after the header"
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         for text, message in [
