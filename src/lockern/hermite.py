@@ -227,8 +227,9 @@ def build_localized_kernel(N: float, q: int) -> LocalizedKernelSpec:
     w_k = Gamma(a + k)/k!, a = (q-1)/2, depend on m - l only; they come from
     w_0 = Gamma(a) and w_k = w_{k-1} (a + k - 1)/k, one cumulative product,
     and the tails sum_k H(sqrt(2(l+k))/N) w_k for every l are one
-    correlation of the cutoff values with them. Against the exact sum the
-    coefficients are within 4 max(degree, 1) eps max_l |c_l|.
+    correlation of the cutoff values with them. For N up to 50 and q up to
+    30 the coefficients are within 4 max(degree, 1) eps max_l |c_l| of the
+    exact sum, which the tests take at 40 digits.
     The expansion does not depend on the scale at which the kernel reads
     distances; that scale is the `KernelSpec`'s gamma.
     """
