@@ -57,14 +57,6 @@ class TestSpectrogramCsv:
         with pytest.raises(ValueError, match="empty"):
             read_spectrogram_csv(path)
 
-    @pytest.mark.parametrize("text", ["real,magnitude\n", "complex,magnitude\n", "real"])
-    def test_header_only_file_rejected(self, tmp_path, text):
-        path = tmp_path / "header.csv"
-        path.write_text(text)
-        with pytest.raises(ValueError) as info:
-            read_spectrogram_csv(path)
-        assert str(info.value) == f"{path}: no data rows after the header"
-
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         for text, message in [
@@ -73,6 +65,9 @@ class TestSpectrogramCsv:
             ("complex,magnitude\n1,2,3\n", ":2: complex row has 3 values, not real,imag pairs"),
             ("real,magnitude\n1.0,2.0\n1.0,2.0\n1.0\n", ":4: row has 1 values, the first row 2"),
             ("complex,magnitude\n1,2,3,4\n1,2\n", ":3: row has 2 values, the first row 4"),
+            ("real,magnitude\n", ": no data rows after the header"),
+            ("complex,magnitude\n", ": no data rows after the header"),
+            ("real", ": no data rows after the header"),
         ]:
             path.write_text(text)
             with pytest.raises(ValueError) as info:
