@@ -2,9 +2,10 @@
 # Runs each experiment command once through the installed `lockern` script,
 # on a small synthetic set with a k-NN config, and `experiment` with that
 # config under unit and under magnitude preprocessing (the default is
-# binary). Three SVM runs follow: `experiment` with the default config (PCA,
-# localized kernel), and `holdout` and `sweep-frac` with an SVD Grassmann
-# config, whose fractions share one pool of SVD features. `kernel-eval`
+# binary). Four SVM runs follow: `experiment` with the default config (PCA,
+# localized kernel), and `holdout`, `sweep-frac` and `sweep-dim --r-values
+# 2,3,5` with an SVD Grassmann config: the fractions share one pool of SVD
+# features, and the r values cut theirs from one SVD per sample. `kernel-eval`
 # tabulates the default localized kernel and must exit 2 for a negative
 # gamma, and `features` writes the synthetic set's SVD features and PCA
 # inputs and must exit 2 for an --r below 1, creating no output directory.
@@ -32,6 +33,8 @@ lockern --out-dir "$root/holdout-grassmann" holdout --synthetic --per-cell 2 \
   --config "$root/grassmann.cfg"
 lockern --out-dir "$root/sweep-frac-grassmann" sweep-frac --synthetic --per-cell 2 \
   --config "$root/grassmann.cfg"
+lockern --out-dir "$root/sweep-dim-grassmann" sweep-dim --synthetic --per-cell 2 \
+  --r-values 2,3,5 --config "$root/grassmann.cfg"
 
 lockern kernel-eval --N 8 --q 18 --steps 20 > "$root/kernel-eval.csv"
 status=0

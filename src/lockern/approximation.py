@@ -87,6 +87,21 @@ def _check_flat(spec: KernelSpec) -> None:
         raise ValueError(f"{spec.kind} is not a kernel on flat vectors")
 
 
+def _solved_model(spec: KernelSpec, nodes: list, A: np.ndarray, rhs: np.ndarray,
+                  K: np.ndarray, matrix: str, hint: str = "") -> CollocationModel:
+    """The model whose coefficients solve A a = rhs, with the nodes' minimal
+    separation and the dominance ratio of their collocation matrix K. An A
+    whose condition number is not finite or exceeds COND_LIMIT is refused,
+    the error naming the `matrix` and ending in the `hint`."""
+    cond = np.linalg.cond(A)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise ValueError(f"{matrix} condition {cond:.2e} exceeds {COND_LIMIT:.0e}{hint}")
+    coeffs = np.linalg.solve(A, rhs)
+    eta = minimal_separation(nodes) if len(nodes) > 1 else np.inf
+    ratio = _dominance_ratio(K) if len(nodes) > 1 else 0.0
+    return CollocationModel(nodes=nodes, coeffs=coeffs, spec=spec, eta=eta, dominance_ratio=ratio)
+
+
 def fit_empirical(spec: KernelSpec, nodes, values) -> CollocationModel:
     """Interpolatory fit: solve sum_k a_k K(y_j, y_k) = f_j directly. The
     kernel must be a flat kind."""
@@ -96,16 +111,8 @@ def fit_empirical(spec: KernelSpec, nodes, values) -> CollocationModel:
     if len(nodes) != len(values):
         raise ValueError("nodes/values length mismatch")
     K = gram(spec, nodes).entries
-    cond = np.linalg.cond(K)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise ValueError(
-            f"collocation matrix condition {cond:.2e} exceeds {COND_LIMIT:.0e}; "
-            "increase the kernel bandwidth N or spread the nodes further apart"
-        )
-    coeffs = np.linalg.solve(K, values)
-    eta = minimal_separation(nodes) if len(nodes) > 1 else np.inf
-    ratio = _dominance_ratio(K) if len(nodes) > 1 else 0.0
-    return CollocationModel(nodes=nodes, coeffs=coeffs, spec=spec, eta=eta, dominance_ratio=ratio)
+    return _solved_model(spec, nodes, K, values, K, "collocation matrix",
+                         "; increase the kernel bandwidth N or spread the nodes further apart")
 
 
 def sigma_n(spec: KernelSpec, f_values, quad: DiscreteQuadrature, x) -> float:
@@ -147,13 +154,7 @@ def fit_theoretical(spec: KernelSpec, nodes, f_values, quad: DiscreteQuadrature)
     M = len(nodes)
     K = cross_gram(spec, nodes, nodes + list(quad.nodes))
     P, rhs = _normal_equations(K[:, M:], f_values, quad)
-    cond = np.linalg.cond(P)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise ValueError(f"normal-equation matrix condition {cond:.2e} exceeds {COND_LIMIT:.0e}")
-    coeffs = np.linalg.solve(P, rhs)
-    eta = minimal_separation(nodes) if M > 1 else np.inf
-    ratio = _dominance_ratio(K[:, :M]) if M > 1 else 0.0
-    return CollocationModel(nodes=nodes, coeffs=coeffs, spec=spec, eta=eta, dominance_ratio=ratio)
+    return _solved_model(spec, nodes, P, rhs, K[:, :M], "normal-equation matrix")
 
 
 def evaluate(model: CollocationModel, x) -> float:

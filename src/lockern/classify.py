@@ -16,7 +16,6 @@ __all__ = [
     "MulticlassModel",
     "label_indicators",
     "svm_train_binary",
-    "svm_predict",
     "one_vs_rest_train",
     "one_vs_rest_predict",
     "knn_predict",
@@ -220,15 +219,6 @@ def _smo(K: np.ndarray, cols: list, y: np.ndarray, C: float) -> SvmModel:
         kkt_gap=gap,
         converged=converged,
     )
-
-
-def svm_predict(model: SvmModel, gram_row) -> float:
-    """Decision value for one sample given its kernel values vs. the support
-    set (ordered as model.support_ids)."""
-    gram_row = np.asarray(gram_row, dtype=float)
-    if gram_row.shape != model.support_coeffs.shape:
-        raise ValueError("kernel row length must match support set")
-    return float(np.dot(model.support_coeffs, gram_row) + model.bias)
 
 
 def one_vs_rest_train(gram: GramMatrix | np.ndarray, labels, C: float = 1.0) -> MulticlassModel:

@@ -28,7 +28,7 @@ from .experiments import (
     run_experiment,
     sweep_train_fraction,
 )
-from .features import svd_features, zero_pad_stack
+from .features import svd_features
 from .hermite import eval_localized
 from .io import read_manifest, read_spectrogram_csv
 from .kernels import DEFAULT_PARAMS, KernelSpec
@@ -128,7 +128,11 @@ def _load_dataset(args):
 
 
 def _write_run_manifest(out_dir, args, config=None) -> None:
-    payload = repr(sorted(vars(args).items())) + repr(config)
+    """run-manifest.txt: the seed, and a hash of every parsed argument but
+    --out-dir and of the config, so one config run into two directories
+    records one hash."""
+    payload = repr(sorted((k, v) for k, v in vars(args).items() if k != "out_dir"))
+    payload += repr(config)
     digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
     with open(os.path.join(out_dir, "run-manifest.txt"), "w") as fh:
         fh.write(f"seed={args.seed}\nconfig_hash={digest}\n")
@@ -187,7 +191,9 @@ def _cmd_features(args) -> int:
             rows = [["singular_values"] + [repr(float(s)) for s in feat.S]]
             rows += [[repr(float(v)) for v in row] for row in feat.U]
         else:
-            vec = zero_pad_stack([spec], target)[0]
+            # zero-padded on the right to the widest sample, column-major
+            vec = np.zeros(spec.data.shape[0] * target)
+            vec[:spec.data.size] = spec.data.ravel(order="F")
             rows = [["flat_vector"]] + [[repr(float(v))] for v in vec]
         os.makedirs(args.out_dir, exist_ok=True)
         path = os.path.join(args.out_dir, f"sample{i:04d}.csv")

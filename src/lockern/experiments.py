@@ -12,7 +12,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classify import knn_predict, one_vs_rest_predict, one_vs_rest_train
-from .features import PREPROCESSING_MODES, RankError, Spectrogram, preprocess, stft, svd_features
+from .features import (
+    PREPROCESSING_MODES, RankError, Spectrogram, SubspaceFeature, preprocess, stft, svd_features,
+)
 from .kernels import DEFAULT_PARAMS, FLAT_KINDS, GramMatrix, KernelSpec, cross_gram, gram
 # Unused here: kernel_fn, fit_pca, pca_project, log_threshold and normalize
 # stay importable from this module because the benchmark's traced run
@@ -46,10 +48,10 @@ _PREPROCESS_BLOCK_ELEMS = 2**15
 # the state of a spectrogram preprocessed in each mode
 _STATES = {"binary": "binary", "unit": "unit_normalized", "magnitude": "magnitude"}
 
-# A binary P (every entry 0 or 1) narrower than this is formed in float32:
-# each entry of P P' is an integer count of at most its width, which float32
-# holds exactly, as it does every partial sum, so the product is bitwise the
-# float64 one.
+# A binary P (every entry 0 or 1) narrower than this is formed in float32,
+# and so is its P P': each entry is an integer count of at most the width,
+# which float32 holds exactly, as it does every partial sum, so the product
+# widened to float64 is bitwise the float64 one.
 _FLOAT32_EXACT = 2**24
 
 
@@ -362,7 +364,7 @@ class _PoolGram:
     per-sample object between them. Either costs about what one 80/20
     split's own Gram and cross-Gram cost."""
 
-    entries: np.ndarray  # M x M, symmetric
+    entries: np.ndarray  # M x M, symmetric; float32 for a binary P (`of_padded`)
     seconds: float  # wall time of building it
     width: int = 0  # PCA: the padded length D of the rows of P
 
@@ -377,10 +379,11 @@ class _PoolGram:
     def of_padded(cls, blocks, n_samples: int, target_frames: int, binary: bool) -> _PoolGram:
         """P P' of `n_samples` preprocessed samples, given in pool order as a
         stream of `_Block`s: row k of P is sample k zero-padded on the right
-        to target_frames frames and flattened column-major, as
-        `zero_pad_stack` pads it (`_pad_rows`). P is float32 when the samples
-        are `binary` (every entry 0 or 1) and its width is below
-        _FLOAT32_EXACT, where the product is exact; float64 otherwise. Timed:
+        to target_frames frames and flattened column-major (`_pad_rows`). P
+        and P P' are float32, half the memory of float64, when the samples
+        are `binary` (every entry 0 or 1) and P's width is below
+        _FLOAT32_EXACT, where the product is exact; float64 otherwise.
+        `train_block` and `test_block` widen what they read to float64. Timed:
         the writes into P and the product, not the making of the blocks,
         which the stream does between the writes. P is freed on return."""
         seconds, P, row = 0.0, None, 0
@@ -397,7 +400,7 @@ class _PoolGram:
         t0 = time.perf_counter()
         if P is None:
             P = np.zeros((0, 0))
-        entries = (P @ P.T).astype(float, copy=False)
+        entries = P @ P.T
         return cls(entries, seconds + time.perf_counter() - t0, P.shape[1])
 
     def seconds_for(self, n_rows: int, n_cols: int) -> float:
@@ -406,14 +409,14 @@ class _PoolGram:
         return self.seconds * n_rows * n_cols / len(self.entries) ** 2
 
     def train_block(self, train) -> np.ndarray:
-        """A new array of the training fold's entries; exactly symmetric, as
-        the pool's are."""
-        return self.entries[np.ix_(train, train)]
+        """A new float64 array of the training fold's entries; exactly
+        symmetric, as the pool's are."""
+        return self.entries[np.ix_(train, train)].astype(float, copy=False)
 
     def test_block(self, test, train) -> np.ndarray:
-        """A new array of the entries of each test sample against the
-        training fold."""
-        return self.entries[np.ix_(test, train)]
+        """A new float64 array of the entries of each test sample against
+        the training fold."""
+        return self.entries[np.ix_(test, train)].astype(float, copy=False)
 
 
 def _pad_rows(P: np.ndarray, row: int, block: _Block, n_freq: int, target_frames: int) -> None:
@@ -638,8 +641,10 @@ def sweep_dimension(config: ExperimentConfig, dataset: GestureSet, r_values):
     propagates. Each sample is preprocessed once per call and the splits are
     drawn once. PCA features take one pool matrix for every r, since P P'
     does not depend on r, and one `eigh` per fold, kept to the top max(r)
-    eigenpairs, which every r truncates; SVD features, which do depend on
-    r, take their pool matrix once per r. Every r's config, with its
+    eigenpairs, which every r truncates. SVD features take one SVD per
+    sample, at max(r) or the sample's rank bound if lower, which every r
+    cuts (`_svd_cut`), and their pool matrix once per r, as their kernel
+    values depend on r. Every r's config, with its
     kernel, is built before any sample is preprocessed, so an r below 1 is
     refused first; the localized kernel's q is clamped to each r as its
     config is built."""
@@ -647,31 +652,47 @@ def sweep_dimension(config: ExperimentConfig, dataset: GestureSet, r_values):
 
 
 def _sweep_configs(configs: list, dataset: GestureSet) -> list:
-    """sweep_dimension over built configs, which differ only in r."""
+    """sweep_dimension over built configs, which differ only in r. Holds
+    one PCA pool matrix and its folds' eigenpairs, or one SVD feature per
+    sample, not the preprocessed samples."""
     if not configs:
         return []
     config = configs[0]
     labels = np.array([s.label for s in dataset.samples])
     folds = _splits(config, labels)
+    top = max(c.r for c in configs)
     eigs = None
     if config.feature == "pca":
         pool_gram = _pool_gram(config, dataset, range(len(labels)))
-        top = max(c.r for c in configs)
         eigs = [_fold_eig(pool_gram, train, top) for train, _ in folds]
     else:
-        specs = [spec for _, spec in _preprocessed_samples(config.preprocessing, dataset.samples,
+        # a sample with no rows allows no r, and is not decomposed
+        decomposed = [(spec.data.shape,
+                       svd_features(spec, min(top, *spec.data.shape)) if spec.data.size else None)
+                      for _, spec in _preprocessed_samples(config.preprocessing, dataset.samples,
                                                            range(len(labels)))]
     out = []
     for config_r in configs:
         try:
             if config.feature == "svd":
-                pool_gram = _PoolGram.of_kernel(config_r.kernel, [svd_features(spec, config_r.r)
-                                                                  for spec in specs])
+                pool_gram = _PoolGram.of_kernel(config_r.kernel, [
+                    _svd_cut(feature, shape, config_r.r) for shape, feature in decomposed])
             scores = _scores(config_r, dataset.classes, labels, pool_gram, folds, eigs)
             out.append((config_r.r, _split_table(config_r, scores)))
         except _SWEEP_SKIPS as exc:
             out.append((config_r.r, exc))
     return out
+
+
+def _svd_cut(feature: SubspaceFeature | None, shape, r: int) -> SubspaceFeature:
+    """`svd_features` at r of a sample of this shape, cut from its features
+    at a larger r: `canonicalize_signs` flips each column on its own, so the
+    first r columns are bitwise those of the features at r. An r above the
+    sample's rank bound min(shape) is refused as svd_features refuses it."""
+    rows, cols = shape
+    if r > min(rows, cols):
+        raise RankError(f"r={r} out of range for {rows}x{cols} spectrogram")
+    return SubspaceFeature(U=feature.U[:, :r], S=feature.S[:r])
 
 
 def _check_fractions(fractions) -> None:

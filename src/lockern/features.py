@@ -21,20 +21,19 @@ __all__ = [
     "ArmaModel",
     "RankError",
     "stft",
-    "yen_threshold",
     "log_threshold",
     "normalize",
     "preprocess",
     "svd_features",
     "fit_pca",
     "pca_project",
-    "zero_pad_stack",
     "arma_fit",
     "grassmann_embed",
 ]
 
 DB_FLOOR = 1e-12  # magnitude clamp before log to avoid -inf
 PREPROCESSING_MODES = ("binary", "unit", "magnitude")  # the modes of `preprocess`
+YEN_BINS = 256  # bins of the histogram that Yen's threshold reads
 
 
 class RankError(ValueError):
@@ -97,27 +96,19 @@ def stft(signal, window, hop: int, fft_size: int, label=None, subject=None) -> S
     return Spectrogram(data=spec, state="magnitude", label=label, subject=subject)
 
 
-def yen_threshold(values: np.ndarray, nbins: int = 256) -> float:
-    """Yen's maximum-correlation threshold on a uniform histogram.
+def _yen_thresholds(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Yen's maximum-correlation threshold of each consecutive segment of
+    `values` (lengths `sizes`) on a uniform histogram of YEN_BINS bins,
+    from one segmented histogram pass.
 
     Ties in the criterion break toward the lower threshold (keeps more
-    signal). A degenerate (constant) input returns that constant.
+    signal). A constant segment returns that constant. Each segment's bins
+    are those of `np.histogram(segment, YEN_BINS, range=(min, max))`: the
+    same edges, the same uniform-bin arithmetic and the same +-1
+    corrections at the edges. Its errors are raised too, for the first
+    segment that meets one, naming the segment's position.
     """
-    values = np.asarray(values, dtype=float).ravel()
-    return float(_yen_thresholds(values, np.array([values.size]), nbins)[0])
-
-
-def _yen_thresholds(values: np.ndarray, sizes: np.ndarray, nbins: int = 256) -> np.ndarray:
-    """`yen_threshold` of each consecutive segment of `values` (lengths
-    `sizes`), bitwise, from one segmented histogram pass.
-
-    Each segment's bins are those of `np.histogram(segment, nbins,
-    range=(min, max))`: the same edges, the same uniform-bin arithmetic and
-    the same +-1 corrections at the edges. Its errors are raised too, for
-    the first segment that meets one, naming the segment's position.
-    """
-    if nbins < 1:
-        raise ValueError("nbins must be positive")
+    nbins = YEN_BINS
     if np.any(sizes == 0):
         raise ValueError(f"sample {np.argmax(sizes == 0)} is empty")
     starts = np.cumsum(sizes) - sizes
@@ -151,8 +142,6 @@ def _yen_thresholds(values: np.ndarray, sizes: np.ndarray, nbins: int = 256) -> 
             raise ValueError(f"sample {rows[k]}: range [{lo[k]}, {hi[k]}] is not finite")
         raise ValueError(f"sample {rows[k]}: range [{lo[k]}, {hi[k]}] is too narrow "
                          f"for {nbins} finite-sized bins")
-    if nbins == 1:
-        return thresholds  # no threshold to test: the criterion is empty
 
     # Flat (n, nbins + 1) edge table, read at each value's position (row
     # offset plus bin) as the bin's lower edge and, one further on, its
@@ -216,11 +205,11 @@ def log_threshold(specs) -> list[Spectrogram]:
     own Yen threshold.
 
     The thresholds of the whole sequence come from one segmented histogram
-    pass (`_yen_thresholds`); each is bitwise `yen_threshold` of that
-    spectrogram's dB values. The returned arrays are views of one buffer.
-    Errors name the offending position in `specs`. `preprocess` is the
-    block path that the experiments take; this per-sample form is its
-    oracle, on the same dB values and thresholds.
+    pass (`_yen_thresholds`), each of its spectrogram's own dB values. The
+    returned arrays are views of one buffer. Errors name the offending
+    position in `specs`. `preprocess` is the block path that the
+    experiments take; this per-spectrogram form is its oracle, on the same
+    dB values and thresholds.
     """
     specs = list(specs)
     if not specs:
@@ -355,23 +344,6 @@ def pca_project(basis: PcaBasis, x: np.ndarray) -> np.ndarray:
     if x.ndim not in (1, 2) or x.shape[-1] != basis.mean.size:
         raise ValueError(f"expected vectors of length {basis.mean.size}, got shape {x.shape}")
     return (x - basis.mean) @ basis.components
-
-
-def zero_pad_stack(specs, target_frames: int) -> np.ndarray:
-    """Row k is specs[k] padded with zero columns on the right to
-    target_frames, then flattened column-major. The rows are written into
-    one preallocated zero matrix, one copy per spectrogram."""
-    specs = list(specs)
-    n_freq = specs[0].data.shape[0] if specs else 0
-    out = np.zeros((len(specs), n_freq * target_frames))
-    for row, spec in zip(out, specs):
-        rows, cols = spec.data.shape
-        if cols > target_frames:
-            raise ValueError(f"spectrogram has {cols} frames, target is {target_frames}")
-        if rows != n_freq:
-            raise ValueError(f"spectrogram has {rows} frequency bins, expected {n_freq}")
-        row[: spec.data.size] = spec.data.ravel(order="F")
-    return out
 
 
 def arma_fit(series: np.ndarray, d: int, ridge_cond: float = 1e12) -> ArmaModel:

@@ -1,5 +1,6 @@
 """Reference bodies that the kernel layer replaced, kept as oracles: the
-scalar per-pair kernels and the per-pair Psi sum, a 40-digit sum of the
+scalar per-pair kernels and the per-pair Psi sum, the Hermite polynomials
+without the Gaussian that `_psi_values` carries, a 40-digit sum of the
 localized kernel's coefficients, the allocating Clenshaw pass and a 50-digit
 sum of the localized kernel's expansion, the full Gram
 symmetrised after the fact, the two-pass error profile,
@@ -19,6 +20,7 @@ from lockern.hermite import (
     _T_MAX,
     LocalizedKernelSpec,
     _even_psi_at_zero,
+    _scaled_recurrence,
     cutoff,
     eval_localized,
     localized_degree,
@@ -65,6 +67,15 @@ def psi_oracle(spec: KernelSpec, quad: DiscreteQuadrature, x, y) -> float:
 
 
 COEFF_DIGITS = 40
+
+
+def hermite_oracle(k_max: int, x):
+    """Orthonormal Hermite polynomials h_0..h_{k_max} at x (scalar or array),
+    by the three-term recurrence of `_scaled_recurrence` from h_0 = pi^{-1/4}.
+    """
+    x = np.asarray(x, dtype=float)
+    return _scaled_recurrence(k_max, x, np.full(x.shape, PI_QUARTER),
+                              np.zeros(x.shape, dtype=np.int64))
 
 
 def coeffs_oracle(N: float, q: int) -> np.ndarray:

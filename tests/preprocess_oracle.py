@@ -1,19 +1,20 @@
 """Per-sample preprocessing as first written: one np.histogram and one Yen
-criterion per spectrogram. The batched path in `lockern.features` must match
-it bitwise."""
+criterion per spectrogram, and the zero padding of PCA inputs one row at a
+time. The batched paths in `lockern.features` and `lockern.experiments`
+must match them bitwise."""
 from dataclasses import replace
 
 import numpy as np
 
-from lockern.features import DB_FLOOR, normalize
+from lockern.features import DB_FLOOR, YEN_BINS, normalize
 
 
-def yen_oracle(values, nbins=256):
+def yen_oracle(values):
     values = np.asarray(values, dtype=float).ravel()
     lo, hi = values.min(), values.max()
     if hi <= lo:
         return float(lo)
-    counts, edges = np.histogram(values, bins=nbins, range=(lo, hi))
+    counts, edges = np.histogram(values, bins=YEN_BINS, range=(lo, hi))
     centers = 0.5 * (edges[:-1] + edges[1:])
     pmf = counts / counts.sum()
     p1 = np.cumsum(pmf)
@@ -50,3 +51,21 @@ def preprocess_per_sample(specs, mode):
     """`preprocess`'s signature, one oracle call per spectrogram."""
     data = [preprocess_oracle(spec, mode).data.ravel(order="F") for spec in specs]
     return np.concatenate(data, dtype=float), np.array([d.size for d in data])
+
+
+def zero_pad_stack(specs, target_frames: int) -> np.ndarray:
+    """Row k is specs[k] padded with zero columns on the right to
+    target_frames, then flattened column-major: the reference for the pool
+    writer `experiments._pad_rows`. The rows are written into one
+    preallocated zero matrix, one copy per spectrogram."""
+    specs = list(specs)
+    n_freq = specs[0].data.shape[0] if specs else 0
+    out = np.zeros((len(specs), n_freq * target_frames))
+    for row, spec in zip(out, specs):
+        rows, cols = spec.data.shape
+        if cols > target_frames:
+            raise ValueError(f"spectrogram has {cols} frames, target is {target_frames}")
+        if rows != n_freq:
+            raise ValueError(f"spectrogram has {rows} frequency bins, expected {n_freq}")
+        row[: spec.data.size] = spec.data.ravel(order="F")
+    return out

@@ -3,7 +3,8 @@ oracle: the signed gradient yg and its masked copies gu and gl as three rows
 of one array, the update read from the columns of K, and an argmax and an
 argmin per update. The library's two-row loop must give bitwise the same
 support coefficients, support ids and bias. The update cap is read from
-`classify` at call time, so a test can lower it.
+`classify` at call time, so a test can lower it. Also the decision value of
+one sample, the per-row oracle of `classify.one_vs_rest_predict`.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import warnings
 import numpy as np
 
 from lockern import classify
-from lockern.classify import KKT_TOL
+from lockern.classify import KKT_TOL, SvmModel
 
 
 def smo_loop_oracle(K: np.ndarray, y: np.ndarray, C: float):
@@ -78,3 +79,12 @@ def smo_loop_oracle(K: np.ndarray, y: np.ndarray, C: float):
 
     sv = np.flatnonzero(alpha > 1e-12)
     return alpha[sv] * y[sv], sv, float(bias)
+
+
+def svm_predict(model: SvmModel, gram_row) -> float:
+    """Decision value for one sample given its kernel values vs. the support
+    set (ordered as model.support_ids)."""
+    gram_row = np.asarray(gram_row, dtype=float)
+    if gram_row.shape != model.support_coeffs.shape:
+        raise ValueError("kernel row length must match support set")
+    return float(np.dot(model.support_coeffs, gram_row) + model.bias)

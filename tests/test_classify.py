@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from kernel_oracle import indefinite_oracle, knn_oracle
-from svm_oracle import smo_loop_oracle
+from svm_oracle import smo_loop_oracle, svm_predict
 
 from lockern import classify, experiments, kernels
 from lockern.classify import (
@@ -17,7 +17,6 @@ from lockern.classify import (
     label_indicators,
     one_vs_rest_predict,
     one_vs_rest_train,
-    svm_predict,
     svm_train_binary,
 )
 from lockern.experiments import (

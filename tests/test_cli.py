@@ -192,6 +192,18 @@ class TestExperimentCommand:
         assert outs[0] == outs[1]
         assert "PCA KNN" in capsys.readouterr().out
 
+    def test_config_hash_ignores_out_dir(self, tmp_path, knn_config):
+        # one config run into two directories records one hash; another
+        # --seed records another
+        hashes = []
+        for name, seed in (("a", "7"), ("b", "7"), ("c", "8")):
+            out_dir = tmp_path / name
+            assert run(["--out-dir", str(out_dir), "--seed", seed, "experiment",
+                        "--synthetic", "--per-cell", "2", "--config", knn_config]) == 0
+            lines = (out_dir / "run-manifest.txt").read_text().splitlines()
+            hashes.append(next(line for line in lines if line.startswith("config_hash=")))
+        assert hashes[0] == hashes[1] != hashes[2]
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("classifier = knn\nbogus = 1\n")

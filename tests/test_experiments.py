@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from lockern import experiments, kernels
-from lockern.classify import one_vs_rest_train, svm_predict
+from lockern.classify import one_vs_rest_train
 from lockern.experiments import (
     ExperimentConfig,
     MissingClassError,
@@ -26,9 +26,10 @@ from lockern.experiments import (
     _stratified_split,
 )
 from lockern.features import (
-    RankError, Spectrogram, fit_pca, pca_project, svd_features, zero_pad_stack,
+    RankError, Spectrogram, fit_pca, pca_project, svd_features,
 )
-from preprocess_oracle import preprocess_oracle
+from preprocess_oracle import preprocess_oracle, zero_pad_stack
+from svm_oracle import svm_predict
 
 
 def _padded_pool(specs, target_frames, binary=False):
@@ -93,8 +94,6 @@ class TestGenGestures:
 
     def test_classes_are_separated(self, small_gestures):
         # mean within-class feature distance below mean between-class distance
-        from lockern.features import zero_pad_stack
-
         ds = small_gestures
         target = max(s.data.shape[1] for s in ds.samples)
         feats, labels = [], []
@@ -310,8 +309,9 @@ class TestPerSampleWorkOnce:
         out = sweep_dimension(config, small_gestures, [2, 3, 4, 5])
         assert all(isinstance(table, experiments.ResultTable) for _, table in out)
         assert _once_each(preprocessed, small_gestures.samples)
-        # SVD features depend on r: once per sample and r value
-        assert len(decomposed) == 4 * len(small_gestures.samples)
+        # one SVD per sample, at the largest r, which every r cuts
+        assert len(decomposed) == len(small_gestures.samples)
+        assert len(set(map(id, decomposed))) == len(decomposed)
 
         preprocessed.clear()
         knn = ExperimentConfig(classifier="knn", knn_k=1, r=6, trials=2, seed=42)
@@ -569,6 +569,47 @@ class TestSweeps:
         assert isinstance(out[1][1], RankError)
         assert str(out[1][1]).startswith("r=10000 out of range for 64x")
 
+    @pytest.mark.parametrize("kind", ["grassmann", "laplace_svd"])
+    def test_svd_sweep_cuts_match_each_r(self, small_gestures, monkeypatch, kind):
+        # each r's pool matrix is bitwise the Gram of svd_features at r, and
+        # an r past a sample's rank bound records svd_features' refusal of
+        # the first such sample
+        samples = small_gestures.samples
+        specs = [spec for _, spec in _preprocessed_samples("binary", samples,
+                                                           range(len(samples)))]
+        past = min(spec.data.shape[1] for spec in specs) + 1
+        first = next(spec for spec in specs if spec.data.shape[1] < past)
+        with pytest.raises(RankError) as refusal:
+            svd_features(first, past)
+        grams = []
+
+        def recorded(spec, points):
+            grams.append(kernels.gram(spec, points))
+            return grams[-1]
+
+        monkeypatch.setattr(experiments, "gram", recorded)
+        config = ExperimentConfig(feature="svd", kernel_kind=kind, trials=1)
+        r_values = [1, 3, 7, past]
+        out = sweep_dimension(config, small_gestures, r_values)
+        assert len(grams) == 3
+        for r, got in zip(r_values, grams):
+            want = kernels.gram(config.kernel, [svd_features(spec, r) for spec in specs])
+            assert got.entries.tobytes() == want.entries.tobytes()
+        assert isinstance(out[-1][1], RankError)
+        assert str(out[-1][1]) == str(refusal.value)
+
+    def test_svd_sweep_records_a_sample_without_rows(self, small_gestures):
+        # a magnitude spectrogram with no rows allows no r: every r records
+        # its RankError, and nothing is decomposed at r = 0
+        samples = list(small_gestures.samples)
+        samples[3] = replace(samples[3], data=samples[3].data[:0])
+        dataset = replace(small_gestures, samples=samples)
+        config = ExperimentConfig(feature="svd", kernel_kind="grassmann",
+                                  preprocessing="magnitude", trials=1)
+        cols = samples[3].data.shape[1]
+        assert [(r, str(err)) for r, err in sweep_dimension(config, dataset, [1, 2])] == [
+            (r, f"r={r} out of range for 0x{cols} spectrogram") for r in (1, 2)]
+
     def test_dimension_sweep_skips_pca_rank(self, small_gestures):
         config = ExperimentConfig(classifier="knn", knn_k=1, trials=1, seed=42)
         out = sweep_dimension(config, small_gestures, [2, 10_000])
@@ -758,14 +799,17 @@ class TestPoolGram:
         assert padded == [M, M, M, M, len(used)] and len(used) < M
 
     def test_binary_pool_gram_is_the_float64_product(self, small_gestures):
-        # binary P is formed in float32, and its P P' is bitwise the float64
-        # product of the per-sample oracle's padded rows
+        # binary P and its P P' are float32, and the blocks read from it are
+        # bitwise the float64 product of the per-sample oracle's padded rows
         samples = small_gestures.samples
         target = max(s.data.shape[1] for s in samples)
         P = zero_pad_stack([preprocess_oracle(s, "binary") for s in samples], target)
         pool = experiments._pool_gram(ExperimentConfig(), small_gestures, range(len(samples)))
-        assert pool.entries.dtype == np.float64
-        assert pool.entries.tobytes() == (P @ P.T).tobytes()
+        assert pool.entries.dtype == np.float32
+        every = np.arange(len(samples))
+        assert pool.train_block(every).dtype == np.float64
+        assert pool.train_block(every).tobytes() == (P @ P.T).tobytes()
+        assert pool.test_block(every[5:], every[:5]).tobytes() == (P[5:] @ P[:5].T).tobytes()
         assert pool.width == P.shape[1]
 
     def test_float32_only_below_the_exact_width(self, monkeypatch):
@@ -776,12 +820,17 @@ class TestPoolGram:
         specs = [Spectrogram(rng.random((4, cols)) / 3.0) for cols in (3, 2, 3, 1)]
         P = zero_pad_stack(specs, 3)
         exact = (P @ P.T).tobytes()
-        assert _padded_pool(specs, 3, binary=True).entries.tobytes() != exact
-        assert _padded_pool(specs, 3, binary=False).entries.tobytes() == exact
+        every = np.arange(len(specs))
+
+        def read(binary):
+            return _padded_pool(specs, 3, binary=binary).train_block(every).tobytes()
+
+        assert read(True) != exact
+        assert read(False) == exact
         monkeypatch.setattr(experiments, "_FLOAT32_EXACT", 13)
-        assert _padded_pool(specs, 3, binary=True).entries.tobytes() != exact
+        assert read(True) != exact
         monkeypatch.setattr(experiments, "_FLOAT32_EXACT", 12)
-        assert _padded_pool(specs, 3, binary=True).entries.tobytes() == exact
+        assert read(True) == exact
 
     def test_pool_writer_refuses_other_shapes(self, small_gestures, monkeypatch):
         # the refused sample is named by its position in the pool, past the

