@@ -108,7 +108,6 @@ def _yen_thresholds(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     corrections at the edges. Its errors are raised too, for the first
     segment that meets one, naming the segment's position.
     """
-    nbins = YEN_BINS
     if np.any(sizes == 0):
         raise ValueError(f"sample {np.argmax(sizes == 0)} is empty")
     starts = np.cumsum(sizes) - sizes
@@ -124,15 +123,15 @@ def _yen_thresholds(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         sizes, lo, hi = sizes[rows], lo[rows], hi[rows]
     n = rows.size
 
-    # each row's edges as np.linspace(lo, hi, nbins + 1) gives them for that
-    # row alone: j * step + lo, the last edge hi. (Given every row at once,
-    # linspace switches all rows to (j / nbins) * delta + lo when one row's
-    # step underflows to 0; that row is refused either way, but the switch
-    # can pass an earlier row that np.histogram refuses.) A non-finite row's
-    # edges are NaN or inf, and it is refused.
+    # each row's edges as np.linspace(lo, hi, YEN_BINS + 1) gives them for
+    # that row alone: j * step + lo, the last edge hi. (Given every row at
+    # once, linspace switches all rows to (j / YEN_BINS) * delta + lo when
+    # one row's step underflows to 0; that row is refused either way, but the
+    # switch can pass an earlier row that np.histogram refuses.) A non-finite
+    # row's edges are NaN or inf, and it is refused.
     delta = hi - lo
     with np.errstate(invalid="ignore"):
-        edges = np.arange(nbins + 1, dtype=float) * (delta / nbins)[:, None]
+        edges = np.arange(YEN_BINS + 1, dtype=float) * (delta / YEN_BINS)[:, None]
         edges += lo[:, None]
     edges[:, -1] = hi
     narrow = ~np.all(edges[:, :-1] < edges[:, 1:], axis=1)
@@ -141,30 +140,30 @@ def _yen_thresholds(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         if not (np.isfinite(lo[k]) and np.isfinite(hi[k])):
             raise ValueError(f"sample {rows[k]}: range [{lo[k]}, {hi[k]}] is not finite")
         raise ValueError(f"sample {rows[k]}: range [{lo[k]}, {hi[k]}] is too narrow "
-                         f"for {nbins} finite-sized bins")
+                         f"for {YEN_BINS} finite-sized bins")
 
-    # Flat (n, nbins + 1) edge table, read at each value's position (row
+    # Flat (n, YEN_BINS + 1) edge table, read at each value's position (row
     # offset plus bin) as the bin's lower edge and, one further on, its
-    # upper edge. Column nbins starts no bin; as +inf it is the upper edge of
-    # the last bin, which keeps the values on its right edge.
+    # upper edge. Column YEN_BINS starts no bin; as +inf it is the upper
+    # edge of the last bin, which keeps the values on its right edge.
     edges[:, -1] = np.inf
     lower = edges.ravel()
     upper = lower[1:]
     x = np.repeat(lo, sizes)
     np.subtract(values, x, out=x)
     x /= np.repeat(delta, sizes)
-    x *= nbins
-    np.minimum(x, nbins - 1, out=x)  # a value on the last edge is in the last bin
+    x *= YEN_BINS
+    np.minimum(x, YEN_BINS - 1, out=x)  # a value on the last edge is in the last bin
     pos = x.astype(np.intp)
-    pos += np.repeat(np.arange(0, lower.size, nbins + 1), sizes)
+    pos += np.repeat(np.arange(0, lower.size, YEN_BINS + 1), sizes)
     pos -= values < lower.take(pos)
     pos += values >= upper.take(pos)
-    counts = np.bincount(pos, minlength=lower.size).reshape(n, nbins + 1)
+    counts = np.bincount(pos, minlength=lower.size).reshape(n, YEN_BINS + 1)
 
     # The criterion at each split, bins-major: each cumulative sum runs down
     # axis 0. The first bin holds the segment's minimum and the last its
     # maximum, so both sums of squares are positive and 0 < p1 < 1 (the
-    # rounding of p1, about nbins * eps, is far below 1 / size): the
+    # rounding of p1, about YEN_BINS * eps, is far below 1 / size): the
     # criterion is defined at every split, with no NaN for np.nanargmax to
     # skip, and argmax finds the same first maximum.
     pmf = counts[:, :-1].T / sizes
@@ -173,7 +172,7 @@ def _yen_thresholds(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     p1_sq = np.cumsum(sq[:-1], axis=0)
     p2_sq = np.cumsum(sq[:0:-1], axis=0)[::-1]
     crit = np.log(1.0 / (p1_sq * p2_sq)) + 2.0 * np.log(p1 * (1 - p1))
-    left = np.arange(0, lower.size, nbins + 1) + crit.argmax(axis=0)
+    left = np.arange(0, lower.size, YEN_BINS + 1) + crit.argmax(axis=0)
     thresholds[rows] = 0.5 * (lower[left] + lower[left + 1])
     return thresholds
 
