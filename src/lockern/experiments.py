@@ -13,7 +13,7 @@ import numpy as np
 
 from .classify import knn_predict, one_vs_rest_predict, one_vs_rest_train
 from .features import (
-    PREPROCESSING_MODES, RankError, Spectrogram, SubspaceFeature, preprocess, stft, svd_features,
+    PREPROCESSING_MODES, RankError, Spectrogram, _svd_cut, preprocess, stft, svd_features,
 )
 from .kernels import DEFAULT_PARAMS, FLAT_KINDS, GramMatrix, KernelSpec, cross_gram, gram
 # Unused here: kernel_fn, fit_pca, pca_project, log_threshold and normalize
@@ -682,17 +682,6 @@ def _sweep_configs(configs: list, dataset: GestureSet) -> list:
         except _SWEEP_SKIPS as exc:
             out.append((config_r.r, exc))
     return out
-
-
-def _svd_cut(feature: SubspaceFeature | None, shape, r: int) -> SubspaceFeature:
-    """`svd_features` at r of a sample of this shape, cut from its features
-    at a larger r: `canonicalize_signs` flips each column on its own, so the
-    first r columns are bitwise those of the features at r. An r above the
-    sample's rank bound min(shape) is refused as svd_features refuses it."""
-    rows, cols = shape
-    if r > min(rows, cols):
-        raise RankError(f"r={r} out of range for {rows}x{cols} spectrogram")
-    return SubspaceFeature(U=feature.U[:, :r], S=feature.S[:r])
 
 
 def _check_fractions(fractions) -> None:

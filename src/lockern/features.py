@@ -284,15 +284,30 @@ def normalize(spec: Spectrogram, mode: str) -> Spectrogram:
     return replace(spec, data=out, state="unit_normalized")
 
 
-def svd_features(spec: Spectrogram, r: int) -> SubspaceFeature:
-    """Top-r left singular vectors (sign-canonicalized) and singular values."""
-    rows, cols = spec.data.shape
+def _check_svd_rank(shape, r: int) -> None:
+    """Refuse an r outside 1..min(rows, cols) of a rows x cols spectrogram:
+    one above is a RankError."""
+    rows, cols = shape
     if r < 1:
         raise ValueError(f"r={r} out of range for {rows}x{cols} spectrogram")
     if r > min(rows, cols):
         raise RankError(f"r={r} out of range for {rows}x{cols} spectrogram")
+
+
+def svd_features(spec: Spectrogram, r: int) -> SubspaceFeature:
+    """Top-r left singular vectors (sign-canonicalized) and singular values."""
+    _check_svd_rank(spec.data.shape, r)
     U, S, _ = np.linalg.svd(spec.data, full_matrices=False)
     return SubspaceFeature(U=canonicalize_signs(U[:, :r]), S=S[:r].copy())
+
+
+def _svd_cut(feature: SubspaceFeature | None, shape, r: int) -> SubspaceFeature:
+    """`svd_features` at r of a sample of this shape, cut from its features
+    at a larger r: `canonicalize_signs` flips each column on its own, so the
+    first r columns are bitwise those of the features at r. An r that
+    svd_features refuses is refused with its error."""
+    _check_svd_rank(shape, r)
+    return SubspaceFeature(U=feature.U[:, :r], S=feature.S[:r])
 
 
 def fit_pca(train_matrix: np.ndarray, r: int) -> PcaBasis:

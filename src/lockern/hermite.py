@@ -74,11 +74,6 @@ _TINY = np.finfo(float).tiny
 _CHUNK_POINTS = 2**14
 # See `_psi_values`.
 _PSI_X_MAX = 2.0 ** 20
-# Lags per correlation in `build_localized_kernel`. A block of B lags adds
-# B(B-1)/2 products of zeros past its tails and one call, so below B + 1
-# coefficients one correlation over all 2L+1 lags is faster. On a 2-core
-# x86 machine 256 was as fast as any of 64-512 from L = 400 to 5000.
-_TAIL_LAGS = 256
 
 
 def _psi_values(k_max: int, x):
@@ -222,12 +217,8 @@ def build_localized_kernel(N: float, q: int) -> LocalizedKernelSpec:
     cutoff-weighted P_{m,q} terms exactly. The Gamma-ratio weights
     w_k = Gamma(a + k)/k!, a = (q-1)/2, depend on m - l only; they come from
     w_0 = Gamma(a) and w_k = w_{k-1} (a + k - 1)/k, one cumulative product,
-    and the tails sum_k H(sqrt(2(l+k))/N) w_k are correlations of the cutoff
-    values with them: one over every lag below _TAIL_LAGS + 1 coefficients,
-    and else one per block of _TAIL_LAGS lags l. A block of lags from l0
-    reads the weights w_0..w_{L-l0} only, so the blocks take about
-    (L+1)^2/2 products, where one correlation over every lag takes
-    (L+1)^2. For N up to 50 and q up to
+    and the tails sum_k H(sqrt(2(l+k))/N) w_k for every l are one
+    correlation of the cutoff values with them. For N up to 50 and q up to
     30 the coefficients are within 4 max(degree, 1) eps max_l |c_l| of the
     exact sum, which the tests take at 40 digits.
     The expansion does not depend on the scale at which the kernel reads
@@ -243,16 +234,7 @@ def build_localized_kernel(N: float, q: int) -> LocalizedKernelSpec:
         prefactor = math.pi ** (-(q - 1) / 2.0) / math.gamma(a)
         k = np.arange(1, L + 1)
         w = np.cumprod(np.concatenate(([math.gamma(a)], (a + k - 1) / k)))
-        if L < _TAIL_LAGS:
-            tails = np.correlate(h_vals, w, "full")[L:]
-        else:
-            # every tail ends at h_vals[L]: the zeros past it add nothing
-            padded = np.concatenate((h_vals, np.zeros(_TAIL_LAGS)))
-            tails = np.empty(L + 1)
-            for lo in range(0, L + 1, _TAIL_LAGS):
-                hi = min(lo + _TAIL_LAGS, L + 1)
-                tails[lo:hi] = np.correlate(padded[lo:L + hi - lo], w[:L + 1 - lo], "valid")
-        coeffs = prefactor * tails * psi0
+        coeffs = prefactor * np.correlate(h_vals, w, "full")[L:] * psi0
     return LocalizedKernelSpec(N=float(N), q=int(q), coeffs=coeffs)
 
 

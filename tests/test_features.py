@@ -91,15 +91,15 @@ class TestStft:
             stft(np.zeros(64), window=np.ones(32), hop=8, fft_size=16)
 
 
-def yen_naive(values, nbins=256):
+def yen_naive(values):
     """Per-threshold loop evaluation of the same correlation criterion."""
     values = np.asarray(values, dtype=float).ravel()
     lo, hi = values.min(), values.max()
-    counts, edges = np.histogram(values, bins=nbins, range=(lo, hi))
+    counts, edges = np.histogram(values, bins=YEN_BINS, range=(lo, hi))
     centers = 0.5 * (edges[:-1] + edges[1:])
     pmf = counts / counts.sum()
     best, best_t = -np.inf, lo
-    for i in range(nbins - 1):
+    for i in range(YEN_BINS - 1):
         p1 = pmf[: i + 1].sum()
         a = (pmf[: i + 1] ** 2).sum()
         b = (pmf[i + 1 :] ** 2).sum()
