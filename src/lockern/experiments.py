@@ -235,26 +235,36 @@ _GESTURE_TEMPLATES = {
 
 
 def _gesture_signal(template: dict, subject_factor: float, rng) -> np.ndarray:
+    """One sample's complex signal: 2-4 chirp components, component c at
+    amplitude 1/(1 + c), plus complex Gaussian noise. The oscillation term
+    and the double-pulse envelope depend only on the sample, so they are
+    made once; each component is scaled in place and summed into the first
+    one's buffer."""
     dur = int(template["duration"] * subject_factor * rng.uniform(0.85, 1.15))
     t = np.arange(dur, dtype=float)
     n_comp = rng.integers(2, 5)  # up to 4 scatterer components
-    sig = np.zeros(dur, dtype=complex)
+    # a component's osc is positive exactly when its template's is
+    wobble = np.sin(2.0 * math.pi * 8 * t / dur) if template["osc"] > 0 else None
+    envelope = None
+    if template["pulses"] == 2:
+        # two bursts separated by a quiet gap
+        envelope = np.where((t < dur * 0.35) | (t > dur * 0.6), 1.0, 0.05)
     for c in range(n_comp):
         rate = template["rate"] * subject_factor * rng.uniform(0.9, 1.1)
         offset = template["offset"] * subject_factor * rng.uniform(0.95, 1.05) + 0.01 * c
         osc = template["osc"] * rng.uniform(0.9, 1.1)
         phase = 2.0 * math.pi * (offset * t + 0.5 * rate * t * t)
-        if osc > 0:
-            phase = phase + 2.0 * math.pi * osc * dur / (2 * math.pi * 8) * np.sin(
-                2.0 * math.pi * 8 * t / dur
-            )
-        amp = np.ones(dur)
-        if template["pulses"] == 2:
-            # two bursts separated by a quiet gap
-            amp = np.where((t < dur * 0.35) | (t > dur * 0.6), 1.0, 0.05)
-        sig = sig + (amp / (1 + c)) * np.exp(1j * phase)
-    noise = rng.normal(scale=0.05, size=dur) + 1j * rng.normal(scale=0.05, size=dur)
-    return sig + noise
+        if wobble is not None:
+            phase += 2.0 * math.pi * osc * dur / (2 * math.pi * 8) * wobble
+        wave = np.exp(1j * phase)
+        wave *= 1 / (1 + c) if envelope is None else envelope / (1 + c)
+        if c == 0:
+            sig = wave
+        else:
+            sig += wave
+    sig.real += rng.normal(scale=0.05, size=dur)
+    sig.imag += rng.normal(scale=0.05, size=dur)
+    return sig
 
 
 def gen_synthetic_gestures(
@@ -271,6 +281,8 @@ def gen_synthetic_gestures(
         raise ValueError("counts must be >= 1")
     if classes > len(_GESTURE_TEMPLATES):
         raise ValueError(f"at most {len(_GESTURE_TEMPLATES)} gesture classes available")
+    if subjects > len(SUBJECT_NAMES):
+        raise ValueError(f"at most {len(SUBJECT_NAMES)} subjects available")
     rng = np.random.default_rng(seed)
     window = np.hanning(fft_size)
     samples = []

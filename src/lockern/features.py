@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import canonicalize_signs
 
@@ -80,18 +79,29 @@ def stft(signal, window, hop: int, fft_size: int, label=None, subject=None) -> S
     """Magnitude short-time Fourier transform.
 
     Column t is |FFT(window * frame_t)| with frame_t starting at t*hop;
-    the frame count is floor((len - win)/hop) + 1.
+    the frame count is floor((len - win)/hop) + 1. The frames are taken
+    with one index gather, a copy of (frames x win) samples. A signal or
+    window that is not 1-D, an empty window, a hop below 1, a window longer
+    than fft_size or a signal shorter than the window is refused with a
+    ValueError naming that cause.
     """
     signal = np.asarray(signal)
     window = np.asarray(window, dtype=float)
+    if signal.ndim != 1:
+        raise ValueError(f"signal must be 1-D, got {signal.ndim}-D")
+    if window.ndim != 1:
+        raise ValueError(f"window must be 1-D, got {window.ndim}-D")
     win = len(window)
+    if win == 0:
+        raise ValueError("window is empty")
     if hop < 1:
         raise ValueError("hop must be >= 1")
     if win > fft_size:
         raise ValueError("window longer than fft_size")
     if len(signal) < win:
         raise ValueError("signal shorter than window")
-    frames = sliding_window_view(signal, win)[::hop] * window
+    starts = np.arange(0, len(signal) - win + 1, hop)
+    frames = signal[starts[:, None] + np.arange(win)] * window
     spec = np.abs(np.fft.fft(frames, n=fft_size, axis=1)).T
     return Spectrogram(data=spec, state="magnitude", label=label, subject=subject)
 

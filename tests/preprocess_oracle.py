@@ -1,7 +1,9 @@
 """Per-sample preprocessing as first written: one np.histogram and one Yen
 criterion per spectrogram, and the zero padding of PCA inputs one row at a
-time. The batched paths in `lockern.features` and `lockern.experiments`
-must match them bitwise."""
+time; and the synthetic gesture signal as first written, with every
+per-sample term recomputed per component. The batched paths in
+`lockern.features` and `lockern.experiments` must match them bitwise."""
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -69,3 +71,29 @@ def zero_pad_stack(specs, target_frames: int) -> np.ndarray:
             raise ValueError(f"spectrogram has {rows} frequency bins, expected {n_freq}")
         row[: spec.data.size] = spec.data.ravel(order="F")
     return out
+
+
+def gesture_signal_oracle(template: dict, subject_factor: float, rng) -> np.ndarray:
+    """`experiments._gesture_signal` as first written: the same draws from
+    `rng` in the same order, each component's oscillation term and envelope
+    made inside the component loop, and the sum built on a zeros array."""
+    dur = int(template["duration"] * subject_factor * rng.uniform(0.85, 1.15))
+    t = np.arange(dur, dtype=float)
+    n_comp = rng.integers(2, 5)  # up to 4 scatterer components
+    sig = np.zeros(dur, dtype=complex)
+    for c in range(n_comp):
+        rate = template["rate"] * subject_factor * rng.uniform(0.9, 1.1)
+        offset = template["offset"] * subject_factor * rng.uniform(0.95, 1.05) + 0.01 * c
+        osc = template["osc"] * rng.uniform(0.9, 1.1)
+        phase = 2.0 * math.pi * (offset * t + 0.5 * rate * t * t)
+        if osc > 0:
+            phase = phase + 2.0 * math.pi * osc * dur / (2 * math.pi * 8) * np.sin(
+                2.0 * math.pi * 8 * t / dur
+            )
+        amp = np.ones(dur)
+        if template["pulses"] == 2:
+            # two bursts separated by a quiet gap
+            amp = np.where((t < dur * 0.35) | (t > dur * 0.6), 1.0, 0.05)
+        sig = sig + (amp / (1 + c)) * np.exp(1j * phase)
+    noise = rng.normal(scale=0.05, size=dur) + 1j * rng.normal(scale=0.05, size=dur)
+    return sig + noise

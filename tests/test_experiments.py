@@ -28,7 +28,8 @@ from lockern.experiments import (
 from lockern.features import (
     RankError, Spectrogram, fit_pca, pca_project, svd_features,
 )
-from preprocess_oracle import preprocess_oracle, zero_pad_stack
+from kernel_oracle import stft_oracle
+from preprocess_oracle import gesture_signal_oracle, preprocess_oracle, zero_pad_stack
 from svm_oracle import svm_predict
 
 
@@ -121,6 +122,43 @@ class TestGenGestures:
             gen_synthetic_gestures(classes=0)
         with pytest.raises(ValueError):
             gen_synthetic_gestures(classes=9)
+        # one name per subject in SUBJECT_NAMES; refused before any draw
+        with pytest.raises(ValueError, match="at most 6 subjects"):
+            gen_synthetic_gestures(subjects=7)
+
+    @pytest.mark.parametrize("label", sorted(experiments._GESTURE_TEMPLATES))
+    def test_signal_matches_oracle_bitwise(self, label):
+        template = experiments._GESTURE_TEMPLATES[label]
+        for factor in (0.85, 0.94, 1.0, 1.09, 1.15):
+            new_rng, oracle_rng = np.random.default_rng(label), np.random.default_rng(label)
+            for _ in range(8):
+                new = experiments._gesture_signal(template, factor, new_rng)
+                old = gesture_signal_oracle(template, factor, oracle_rng)
+                assert new.dtype == old.dtype and new.shape == old.shape
+                assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+            # the two generators drew alike
+            assert new_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_gesture_set_matches_oracle_bitwise(self, seed):
+        # the set as first written: the oracle signal, framed one slice at a time
+        rng = np.random.default_rng(seed)
+        window = np.hanning(64)
+        oracle = []
+        for label in range(4):
+            for s in range(6):
+                factor = 1.0 + 0.06 * (s - 2.5)
+                for _ in range(5):
+                    signal = gesture_signal_oracle(experiments._GESTURE_TEMPLATES[label],
+                                                   factor, rng)
+                    oracle.append((stft_oracle(signal, window, 32, 64), label, "ABCDEF"[s]))
+        ds = gen_synthetic_gestures(per_cell=5, seed=seed)
+        assert len(ds.samples) == len(oracle)
+        for spec, (data, label, subject) in zip(ds.samples, oracle):
+            assert spec.data.shape == data.shape
+            assert spec.data.flags.f_contiguous == data.flags.f_contiguous
+            assert np.array_equal(spec.data.view(np.uint64), data.view(np.uint64))
+            assert (spec.label, spec.subject) == (label, subject)
 
 
 class TestStratifiedSplit:
@@ -661,6 +699,34 @@ class TestSweeps:
                          for row in table.rows]
                         == [(row.method, row.r, row.accuracy_mean, row.accuracy_var)
                             for row in plain.rows])
+
+    @pytest.mark.parametrize("mode", ["binary", "unit", "magnitude"])
+    def test_fraction_block_of_shared_pool_matrix(self, small_gestures, mode):
+        # a fraction's block of the sweep's shared PCA pool matrix against the
+        # matrix of a plain run on the fraction's pool alone. A binary P P' is
+        # exact, so bitwise. A float64 entry is a sum of D non-negative
+        # products, whose rounding depends on the BLAS blocking and so on the
+        # row count: each value lies within D*eps/2 of the exact sum (to first
+        # order), so the two lie within 2*D*eps times the entry.
+        samples = small_gestures.samples
+        labels = np.array([s.label for s in samples])
+        config = ExperimentConfig(preprocessing=mode, r=6, trials=1, seed=42)
+        pools = [_stratified_split(labels, frac, np.random.default_rng(config.seed))[0]
+                 for frac in (0.2, 0.4, 0.6, 0.8)]
+        used = np.unique(np.concatenate(pools))
+        shared = experiments._pool_gram(config, small_gestures, used)
+        for pool in pools:
+            own = experiments._pool_gram(
+                config, replace(small_gestures, samples=[samples[i] for i in pool]),
+                range(len(pool)))
+            at = np.searchsorted(used, pool)
+            block = shared.train_block(at)
+            alone = own.train_block(np.arange(len(pool)))
+            if mode == "binary":
+                assert np.array_equal(block, alone)
+            else:
+                bound = 2 * max(shared.width, own.width) * np.finfo(float).eps
+                assert np.all(np.abs(block - alone) <= bound * np.maximum(block, alone))
 
     def test_fraction_sweep_rank_error_skips_every_fraction(self, small_gestures,
                                                              monkeypatch):

@@ -89,6 +89,15 @@ class TestStft:
             stft(np.zeros(64), window=np.ones(32), hop=0, fft_size=32)
         with pytest.raises(ValueError):
             stft(np.zeros(64), window=np.ones(32), hop=8, fft_size=16)
+        # each refusal names its own cause, not the length check's
+        with pytest.raises(ValueError, match="signal must be 1-D, got 2-D"):
+            stft(np.ones((3, 100)), np.hanning(8), 4, 8)
+        with pytest.raises(ValueError, match="signal must be 1-D, got 0-D"):
+            stft(np.float64(1.0), np.hanning(8), 4, 8)
+        with pytest.raises(ValueError, match="window is empty"):
+            stft(np.ones(100), np.array([]), 4, 8)
+        with pytest.raises(ValueError, match="window must be 1-D, got 2-D"):
+            stft(np.ones(100), np.ones((2, 4)), 4, 8)
 
 
 def yen_naive(values):
