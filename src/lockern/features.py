@@ -81,9 +81,9 @@ def stft(signal, window, hop: int, fft_size: int, label=None, subject=None) -> S
     Column t is |FFT(window * frame_t)| with frame_t starting at t*hop;
     the frame count is floor((len - win)/hop) + 1. The frames are taken
     with one index gather, a copy of (frames x win) samples. A signal or
-    window that is not 1-D, an empty window, a hop below 1, a window longer
-    than fft_size or a signal shorter than the window is refused with a
-    ValueError naming that cause.
+    window that is not 1-D, an empty window, a hop that is not an integer
+    of at least 1, a window longer than fft_size or a signal shorter than
+    the window is refused with a ValueError naming that cause.
     """
     signal = np.asarray(signal)
     window = np.asarray(window, dtype=float)
@@ -94,8 +94,8 @@ def stft(signal, window, hop: int, fft_size: int, label=None, subject=None) -> S
     win = len(window)
     if win == 0:
         raise ValueError("window is empty")
-    if hop < 1:
-        raise ValueError("hop must be >= 1")
+    if not isinstance(hop, (int, np.integer)) or hop < 1:
+        raise ValueError(f"hop must be an integer >= 1, got {hop!r}")
     if win > fft_size:
         raise ValueError("window longer than fft_size")
     if len(signal) < win:

@@ -706,8 +706,8 @@ class TestSweeps:
         # matrix of a plain run on the fraction's pool alone. A binary P P' is
         # exact, so bitwise. A float64 entry is a sum of D non-negative
         # products, whose rounding depends on the BLAS blocking and so on the
-        # row count: each value lies within D*eps/2 of the exact sum (to first
-        # order), so the two lie within 2*D*eps times the entry.
+        # row count: each value is within D*eps/2 times the exact sum (to
+        # first order), so the two lie within 2*D*eps times the entry.
         samples = small_gestures.samples
         labels = np.array([s.label for s in samples])
         config = ExperimentConfig(preprocessing=mode, r=6, trials=1, seed=42)

@@ -98,6 +98,8 @@ class TestStft:
             stft(np.ones(100), np.array([]), 4, 8)
         with pytest.raises(ValueError, match="window must be 1-D, got 2-D"):
             stft(np.ones(100), np.ones((2, 4)), 4, 8)
+        with pytest.raises(ValueError, match="hop must be an integer >= 1, got 2.5"):
+            stft(np.ones(100), np.hanning(8), 2.5, 8)
 
 
 def yen_naive(values):
