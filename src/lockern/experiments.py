@@ -48,10 +48,11 @@ _PREPROCESS_BLOCK_ELEMS = 2**15
 # the state of a spectrogram preprocessed in each mode
 _STATES = {"binary": "binary", "unit": "unit_normalized", "magnitude": "magnitude"}
 
-# A binary P (every entry 0 or 1) narrower than this is formed in float32,
-# and so is its P P': each entry is an integer count of at most the width,
-# which float32 holds exactly, as it does every partial sum, so the product
-# widened to float64 is bitwise the float64 one.
+# A binary P (every entry 0 or 1) narrower than this is held in bytes and
+# its P P' formed in float32 (`_panel_gram`): each entry, and each panel's
+# product and partial sum of it, is an integer count of at most the width,
+# which float32 holds exactly, so the product widened to float64 is bitwise
+# the float64 one.
 _FLOAT32_EXACT = 2**24
 
 
@@ -373,10 +374,10 @@ class _PoolGram:
     PCA features it is the uncentred linear Gram P P' of the zero-padded
     samples P, from which each fold fits its kernel PCA (`_pca_fold`); P is
     written from the preprocessing's block buffers as they are made, with no
-    per-sample object between them. Either costs about what one 80/20
-    split's own Gram and cross-Gram cost."""
+    per-sample object between them, in bytes when the samples are binary.
+    Either costs about what one 80/20 split's own Gram and cross-Gram cost."""
 
-    entries: np.ndarray  # M x M, symmetric; float32 for a binary P (`of_padded`)
+    entries: np.ndarray  # M x M, symmetric; float32 for a byte P (`of_padded`)
     seconds: float  # wall time of building it
     width: int = 0  # PCA: the padded length D of the rows of P
 
@@ -392,9 +393,10 @@ class _PoolGram:
         """P P' of `n_samples` preprocessed samples, given in pool order as a
         stream of `_Block`s: row k of P is sample k zero-padded on the right
         to target_frames frames and flattened column-major (`_pad_rows`). P
-        and P P' are float32, half the memory of float64, when the samples
-        are `binary` (every entry 0 or 1) and P's width is below
-        _FLOAT32_EXACT, where the product is exact; float64 otherwise.
+        is uint8, an eighth of the memory of float64, and P P' float32 when
+        the samples are `binary` (every entry 0 or 1, so the cast is exact)
+        and P's width is below _FLOAT32_EXACT, where the product is exact;
+        both are float64 otherwise. The product is `_panel_gram`'s.
         `train_block` and `test_block` widen what they read to float64. Timed:
         the writes into P and the product, not the making of the blocks,
         which the stream does between the writes. P is freed on return."""
@@ -405,14 +407,14 @@ class _PoolGram:
                 n_freq = int(block.shapes[0, 0])
                 width = n_freq * target_frames
                 exact = binary and width < _FLOAT32_EXACT
-                P = np.zeros((n_samples, width), np.float32 if exact else float)
+                P = np.zeros((n_samples, width), np.uint8 if exact else float)
             _pad_rows(P, row, block, n_freq, target_frames)
             row += len(block.shapes)
             seconds += time.perf_counter() - t0
         t0 = time.perf_counter()
         if P is None:
             P = np.zeros((0, 0))
-        entries = P @ P.T
+        entries = _panel_gram(P)
         return cls(entries, seconds + time.perf_counter() - t0, P.shape[1])
 
     def seconds_for(self, n_rows: int, n_cols: int) -> float:
@@ -429,6 +431,35 @@ class _PoolGram:
         """A new float64 array of the entries of each test sample against
         the training fold."""
         return self.entries[np.ix_(test, train)].astype(float, copy=False)
+
+
+def _panel_gram(P: np.ndarray) -> np.ndarray:
+    """P P' of a byte P in float32, or of a float64 P in float64, summed over
+    column panels of P: the first panel's product is written into the
+    result, each later one into one reused product buffer and added. A byte
+    P is cut into float32's itemsize over its own, four, panels, each
+    widened into one reused float32 buffer no larger than P; a float64 P is
+    one panel, P itself, with no copy. A byte P's products and partial sums
+    are integer counts below _FLOAT32_EXACT, so the sum is bitwise the
+    float32 product of the whole P."""
+    n, width = P.shape
+    wide = np.result_type(P, np.float32)
+    cols = max(1, -(-width // (wide.itemsize // P.itemsize)))
+    entries = np.zeros((n, n), wide)
+    prod = np.empty_like(entries) if cols < width else None
+    buf = np.empty(n * cols, wide) if P.dtype != wide else None
+    for start in range(0, width, cols):
+        C = P[:, start:start + cols]
+        if buf is not None:
+            panel = buf[:C.size].reshape(C.shape)
+            panel[...] = C
+            C = panel
+        if start == 0:
+            np.matmul(C, C.T, out=entries)
+        else:
+            np.matmul(C, C.T, out=prod)
+            entries += prod
+    return entries
 
 
 def _pad_rows(P: np.ndarray, row: int, block: _Block, n_freq: int, target_frames: int) -> None:

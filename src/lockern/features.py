@@ -82,8 +82,9 @@ def stft(signal, window, hop: int, fft_size: int, label=None, subject=None) -> S
     the frame count is floor((len - win)/hop) + 1. The frames are taken
     with one index gather, a copy of (frames x win) samples. A signal or
     window that is not 1-D, an empty window, a hop that is not an integer
-    of at least 1, a window longer than fft_size or a signal shorter than
-    the window is refused with a ValueError naming that cause.
+    of at least 1, an fft_size that is not an integer, a window longer than
+    fft_size or a signal shorter than the window is refused with a
+    ValueError naming that cause.
     """
     signal = np.asarray(signal)
     window = np.asarray(window, dtype=float)
@@ -96,6 +97,8 @@ def stft(signal, window, hop: int, fft_size: int, label=None, subject=None) -> S
         raise ValueError("window is empty")
     if not isinstance(hop, (int, np.integer)) or hop < 1:
         raise ValueError(f"hop must be an integer >= 1, got {hop!r}")
+    if not isinstance(fft_size, (int, np.integer)):
+        raise ValueError(f"fft_size must be an integer, got {fft_size!r}")
     if win > fft_size:
         raise ValueError("window longer than fft_size")
     if len(signal) < win:
@@ -155,7 +158,10 @@ def _yen_thresholds(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     # Flat (n, YEN_BINS + 1) edge table, read at each value's position (row
     # offset plus bin) as the bin's lower edge and, one further on, its
     # upper edge. Column YEN_BINS starts no bin; as +inf it is the upper
-    # edge of the last bin, which keeps the values on its right edge.
+    # edge of the last bin, which keeps the values on its right edge. No
+    # position passes it: fl(v - lo) <= delta, so x <= YEN_BINS, and a
+    # value at column YEN_BINS lies below its +inf lower edge and is moved
+    # back into the last bin.
     edges[:, -1] = np.inf
     lower = edges.ravel()
     upper = lower[1:]
@@ -163,7 +169,6 @@ def _yen_thresholds(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     np.subtract(values, x, out=x)
     x /= np.repeat(delta, sizes)
     x *= YEN_BINS
-    np.minimum(x, YEN_BINS - 1, out=x)  # a value on the last edge is in the last bin
     pos = x.astype(np.intp)
     pos += np.repeat(np.arange(0, lower.size, YEN_BINS + 1), sizes)
     pos -= values < lower.take(pos)

@@ -1,6 +1,7 @@
 import math
 import re
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -879,9 +880,11 @@ class TestPoolGram:
         assert pool.width == P.shape[1]
 
     def test_float32_only_below_the_exact_width(self, monkeypatch):
-        # data that float32 rounds, passed as binary, show which product
-        # ran: float32 while the width D = 12 is below the limit, float64
-        # from the limit down (and for data not marked binary)
+        # data in (0, 1/3), passed as binary, show which P was formed: while
+        # the width D = 12 is below the limit P is held in bytes, where every
+        # entry truncates to 0, so the product is not the float64 one; from
+        # the limit down (and for data not marked binary) P is float64 and
+        # the product is exact
         rng = np.random.default_rng(3)
         specs = [Spectrogram(rng.random((4, cols)) / 3.0) for cols in (3, 2, 3, 1)]
         P = zero_pad_stack(specs, 3)
@@ -897,6 +900,34 @@ class TestPoolGram:
         assert read(True) != exact
         monkeypatch.setattr(experiments, "_FLOAT32_EXACT", 12)
         assert read(True) == exact
+
+    @pytest.mark.parametrize("n,width", [(7, 4031), (7, 4034), (7, 3), (5, 1), (1, 97), (1, 1)],
+                             ids=["ragged-panel", "short-last-panel", "three-panels",
+                                  "one-column", "one-row", "one-entry"])
+    def test_byte_panels_are_the_float32_product(self, n, width):
+        # a byte P's four panels sum to the float32 product of the whole P
+        # bitwise, whether or not the width is a multiple of the panel width;
+        # a float64 P is one product, P P' itself
+        P = (np.random.default_rng(width).random((n, width)) < 0.4).astype(np.uint8)
+        P32 = P.astype(np.float32)
+        entries = experiments._panel_gram(P)
+        assert entries.dtype == np.float32
+        assert entries.tobytes() == (P32 @ P32.T).tobytes()
+        P64 = P * np.random.default_rng(n).random(width)
+        assert experiments._panel_gram(P64).tobytes() == (P64 @ P64.T).tobytes()
+
+    def test_binary_pool_peak_below_a_float32_P(self):
+        # the traced peak of a binary pool matrix stays below n * D * 4
+        # bytes, the float32 P that the byte P replaced
+        ds = gen_synthetic_gestures(per_cell=10, seed=0)
+        tracemalloc.start()
+        try:
+            pool = experiments._pool_gram(ExperimentConfig(), ds, range(len(ds.samples)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pool.entries.dtype == np.float32
+        assert peak < len(ds.samples) * pool.width * 4
 
     def test_pool_writer_refuses_other_shapes(self, small_gestures, monkeypatch):
         # the refused sample is named by its position in the pool, past the

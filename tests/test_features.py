@@ -100,6 +100,13 @@ class TestStft:
             stft(np.ones(100), np.ones((2, 4)), 4, 8)
         with pytest.raises(ValueError, match="hop must be an integer >= 1, got 2.5"):
             stft(np.ones(100), np.hanning(8), 2.5, 8)
+        # a float fft_size of at least the window length passes the length
+        # check, and np.fft named no parameter
+        with pytest.raises(ValueError, match="fft_size must be an integer, got 8.5"):
+            stft(np.ones(100), np.hanning(8), 4, 8.5)
+        with pytest.raises(ValueError, match="fft_size must be an integer, got 16.0"):
+            stft(np.ones(100), np.hanning(8), 4, 16.0)
+        assert stft(np.ones(100), np.hanning(8), 4, np.int64(16)).data.shape == (16, 24)
 
 
 def yen_naive(values):
@@ -209,6 +216,23 @@ class TestYenThreshold:
             values = np.concatenate([d.ravel(order="F") for d in db])
             got = _yen_thresholds(values, np.array([d.size for d in db]))
             assert got.tobytes() == expected.tobytes()
+
+    def test_values_at_and_just_below_hi_match_oracle(self):
+        # segments that hold hi many times, the float just below it, and lo:
+        # each value at hi, and at -1, 1 and -120, 0 the float below it too,
+        # computes to position YEN_BINS, the edge table's +inf column, and is
+        # moved back into the last bin, as np.histogram bins it
+        rng = np.random.default_rng(11)
+        segments = []
+        for lo, hi in [(-1.0, 1.0), (-3.0, 5.0), (-93.7, -12.1), (0.0, 1.0),
+                       (-120.0, 0.0), (-1e-300, 1e-300), (1.0, 1.0 + 2**-44)]:
+            below = np.nextafter(hi, -np.inf)
+            seg = np.concatenate([np.full(40, hi), np.full(9, below), [lo],
+                                  rng.uniform(lo, hi, 25)])
+            segments.append(rng.permutation(seg))
+        got = yen_block(*segments)
+        expected = np.array([yen_oracle(seg) for seg in segments])
+        assert got.tobytes() == expected.tobytes()
 
     @given(ragged_blocks())
     @settings(max_examples=200, deadline=None)
