@@ -127,18 +127,20 @@ def _solve(gram: GramMatrix | np.ndarray, targets, C: float) -> list:
 
 
 def _column_rows(K: np.ndarray) -> list:
-    """Row views whose i-th is K[:, i], contiguous: the rows of K itself when
-    K is C-ordered and bitwise symmetric, as every Gram of `kernels.gram` is;
-    otherwise the rows of one contiguous copy of K.T."""
+    """Row views of one signed column table, 2M^2 floats: row i is
+    [K[:, i], -K[:, i]], contiguous. The table is [K, -K] when K is C-ordered
+    and bitwise symmetric, as every Gram of `kernels.gram` is; otherwise
+    [K.T, -K.T] from one contiguous copy of K.T. One table serves every
+    class solved on the Gram."""
     bits = K.view(np.uint64)
     if not (K.flags.c_contiguous and np.array_equal(bits, bits.T)):
         K = np.ascontiguousarray(K.T)
-    return list(K)
+    return list(np.concatenate([K, -K], axis=1))
 
 
 def _smo(K: np.ndarray, cols: list, y: np.ndarray, C: float) -> SvmModel:
     """The dual solve of `_solve` on validated inputs; cols[i] is
-    K[:, i] (`_column_rows`).
+    [K[:, i], -K[:, i]] (`_column_rows`).
 
     Carries yg = -y * grad, with grad the gradient of the dual objective
     1/2 a'Qa - 1'a and Q = K * yy'. As y is +-1, Q[:, i] * y_i = y * K[:, i]
@@ -150,7 +152,9 @@ def _smo(K: np.ndarray, cols: list, y: np.ndarray, C: float) -> SvmModel:
     and j, the first minimum of gl. Negation is exact, so every value is
     the one that updating yg and masking it would give, and the gap gu[i] +
     (-gl)[j] is yg[i] - yg[j]. Only entries i and j can change set in an
-    update.
+    update. An update is three calls on the flat H: dd = cols[i] - cols[j],
+    dd *= step and H -= dd, since (-a) - (-b) is exactly -(a - b), so the
+    second half of dd is bitwise -(d * step) with d = K[:, i] - K[:, j].
     """
     M = len(y)
     diag = K.diagonal().tolist()
@@ -160,8 +164,7 @@ def _smo(K: np.ndarray, cols: list, y: np.ndarray, C: float) -> SvmModel:
     # alpha = 0: yg = y, up set = {y > 0}, low set = {y < 0}
     H = np.where([y > 0, y < 0], 1.0, -np.inf)
     flat = H.reshape(-1)  # flat[i] is gu[i], flat[M + j] is -gl[j]
-    D = np.empty((2, M))
-    d, neg_d = D
+    dd = np.empty(2 * M)
     scale = np.empty(())  # the step, as a 0-d array: a faster multiplier than a float
     for iterations in range(MAX_PAIR_UPDATES):
         # first extremum over the masked set, as an argmax over that subset gives
@@ -173,19 +176,23 @@ def _smo(K: np.ndarray, cols: list, y: np.ndarray, C: float) -> SvmModel:
         eta = diag[i] + diag[j] - 2.0 * K.item(i, j)
         if eta <= 0:
             eta = tau
-        # move alpha_i up and alpha_j down along the equality constraint
+        # move alpha_i up and alpha_j down along the equality constraint, by
+        # min(gap / eta, max_i, max_j)
         yi, yj, ai, aj = ys[i], ys[j], alpha[i], alpha[j]
         max_i = C - ai if yi > 0 else ai
         max_j = aj if yj > 0 else C - aj
-        step = min(gap / eta, max_i, max_j)
+        step = gap / eta
+        if max_i < step:
+            step = max_i
+        if max_j < step:
+            step = max_j
         alpha[i] = ai = ai + yi * step
         alpha[j] = aj = aj - yj * step
         # H -= [d * step, -(d * step)], d the update direction K[:, i] - K[:, j]
-        np.subtract(cols[i], cols[j], out=d)
+        np.subtract(cols[i], cols[j], out=dd)
         scale[()] = step
-        np.multiply(d, scale, out=d)
-        np.negative(d, out=neg_d)
-        np.subtract(H, D, out=H)
+        np.multiply(dd, scale, out=dd)
+        np.subtract(flat, dd, out=flat)
         # i was in the up set and j in the low set, so gu[i] and -gl[j] are
         # finite; only i and j can have changed sets
         gi, gj = flat.item(i), -flat.item(M + j)

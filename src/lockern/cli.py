@@ -57,6 +57,7 @@ def _parser() -> argparse.ArgumentParser:
     f = sub.add_parser("features", help="extract features for a manifest")
     f.add_argument("--manifest")
     f.add_argument("--synthetic", action="store_true")
+    f.add_argument("--per-cell", type=int, default=25)
     f.add_argument("--preprocessing", choices=PREPROCESSING_MODES, default="binary")
     f.add_argument("--feature", choices=("pca-input", "svd"), default="svd")
     f.add_argument("--r", type=int, default=5)
@@ -111,7 +112,7 @@ def _parse_config_file(path, seed: int) -> ExperimentConfig:
 
 def _load_dataset(args):
     if args.synthetic:
-        return gen_synthetic_gestures(per_cell=getattr(args, "per_cell", 25), seed=args.seed)
+        return gen_synthetic_gestures(per_cell=args.per_cell, seed=args.seed)
     if not getattr(args, "manifest", None):
         raise UsageError("either --synthetic or --manifest is required")
     if not os.path.exists(args.manifest):

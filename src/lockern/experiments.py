@@ -15,7 +15,9 @@ from .classify import knn_predict, one_vs_rest_predict, one_vs_rest_train
 from .features import (
     PREPROCESSING_MODES, RankError, Spectrogram, _svd_cut, preprocess, stft, svd_features,
 )
-from .kernels import DEFAULT_PARAMS, FLAT_KINDS, GramMatrix, KernelSpec, cross_gram, gram
+from .kernels import (
+    DEFAULT_PARAMS, FLAT_KINDS, GramMatrix, KernelSpec, _row_blocks, cross_gram, gram,
+)
 # Unused here: kernel_fn, fit_pca, pca_project, log_threshold and normalize
 # stay importable from this module because the benchmark's traced run
 # (bench/layers.py) wraps them by these names.
@@ -339,11 +341,14 @@ def _preprocessed(mode: str, samples, indices):
 
 def _preprocessed_samples(mode: str, samples, indices):
     """(index, preprocessed Spectrogram) pairs of `_preprocessed`'s blocks, in
-    order. Each Spectrogram's data is an F-ordered view of its block's
-    buffer, with the sample's label and subject."""
+    order. Each Spectrogram's data is an F-ordered float view of its block's
+    buffer, with the sample's label and subject. A binary block is widened
+    here, once, rather than by each sample's SVD: many small per-sample
+    float copies page-fault more than one copy per block."""
     state = _STATES[mode]
     for block in _preprocessed(mode, samples, indices):
-        segments = np.split(block.flat, np.cumsum(block.shapes.prod(axis=1))[:-1])
+        flat = block.flat.astype(float, copy=False)
+        segments = np.split(flat, np.cumsum(block.shapes.prod(axis=1))[:-1])
         for i, shape, segment in zip(block.indices, block.shapes, segments):
             yield i, Spectrogram(segment.reshape(shape, order="F"), state,
                                  samples[i].label, samples[i].subject)
@@ -425,12 +430,21 @@ class _PoolGram:
     def train_block(self, train) -> np.ndarray:
         """A new float64 array of the training fold's entries; exactly
         symmetric, as the pool's are."""
-        return self.entries[np.ix_(train, train)].astype(float, copy=False)
+        return self._widened(train, train)
 
     def test_block(self, test, train) -> np.ndarray:
         """A new float64 array of the entries of each test sample against
         the training fold."""
-        return self.entries[np.ix_(test, train)].astype(float, copy=False)
+        return self._widened(test, train)
+
+    def _widened(self, rows, cols) -> np.ndarray:
+        """The entries at rows x cols as a new float64 array, gathered and
+        widened one row block (`kernels._row_blocks`) at a time: a float32
+        pool leaves no float32 copy of the whole block behind."""
+        out = np.empty((len(rows), len(cols)))
+        for part in _row_blocks(len(rows), len(cols)):
+            out[part] = self.entries[np.ix_(rows[part], cols)]
+        return out
 
 
 def _panel_gram(P: np.ndarray) -> np.ndarray:
@@ -465,9 +479,11 @@ def _panel_gram(P: np.ndarray) -> np.ndarray:
 def _pad_rows(P: np.ndarray, row: int, block: _Block, n_freq: int, target_frames: int) -> None:
     """Write the block's samples into rows row, row + 1, ... of P, each
     zero-padded on the right to target_frames frames and flattened
-    column-major, with one boolean-mask assignment. A sample with more than
-    target_frames frames, or with other than n_freq frequency bins, is
-    refused, named by its row."""
+    column-major: each sample's segment of the block's buffer is copied
+    into the prefix of its row, whose rest P's zeros pad, and cast to P's
+    dtype on the way (a `bool` support into a byte or float P is exact). A
+    sample with more than target_frames frames, or with other than n_freq
+    frequency bins, is refused, named by its row."""
     bins, frames = block.shapes.T
     bad = np.flatnonzero((frames > target_frames) | (bins != n_freq))
     if bad.size:
@@ -477,8 +493,10 @@ def _pad_rows(P: np.ndarray, row: int, block: _Block, n_freq: int, target_frames
                              f"target is {target_frames}")
         raise ValueError(f"sample {row + k}: spectrogram has {bins[k]} frequency bins, "
                          f"expected {n_freq}")
-    mask = np.arange(P.shape[1]) < (bins * frames)[:, None]
-    P[row:row + len(bins)][mask] = block.flat
+    start = 0
+    for dst, size in zip(P[row:row + len(bins)], (bins * frames).tolist()):
+        dst[:size] = block.flat[start:start + size]
+        start += size
 
 
 @dataclass(frozen=True)

@@ -247,14 +247,17 @@ def preprocess(specs, mode: str) -> tuple[np.ndarray, np.ndarray]:
     support's dB values rescaled to [0, 1] per spectrogram) or magnitude
     (the data unchanged). Each spectrogram's segment is bitwise the data of
     `normalize(log_threshold([spec])[0], mode)`, or for magnitude of the
-    spectrogram itself. Errors name the offending position in `specs`.
+    spectrogram itself; except that the binary buffer is the `bool`
+    support, equal in value to normalize's float indicator, which a caller
+    widens where it writes it. Errors name the offending position in
+    `specs`.
     """
     if mode not in PREPROCESSING_MODES:
         raise ValueError(f"unknown preprocessing mode {mode!r}")
     specs = list(specs)
     sizes = np.array([spec.data.size for spec in specs], dtype=np.intp)
     if not specs:
-        return np.zeros(0), sizes
+        return np.zeros(0, bool if mode == "binary" else float), sizes
     if mode == "magnitude":
         return _flat_magnitudes(specs), sizes
     db, thresholds = _db_and_thresholds(specs, sizes)
@@ -263,7 +266,7 @@ def preprocess(specs, mode: str) -> tuple[np.ndarray, np.ndarray]:
     support = db >= np.repeat(thresholds, sizes)
     support &= db != 0
     if mode == "binary":
-        return support.astype(float), sizes
+        return support, sizes
     starts = np.cumsum(sizes) - sizes
     lo = np.minimum.reduceat(np.where(support, db, np.inf), starts)
     hi = np.maximum.reduceat(np.where(support, db, -np.inf), starts)

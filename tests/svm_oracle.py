@@ -2,7 +2,7 @@
 oracle: the signed gradient yg and its masked copies gu and gl as three rows
 of one array, the update read from the columns of K, and an argmax and an
 argmin per update. The library's two-row loop must give bitwise the same
-support coefficients, support ids and bias. The update cap is read from
+support coefficients, support ids, bias, update count and KKT gap. The update cap is read from
 `classify` at call time, so a test can lower it. Also the decision value of
 one sample, the per-row oracle of `classify.one_vs_rest_predict`.
 """
@@ -24,7 +24,8 @@ def smo_loop_oracle(K: np.ndarray, y: np.ndarray, C: float):
     exactly, so a pair update is yg -= step * (K[:, i] - K[:, j]) and Q is
     never formed. gu and gl are yg masked to the up and low sets (-inf and
     +inf elsewhere); only entries i and j can change set in an update.
-    Returns (support coefficients, support ids, bias).
+    Returns (support coefficients, support ids, bias, pair updates made,
+    KKT gap max(gu) - min(gl) when the loop stopped).
     """
     M = len(y)
     cols = K.T  # cols[i] is K[:, i], whatever the symmetry of K
@@ -38,7 +39,7 @@ def smo_loop_oracle(K: np.ndarray, y: np.ndarray, C: float):
     gu[:] = np.where(y > 0, y, -np.inf)
     gl[:] = np.where(y > 0, np.inf, y)
     delta = np.empty(M)
-    for _ in range(classify.MAX_PAIR_UPDATES):
+    for iterations in range(classify.MAX_PAIR_UPDATES):
         # first extremum over the masked set, as an argmax over that subset gives
         i = int(gu.argmax())
         j = int(gl.argmin())
@@ -65,6 +66,7 @@ def smo_loop_oracle(K: np.ndarray, y: np.ndarray, C: float):
         gu[j] = yg.item(j) if (aj < C if yj > 0 else aj > 0) else -np.inf
         gl[j] = yg.item(j) if (aj > 0 if yj > 0 else aj < C) else np.inf
     else:
+        iterations = classify.MAX_PAIR_UPDATES
         gap = float(gu.max() - gl.min())
         if gap >= KKT_TOL:
             warnings.warn(
@@ -78,7 +80,7 @@ def smo_loop_oracle(K: np.ndarray, y: np.ndarray, C: float):
     bias = ((hi if hi > -np.inf else 0.0) + (lo if lo < np.inf else 0.0)) / 2.0
 
     sv = np.flatnonzero(alpha > 1e-12)
-    return alpha[sv] * y[sv], sv, float(bias)
+    return alpha[sv] * y[sv], sv, float(bias), iterations, float(hi - lo)
 
 
 def svm_predict(model: SvmModel, gram_row) -> float:

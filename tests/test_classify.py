@@ -314,20 +314,22 @@ def _noised_gestures(seed, scale=2.0):
 
 
 def _assert_matches_loop_oracle(model, K, y, C):
-    coeffs, ids, bias = smo_loop_oracle(K, y, C)
+    coeffs, ids, bias, iterations, gap = smo_loop_oracle(K, y, C)
     np.testing.assert_array_equal(model.support_ids, ids)
-    np.testing.assert_array_equal(model.support_coeffs, coeffs)
-    assert model.bias == bias
+    assert model.support_coeffs.tobytes() == coeffs.tobytes()
+    assert (model.bias, model.iterations, model.kkt_gap) == (bias, iterations, gap)
 
 
 class TestTwoRowSmo:
     """The two-row SMO state against the three-row loop it replaced
-    (`tests/svm_oracle.py`): support coefficients, ids and bias bitwise."""
+    (`tests/svm_oracle.py`): support coefficients, ids, bias, update count
+    and KKT gap bitwise."""
 
     @pytest.mark.parametrize("case", ["pca_localized", "grassmann_holdout"])
     def test_experiment_grams_match_loop_oracle(self, case):
         if case == "pca_localized":
-            # the PCA LocSVM64 split of the gesture-loc benchmark, M = 192
+            # the PCA LocSVM64 split of the gesture-loc benchmark: a localized
+            # Gram (N = 8, q = 18) of M = 192
             config = ExperimentConfig(r=30, kernel_params={"N": 8.0, "q": 18}, trials=1,
                                       seed=3000)
             grams = _experiment_grams(config, gen_synthetic_gestures(per_cell=10, seed=3),
@@ -388,14 +390,18 @@ class TestTwoRowSmo:
         fortran = svm_train_binary(np.asfortranarray(S), y, C=1.0)
         _assert_matches_loop_oracle(fortran, S, y, 1.0)
 
-    def test_column_rows_share_a_symmetric_gram(self):
+    def test_column_rows_are_signed_columns(self):
+        # row i is [K[:, i], -K[:, i]] bitwise, from K for a symmetric Gram
+        # and from K.T for a non-symmetric array
         K = gram(KernelSpec("euclidean_rbf", {"gamma": 0.5}), blobs(5, seed=0)[0]).entries
-        cols = classify._column_rows(K)
-        assert all(np.shares_memory(row, K) for row in cols)
         flipped = K.copy()
         flipped[0, 1] = np.nextafter(K[0, 1], 2.0)
-        assert not any(np.shares_memory(row, flipped)
-                       for row in classify._column_rows(flipped))
+        for A in (K, flipped):
+            rows = classify._column_rows(A)
+            assert len(rows) == len(A)
+            for i, row in enumerate(rows):
+                assert row.flags.c_contiguous
+                assert row.tobytes() == np.concatenate([A[:, i], -A[:, i]]).tobytes()
 
 
 class TestSolverReport:

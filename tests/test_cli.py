@@ -146,6 +146,21 @@ class TestFeaturesCommand:
         digest = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
         assert digest == "e9e2238838f80910ef027e92cf8c87acb93f553cc4b1215bc844f635695b3ce6"
 
+    @pytest.mark.parametrize("feature,expected", [
+        ("pca-input", "a4685aad5c5f3df180c4be5cd9ba48d468835c05a211cb6d5ce187e8b9ab2bd7"),
+        ("svd", "e17a29f622f4b682b54f0d38f9f8c96c66f279bf2192611dc70bc1dbcd04a229"),
+    ])
+    def test_binary_synthetic_bytes_pinned(self, tmp_path, feature, expected):
+        # binary preprocessing of the synthetic set: the digest of every
+        # output file's bytes, as computed at c183aad, where the support was
+        # a float buffer
+        out = tmp_path / "out"
+        assert run(["--out-dir", str(out), "features", "--synthetic", "--per-cell", "2",
+                    "--feature", feature]) == 0
+        files = sorted(out.glob("sample*.csv"))
+        assert len(files) == 4 * 6 * 2
+        assert hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest() == expected
+
     def test_refused_r_leaves_no_output(self, tmp_path, capsys):
         # an --r below 1 is a usage error before any data are read; an --r
         # that a sample's SVD refuses exits 1 before that sample's file opens

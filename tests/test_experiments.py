@@ -929,6 +929,44 @@ class TestPoolGram:
         assert pool.entries.dtype == np.float32
         assert peak < len(ds.samples) * pool.width * 4
 
+    def test_blocks_widen_without_a_float32_copy(self):
+        # a fold's blocks of a float32 pool, read a row block at a time: the
+        # gathered float32 entries widened bitwise, and a traced peak below
+        # the float64 result plus a float32 copy of the whole block
+        rng = np.random.default_rng(4)
+        pool = _PoolGram(rng.integers(0, 4032, (700, 700)).astype(np.float32), 0.0)
+        train, test = np.sort(rng.permutation(700)[:600]), np.arange(1, 700, 2)
+        for rows, cols in ((train, train), (test, train)):
+            want = pool.entries[np.ix_(rows, cols)].astype(float)
+            tracemalloc.start()
+            try:
+                got = (pool.train_block(rows) if rows is cols else pool.test_block(rows, cols))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            assert peak < got.nbytes + len(rows) * len(cols) * 4
+
+    @pytest.mark.parametrize("frames", [[5], [2], [3, 5, 1]],
+                             ids=["one-sample-full-width", "one-sample", "full-width-in-block"])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_pad_rows_match_zero_pad_stack(self, frames, dtype):
+        # the slice writer against the oracle, past a first row it leaves
+        # zero: a block of one sample, and a sample exactly target_frames
+        # wide; a bool support into a byte P, float data into a float P
+        rng = np.random.default_rng(len(frames))
+        data = [rng.random((4, f)) for f in frames]
+        if dtype == np.uint8:
+            data = [d < 0.5 for d in data]
+        block = experiments._Block(list(range(len(data))),
+                                   np.concatenate([d.ravel(order="F") for d in data]),
+                                   np.array([d.shape for d in data]))
+        P = np.zeros((len(data) + 1, 4 * 5), dtype)
+        experiments._pad_rows(P, 1, block, 4, 5)
+        assert not P[0].any()
+        want = zero_pad_stack([Spectrogram(d) for d in data], 5)
+        assert P[1:].astype(float).tobytes() == want.tobytes()
+
     def test_pool_writer_refuses_other_shapes(self, small_gestures, monkeypatch):
         # the refused sample is named by its position in the pool, past the
         # blocks already written

@@ -360,9 +360,19 @@ class TestPreprocess:
         flat, sizes = preprocess(samples, mode)
         assert sizes.tolist() == [s.data.size for s in samples]
         assert flat.size == sizes.sum()
+        assert flat.dtype == (bool if mode == "binary" else float)
         for spec, size, end in zip(samples, sizes, np.cumsum(sizes)):
             got = flat[end - size:end].reshape(spec.data.shape, order="F")
-            assert got.tobytes() == preprocess_oracle(spec, mode).data.tobytes()
+            assert got.astype(float).tobytes() == preprocess_oracle(spec, mode).data.tobytes()
+
+    def test_binary_is_the_bool_support(self):
+        # the support itself, equal in value to normalize's float indicator
+        samples = gen_synthetic_gestures(per_cell=1, seed=8).samples
+        flat, sizes = preprocess(samples, "binary")
+        assert flat.dtype == bool
+        for spec, size, end in zip(samples, sizes, np.cumsum(sizes)):
+            want = normalize(log_threshold([spec])[0], "binary").data
+            np.testing.assert_array_equal(flat[end - size:end], want.ravel(order="F"))
 
     def test_unit_edge_cases(self):
         one_value, empty = (Spectrogram(data=np.where(np.eye(6) > 0, level, low))
@@ -381,8 +391,9 @@ class TestPreprocess:
             preprocess([Spectrogram(data=np.ones((2, 2)))], "zscore")
 
     def test_empty_sequence(self):
-        flat, sizes = preprocess([], "binary")
-        assert flat.size == 0 and sizes.size == 0
+        for mode, dtype in (("binary", bool), ("unit", float)):
+            flat, sizes = preprocess([], mode)
+            assert flat.size == 0 and sizes.size == 0 and flat.dtype == dtype
 
 
 class TestNormalize:
