@@ -131,11 +131,14 @@ def _column_rows(K: np.ndarray) -> list:
     [K[:, i], -K[:, i]], contiguous. The table is [K, -K] when K is C-ordered
     and bitwise symmetric, as every Gram of `kernels.gram` is; otherwise
     [K.T, -K.T] from one contiguous copy of K.T. One table serves every
-    class solved on the Gram."""
+    class solved on the Gram; its right half is negated in place, so no
+    M x M temporary -K is made."""
     bits = K.view(np.uint64)
     if not (K.flags.c_contiguous and np.array_equal(bits, bits.T)):
         K = np.ascontiguousarray(K.T)
-    return list(np.concatenate([K, -K], axis=1))
+    table = np.concatenate([K, K], axis=1)
+    np.negative(table[:, len(K):], out=table[:, len(K):])
+    return list(table)
 
 
 def _smo(K: np.ndarray, cols: list, y: np.ndarray, C: float) -> SvmModel:
