@@ -7,7 +7,8 @@
 # 2,3,5` with an SVD Grassmann config: the fractions share one pool of SVD
 # features, and the r values cut theirs from one SVD per sample. `kernel-eval`
 # tabulates the default localized kernel and must exit 2 for a negative
-# gamma, and `features` writes the synthetic set's SVD features and PCA
+# gamma; at N = 40 out to x = 100 every one of its 401 values must be finite
+# (the Clenshaw pass's raised start and rescale checks), and `features` writes the synthetic set's SVD features and PCA
 # inputs and must exit 2 for an --r below 1, creating no output directory.
 # Then it checks that each refused
 # config exits 1 and creates no output directory: a NaN C, a localized q
@@ -37,6 +38,13 @@ lockern --out-dir "$root/sweep-dim-grassmann" sweep-dim --synthetic --per-cell 2
   --r-values 2,3,5 --config "$root/grassmann.cfg"
 
 lockern kernel-eval --N 8 --q 18 --steps 20 > "$root/kernel-eval.csv"
+lockern kernel-eval --N 40 --q 2 --x-max 100 --steps 400 > "$root/kernel-eval-N40.csv"
+# a finite repr starts with a digit, after an optional sign; nan and inf do not
+if ! awk -F, 'NR > 1 && $2 !~ /^-?[0-9]/ { bad = 1 } END { exit bad || NR != 402 }' \
+    "$root/kernel-eval-N40.csv"; then
+  echo "kernel-eval at N 40 gave a non-finite phi or not 401 values" >&2
+  exit 1
+fi
 status=0
 lockern kernel-eval --N 8 --q 18 --gamma -1 > /dev/null || status=$?
 if [ "$status" -ne 2 ]; then

@@ -88,16 +88,16 @@ def _check_flat(spec: KernelSpec) -> None:
 
 
 def _solved_model(spec: KernelSpec, nodes: list, A: np.ndarray, rhs: np.ndarray,
-                  K: np.ndarray, matrix: str, hint: str = "") -> CollocationModel:
+                  K: np.ndarray, eta: float, matrix: str, hint: str = "") -> CollocationModel:
     """The model whose coefficients solve A a = rhs, with the nodes' minimal
-    separation and the dominance ratio of their collocation matrix K. An A
-    whose condition number is not finite or exceeds COND_LIMIT is refused,
-    the error naming the `matrix` and ending in the `hint`."""
+    separation eta (inf for one node), which the caller has measured, and
+    the dominance ratio of their collocation matrix K. An A whose condition
+    number is not finite or exceeds COND_LIMIT is refused, the error naming
+    the `matrix` and ending in the `hint`."""
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ValueError(f"{matrix} condition {cond:.2e} exceeds {COND_LIMIT:.0e}{hint}")
     coeffs = np.linalg.solve(A, rhs)
-    eta = minimal_separation(nodes) if len(nodes) > 1 else np.inf
     ratio = _dominance_ratio(K) if len(nodes) > 1 else 0.0
     return CollocationModel(nodes=nodes, coeffs=coeffs, spec=spec, eta=eta, dominance_ratio=ratio)
 
@@ -111,7 +111,8 @@ def fit_empirical(spec: KernelSpec, nodes, values) -> CollocationModel:
     if len(nodes) != len(values):
         raise ValueError("nodes/values length mismatch")
     K = gram(spec, nodes).entries
-    return _solved_model(spec, nodes, K, values, K, "collocation matrix",
+    eta = minimal_separation(nodes) if len(nodes) > 1 else np.inf
+    return _solved_model(spec, nodes, K, values, K, eta, "collocation matrix",
                          "; increase the kernel bandwidth N or spread the nodes further apart")
 
 
@@ -144,7 +145,11 @@ def fit_theoretical(spec: KernelSpec, nodes, f_values, quad: DiscreteQuadrature)
     both the normal equations and the collocation matrix of the dominance
     ratio. For the flat kinds its node block is bitwise the `gram` of the
     nodes: their squared distances are exactly symmetric and the profile is
-    elementwise. The kernel must be a flat kind.
+    elementwise. The cross_gram comes with its pair statistics, the squared
+    distances, so the minimal separation eta is the root of the least
+    off-diagonal entry of their node block, bitwise `minimal_separation`
+    of the nodes, and no second distance pass is made. The kernel must be a
+    flat kind.
     """
     _check_flat(spec)
     nodes = list(nodes)
@@ -152,9 +157,19 @@ def fit_theoretical(spec: KernelSpec, nodes, f_values, quad: DiscreteQuadrature)
     if len(f_values) != len(quad.nodes):
         raise ValueError("f values must align with quadrature nodes")
     M = len(nodes)
-    K = cross_gram(spec, nodes, nodes + list(quad.nodes))
+    K, d2 = _cross_gram_statistics(spec, nodes, nodes + list(quad.nodes))
     P, rhs = _normal_equations(K[:, M:], f_values, quad)
-    return _solved_model(spec, nodes, P, rhs, K[:, :M], "normal-equation matrix")
+    return _solved_model(spec, nodes, P, rhs, K[:, :M], _least_separation(d2[:, :M]),
+                         "normal-equation matrix")
+
+
+def _least_separation(d2: np.ndarray) -> float:
+    """Minimal separation of M points from their M x M squared distances:
+    the root of the least off-diagonal entry (sqrt is monotone and
+    correctly rounded), inf for one point."""
+    off = d2.copy()
+    np.fill_diagonal(off, np.inf)
+    return float(np.sqrt(off.min()))
 
 
 def evaluate(model: CollocationModel, x) -> float:
@@ -164,12 +179,19 @@ def evaluate(model: CollocationModel, x) -> float:
 def error_profile(model: CollocationModel, truth, probes) -> ErrorProfile:
     """Per-probe Euclidean distance to the nearest node, absolute error
     against the truth values, and raw model value, sorted by that distance.
+    The truth holds one value per probe; any other length or shape is
+    refused before a kernel value is computed, since it would be broadcast
+    over the probes or fail in a broadcast that names no cause.
     Model values and distances come from one distance pass: the pair
     statistics of a flat kind (`kernels.FLAT_KINDS`), which the
     model's kernel must be, are the squared distances."""
     truth = np.asarray(truth, dtype=float)
     if len(probes) == 0:
         raise ValueError("no probes")
+    if truth.shape != (len(probes),):
+        count = f"{len(truth)} values" if truth.ndim == 1 else f"shape {truth.shape}"
+        raise ValueError(f"truth has {count} for {len(probes)} probes; "
+                         "it needs one value per probe")
     _check_flat(model.spec)
     K, d2 = _cross_gram_statistics(model.spec, probes, model.nodes)
     vals = K @ model.coeffs

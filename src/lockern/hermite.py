@@ -172,9 +172,16 @@ class LocalizedKernelSpec:
         s_l, beta_{l+1}, c_l, check) with alpha_l(t) = a_l t - s_l, and
         check true where a rescale must come first.
 
+        a_l, s_l, beta_{l+1} and c_l are read-only 0-d float64 arrays, made
+        once here: a ufunc takes a 0-d array as it is, while a Python float
+        operand is converted again on every call, and `_clenshaw` makes
+        seven calls a step. Their values are the float formulas', so every
+        product is bitwise the same.
+
         A check goes wherever a bound on max(|b_{l+1}|, |b_{l+2}|), carried
         from the last check (after which it is 2^512) with g <= 1 and
-        t in [0, _T_MAX], would pass 2^1020 at step l.
+        t in [0, _T_MAX], would pass 2^1020 at step l. The bound is carried
+        in floats.
         """
         steps, bound = [], 0.0
         for ell in range(len(self.coeffs) - 1, -1, -1):
@@ -187,8 +194,16 @@ class LocalizedKernelSpec:
             if check:
                 bound = _RESCALE_AT
             bound = max(bound, abs(c) + growth * bound)
-            steps.append((a, shift, beta, c, check))
+            steps.append((*map(_operand, (a, shift, beta, c)), check))
         return tuple(steps)
+
+
+def _operand(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array, a ufunc operand that needs
+    no conversion."""
+    out = np.array(value, dtype=np.float64)
+    out.flags.writeable = False
+    return out
 
 
 def localized_degree(N: float, q: int) -> int:
@@ -263,7 +278,10 @@ def eval_localized(spec: LocalizedKernelSpec, x):
 
 
 def _clenshaw(spec: LocalizedKernelSpec, x_arr: np.ndarray) -> np.ndarray:
-    """`eval_localized` at each point of the 1-D array x_arr, in one pass."""
+    """`eval_localized` at each point of the 1-D array x_arr, in one pass.
+
+    Each step is seven in-place ufunc calls on three rotating buffers, with
+    the step's constants taken as the 0-d operands of `spec._steps`."""
     t = np.empty_like(x_arr)
     with np.errstate(over="ignore"):  # x^2 = inf is clamped next
         np.multiply(x_arr, x_arr, out=t)

@@ -24,6 +24,7 @@ suite (`tests/kernel_oracle.py`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -59,10 +60,12 @@ DEFAULT_PARAMS = {
 
 def _check_params(kind: str, params) -> None:
     """Refuse an unknown kernel kind, a parameter that its kind does not
-    read (a key outside `DEFAULT_PARAMS[kind]`), or a scale parameter that
-    is not positive and finite. The localized N and q are checked where the
-    kernel's expansion is built (`build_localized_kernel`); its gamma, the
-    scale at which it reads distances, is checked and held here only."""
+    read (a key outside `DEFAULT_PARAMS[kind]`), a scale parameter that is
+    not positive and finite, or a localized q that is not a finite integral
+    value (the expansion is built for an int q, and 2.5 would build q = 2).
+    The localized N and the range of q are checked where the kernel's
+    expansion is built (`build_localized_kernel`); its gamma, the scale at
+    which it reads distances, is checked and held here only."""
     if kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}")
     unread = [key for key in params if key not in DEFAULT_PARAMS[kind]]
@@ -74,14 +77,19 @@ def _check_params(kind: str, params) -> None:
         if key in params and not 0 < params[key] < math.inf:  # NaN fails both
             raise ValueError(f"kernel {kind!r}: {key} must be positive and finite, "
                              f"got {params[key]}")
+    q = params.get("q")
+    if q is not None and not (isinstance(q, numbers.Real) and math.isfinite(q)
+                              and q == math.floor(q)):
+        raise ValueError(f"kernel {kind!r}: q must be a finite integer, got {q!r}")
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """Which kernel to use, with its hyperparameters, defaults filled in
     from `DEFAULT_PARAMS`. The localized kind's expansion depends on N and
-    q only; its gamma, the scale at which it reads distances, is held in
-    `params` alone."""
+    q only; `params["q"]` holds the int it was built with (a q that is not a
+    finite integral value is refused), and its gamma, the scale at which it
+    reads distances, is held in `params` alone."""
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -92,10 +100,11 @@ class KernelSpec:
         _check_params(self.kind, self.params)
         merged = dict(DEFAULT_PARAMS[self.kind])
         merged.update(self.params)
-        object.__setattr__(self, "params", merged)
         if self.kind == "localized":
-            spec = build_localized_kernel(N=merged["N"], q=int(merged["q"]))
+            merged["q"] = int(merged["q"])
+            spec = build_localized_kernel(N=merged["N"], q=merged["q"])
             object.__setattr__(self, "_localized", spec)
+        object.__setattr__(self, "params", merged)
 
     @property
     def localized(self) -> LocalizedKernelSpec:
@@ -112,7 +121,12 @@ class GramMatrix:
 
 @dataclass(frozen=True)
 class DiscreteQuadrature:
-    """Nodes, positive weights and density values realizing d(tau) = f_0 d(mu)."""
+    """Nodes, positive weights and density values realizing d(tau) = f_0 d(mu).
+
+    The weights and the density are one value per node: any other length or
+    shape is refused, since it would be broadcast over the nodes by
+    `fit_theoretical`, `sigma_n` and `psi_kernel`, or fail there in a
+    broadcast that names no cause."""
 
     nodes: list
     weights: np.ndarray
@@ -123,6 +137,11 @@ class DiscreteQuadrature:
         f0 = np.asarray(self.density_f0, dtype=float)
         if len(self.nodes) == 0:
             raise ValueError("quadrature must have at least one node")
+        for name, values in (("weights", w), ("density_f0", f0)):
+            if values.shape != (len(self.nodes),):
+                count = f"{len(values)} values" if values.ndim == 1 else f"shape {values.shape}"
+                raise ValueError(f"quadrature {name} has {count} for {len(self.nodes)} nodes; "
+                                 "it needs one value per node")
         if np.any(w <= 0) or not np.isfinite(w.sum()):
             raise ValueError("weights must be positive and finite")
         if np.any(f0 <= 0):

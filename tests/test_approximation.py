@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -260,6 +261,48 @@ class TestFitTheoretical:
         model = fit_theoretical(spec, nodes, np.zeros(60), quad)
         np.testing.assert_allclose(model.coeffs, 0.0, atol=1e-10)
 
+    def test_eta_from_cross_gram_statistics(self):
+        # eta comes from the squared distances of the fit's own cross_gram,
+        # bitwise the separate distance pass of minimal_separation
+        nodes, _ = circle_nodes(20)
+        quad, f = circle_quadrature(24)
+        spec = KernelSpec("localized", {"N": 8.0, "q": 1, "gamma": 1.0})
+        eta = fit_theoretical(spec, nodes, f, quad).eta
+        assert type(eta) is float
+        assert np.float64(eta).tobytes() == np.float64(minimal_separation(nodes)).tobytes()
+        # one pair 1e-9 apart: a scale that still tells the pair apart keeps
+        # the normal equations solvable, with the nodes as quadrature
+        rng = np.random.default_rng(29)
+        nodes = [rng.standard_normal(3) for _ in range(30)]
+        nodes[17] = nodes[4] + np.array([1e-9, 0.0, 0.0])
+        quad = DiscreteQuadrature(nodes=nodes, weights=np.ones(30), density_f0=np.ones(30))
+        spec = KernelSpec("euclidean_rbf", {"gamma": 1e16})
+        eta = fit_theoretical(spec, nodes, rng.standard_normal(30), quad).eta
+        assert eta < 2e-9
+        assert np.float64(eta).tobytes() == np.float64(minimal_separation(nodes)).tobytes()
+
+    def test_one_node_eta_is_inf(self):
+        quad, f = circle_quadrature(24)
+        spec = KernelSpec("localized", {"N": 8.0, "q": 1, "gamma": 1.0})
+        assert fit_theoretical(spec, [np.array([1.0, 0.0])], f, quad).eta == math.inf
+
+    def test_no_separate_distance_pass(self, monkeypatch):
+        calls = []
+        real = approximation._min_separation
+
+        def counting(X):
+            calls.append(len(X))
+            return real(X)
+
+        monkeypatch.setattr(approximation, "_min_separation", counting)
+        nodes, truth = circle_nodes(20)
+        quad, f = circle_quadrature(24)
+        spec = KernelSpec("localized", {"N": 8.0, "q": 1, "gamma": 1.0})
+        fit_theoretical(spec, nodes, f, quad)
+        assert calls == []
+        fit_empirical(spec, nodes, truth)  # the interpolatory fit keeps its pass
+        assert calls == [20]
+
     @pytest.mark.parametrize("N,tol", [(4.0, 1e-9), (8.0, 1e-5)])
     def test_recovers_node_values_on_circle(self, N, tol):
         quad, f = circle_quadrature(400)
@@ -354,6 +397,22 @@ class TestEvaluateAndProfile:
         error_profile(model, np.zeros(3), [np.array([0.5]), np.array([1.0]), np.array([3.0])])
         assert calls == [(3, 2)]
 
+    @pytest.mark.parametrize("truth, count", [
+        ([0.5], "1 values"), (np.zeros(3), "3 values"), (np.zeros(8), "8 values"),
+        (np.zeros((7, 1)), "shape (7, 1)"), (0.5, "shape ()"),
+    ])
+    def test_truth_length_checked(self, monkeypatch, truth, count):
+        # a truth of any other length is refused before a kernel value is
+        # made: one value would be spread over the 7 probes, three would
+        # fail in a broadcast that names no cause
+        def no_kernel_values(*args):
+            raise AssertionError("a kernel value was computed")
+
+        monkeypatch.setattr(approximation, "_cross_gram_statistics", no_kernel_values)
+        probes = [np.array([0.5 * k]) for k in range(7)]
+        with pytest.raises(ValueError, match=re.escape(f"truth has {count} for 7 probes")):
+            error_profile(self._toy_model(), truth, probes)
+
     def test_non_finite_kernel_value_named(self):
         # a NaN probe coordinate, the one way to a NaN localized kernel value
         model = CollocationModel(nodes=[np.array([0.0]), np.array([1.0])],
@@ -375,6 +434,7 @@ class TestEvaluateAndProfile:
 
         monkeypatch.setattr(approximation, "gram", no_kernel_values)
         monkeypatch.setattr(approximation, "cross_gram", no_kernel_values)
+        monkeypatch.setattr(approximation, "_cross_gram_statistics", no_kernel_values)
         nodes = [SubspaceFeature(U=np.eye(3)[:, [k]], S=np.ones(1)) for k in range(3)]
         quad = DiscreteQuadrature(nodes=nodes, weights=np.ones(3), density_f0=np.ones(3))
         for fit in (lambda: fit_empirical(spec, nodes, np.zeros(3)),

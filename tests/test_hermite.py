@@ -239,9 +239,19 @@ class TestBuildLocalizedKernel:
 
 
 class TestEvalLocalized:
-    @pytest.mark.parametrize("N, q", [(1.0, 1), (4.0, 2), (8.0, 18), (12.0, 5)])
-    def test_in_place_pass_matches_allocating_oracle(self, N, q):
+    @pytest.mark.parametrize("N, q", [(1.0, 1), (4.0, 2), (8.0, 18), (12.0, 5), (40.0, 18)])
+    def test_in_place_pass_matches_allocating_oracle(self, monkeypatch, N, q):
+        # N = 40 places rescale checks in the step table; none fires on
+        # these points, so its pass stays the oracle's
         spec = build_localized_kernel(N, q)
+        checks, real = [], hermite._rescale
+
+        def spy(b1, b2, g, tmp, halvings):
+            out = real(b1, b2, g, tmp, halvings)
+            checks.append(out is not None)
+            return out
+
+        monkeypatch.setattr(hermite, "_rescale", spy)
         rng = np.random.default_rng(int(N * 100 + q))
         arrays = [
             rng.uniform(-15.0, 15.0, 257),
@@ -260,6 +270,27 @@ class TestEvalLocalized:
             got, want = eval_localized(spec, x), clenshaw_oracle(spec, x)
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert not any(checks)
+        assert bool(checks) == any(step[4] for step in spec._steps) == (N == 40.0)
+
+    @pytest.mark.parametrize("N", [1.0, 8.0, 24.0, 40.0])
+    @pytest.mark.parametrize("q", [1, 18])
+    def test_step_constants_are_read_only_scalars(self, N, q):
+        # each constant is a 0-d float64 operand, bitwise its float formula
+        spec = build_localized_kernel(N, q)
+        L = len(spec.coeffs) - 1
+        assert len(spec._steps) == L + 1
+        for ell, (a, shift, beta, c, check) in zip(range(L, -1, -1), spec._steps):
+            r = 1.0 / math.sqrt((2 * ell + 1) * (2 * ell + 2))
+            want = (2.0 * r, (4 * ell + 1) * r,
+                    -math.sqrt((2 * ell + 1) * (2 * ell + 2) / ((2 * ell + 3) * (2 * ell + 4))),
+                    float(spec.coeffs[ell]))
+            for got, value in zip((a, shift, beta, c), want):
+                assert type(got) is np.ndarray and got.shape == () and got.dtype == np.float64
+                assert not got.flags.writeable
+                assert got.tobytes() == np.float64(value).tobytes()
+            assert type(check) is bool
+        assert spec._steps is spec._steps  # made once
 
     @pytest.mark.parametrize("n", [1, 2**14 - 1, 2**14 + 1, 3 * 2**14 + 7])
     def test_chunks_match_one_pass(self, monkeypatch, n):

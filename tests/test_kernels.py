@@ -439,6 +439,20 @@ class TestKernelSpec:
                 f"kernel {kind!r}: {key} must be positive and finite, got {value}")):
             KernelSpec(kind, {key: value})
 
+    @pytest.mark.parametrize("q", [2.5, 0.5, math.nan, math.inf, -math.inf, "2"])
+    def test_non_integral_q_refused(self, q):
+        # 2.5 would build q = 2 under params naming 2.5; NaN and inf would
+        # fail in int() with a message that does not name q
+        with pytest.raises(ValueError, match=re.escape(
+                f"kernel 'localized': q must be a finite integer, got {q!r}")):
+            KernelSpec("localized", {"q": q})
+
+    @pytest.mark.parametrize("q", [2.0, np.float64(3.0), np.int64(4), 5])
+    def test_integral_q_held_as_built(self, q):
+        spec = KernelSpec("localized", {"N": 4.0, "q": q})
+        assert type(spec.params["q"]) is int
+        assert spec.params["q"] == spec.localized.q == q
+
     def test_localized_expansion_is_built_not_passed(self):
         # the expansion always agrees with params: no caller can hand one in
         other = KernelSpec("localized", {"N": 8.0}).localized
@@ -495,3 +509,17 @@ class TestPsiKernel:
             DiscreteQuadrature(nodes=[np.zeros(1)], weights=[1.0], density_f0=[0.0])
         with pytest.raises(ValueError):
             DiscreteQuadrature(nodes=[], weights=[], density_f0=[])
+
+    @pytest.mark.parametrize("name", ["weights", "density_f0"])
+    @pytest.mark.parametrize("values, count", [
+        (np.ones(1), "1 values"), (np.ones(5), "5 values"), (np.ones(25), "25 values"),
+        (np.ones((24, 1)), "shape (24, 1)"), (np.float64(1.0), "shape ()"),
+    ])
+    def test_quadrature_lengths_checked(self, name, values, count):
+        # one weight or density value per node: a single one would be
+        # broadcast over all 24 nodes, five would fail later in a broadcast
+        nodes = [np.array([float(i)]) for i in range(24)]
+        arrays = {"weights": np.ones(24), "density_f0": np.ones(24), name: values}
+        with pytest.raises(ValueError, match=re.escape(
+                f"quadrature {name} has {count} for 24 nodes")):
+            DiscreteQuadrature(nodes=nodes, **arrays)
