@@ -13,6 +13,7 @@ from .kernels import (
     FLAT_KINDS,
     DiscreteQuadrature,
     KernelSpec,
+    _check_one_per,
     _cross_gram_statistics,
     _flat_rows,
     _min_separation,
@@ -188,10 +189,7 @@ def error_profile(model: CollocationModel, truth, probes) -> ErrorProfile:
     truth = np.asarray(truth, dtype=float)
     if len(probes) == 0:
         raise ValueError("no probes")
-    if truth.shape != (len(probes),):
-        count = f"{len(truth)} values" if truth.ndim == 1 else f"shape {truth.shape}"
-        raise ValueError(f"truth has {count} for {len(probes)} probes; "
-                         "it needs one value per probe")
+    _check_one_per(truth, "truth", len(probes), "probe")
     _check_flat(model.spec)
     K, d2 = _cross_gram_statistics(model.spec, probes, model.nodes)
     vals = K @ model.coeffs

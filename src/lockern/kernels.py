@@ -83,6 +83,15 @@ def _check_params(kind: str, params) -> None:
         raise ValueError(f"kernel {kind!r}: q must be a finite integer, got {q!r}")
 
 
+def _check_one_per(values: np.ndarray, name: str, n: int, item: str) -> None:
+    """Refuse `values` unless they are one value for each of n items,
+    naming both counts: any other length would be broadcast or fail in a
+    broadcast that names no cause."""
+    if values.shape != (n,):
+        count = f"{len(values)} values" if values.ndim == 1 else f"shape {values.shape}"
+        raise ValueError(f"{name} has {count} for {n} {item}s; it needs one value per {item}")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Which kernel to use, with its hyperparameters, defaults filled in
@@ -137,11 +146,8 @@ class DiscreteQuadrature:
         f0 = np.asarray(self.density_f0, dtype=float)
         if len(self.nodes) == 0:
             raise ValueError("quadrature must have at least one node")
-        for name, values in (("weights", w), ("density_f0", f0)):
-            if values.shape != (len(self.nodes),):
-                count = f"{len(values)} values" if values.ndim == 1 else f"shape {values.shape}"
-                raise ValueError(f"quadrature {name} has {count} for {len(self.nodes)} nodes; "
-                                 "it needs one value per node")
+        _check_one_per(w, "quadrature weights", len(self.nodes), "node")
+        _check_one_per(f0, "quadrature density_f0", len(self.nodes), "node")
         if np.any(w <= 0) or not np.isfinite(w.sum()):
             raise ValueError("weights must be positive and finite")
         if np.any(f0 <= 0):
