@@ -104,13 +104,12 @@ def _solved_model(spec: KernelSpec, nodes: list, A: np.ndarray, rhs: np.ndarray,
 
 
 def fit_empirical(spec: KernelSpec, nodes, values) -> CollocationModel:
-    """Interpolatory fit: solve sum_k a_k K(y_j, y_k) = f_j directly. The
-    kernel must be a flat kind."""
+    """Interpolatory fit: solve sum_k a_k K(y_j, y_k) = f_j directly, from
+    one value f_j per node. The kernel must be a flat kind."""
     _check_flat(spec)
     nodes = list(nodes)
     values = np.asarray(values, dtype=float)
-    if len(nodes) != len(values):
-        raise ValueError("nodes/values length mismatch")
+    _check_one_per(values, "values", len(nodes), "node")
     K = gram(spec, nodes).entries
     eta = minimal_separation(nodes) if len(nodes) > 1 else np.inf
     return _solved_model(spec, nodes, K, values, K, eta, "collocation matrix",
@@ -118,10 +117,10 @@ def fit_empirical(spec: KernelSpec, nodes, values) -> CollocationModel:
 
 
 def sigma_n(spec: KernelSpec, f_values, quad: DiscreteQuadrature, x) -> float:
-    """Discretized kernel smoothing operator: sum_z w_z f(z) K(x, z)."""
+    """Discretized kernel smoothing operator: sum_z w_z f(z) K(x, z), from
+    one value f(z) per quadrature node."""
     f_values = np.asarray(f_values, dtype=float)
-    if len(f_values) != len(quad.nodes):
-        raise ValueError("f values must align with quadrature nodes")
+    _check_one_per(f_values, "f values", len(quad.nodes), "quadrature node")
     return float(cross_gram(spec, [x], quad.nodes)[0] @ (quad.weights * f_values))
 
 
@@ -140,7 +139,9 @@ def _normal_equations(Kq: np.ndarray, f_values, quad: DiscreteQuadrature):
 def fit_theoretical(spec: KernelSpec, nodes, f_values, quad: DiscreteQuadrature) -> CollocationModel:
     """Solve the normal equations of the least-squares problem in the span of
     kernel translates:  sum_l a_l Psi(y_l, y_j) = smoothing of f * f0 at y_j,
-    with both sides realized on the same quadrature.
+    with both sides realized on the same quadrature, from one value of f
+    per quadrature node (an (n, 1) column would be broadcast into a matrix
+    of coefficients, and is refused).
 
     One cross_gram of the nodes with the nodes and the quadrature nodes gives
     both the normal equations and the collocation matrix of the dominance
@@ -155,8 +156,7 @@ def fit_theoretical(spec: KernelSpec, nodes, f_values, quad: DiscreteQuadrature)
     _check_flat(spec)
     nodes = list(nodes)
     f_values = np.asarray(f_values, dtype=float)
-    if len(f_values) != len(quad.nodes):
-        raise ValueError("f values must align with quadrature nodes")
+    _check_one_per(f_values, "f values", len(quad.nodes), "quadrature node")
     M = len(nodes)
     K, d2 = _cross_gram_statistics(spec, nodes, nodes + list(quad.nodes))
     P, rhs = _normal_equations(K[:, M:], f_values, quad)

@@ -281,6 +281,22 @@ class TestFitTheoretical:
         assert eta < 2e-9
         assert np.float64(eta).tobytes() == np.float64(minimal_separation(nodes)).tobytes()
 
+    @pytest.mark.parametrize("shape, count", [((23,), "23 values"), ((24, 1), "shape (24, 1)")])
+    def test_value_vectors_checked(self, shape, count):
+        # an (n, 1) column of f values gave fit_theoretical a 20 x 24 matrix
+        # of coefficients; each fit and sigma_n refuse it, naming both counts
+        nodes, _ = circle_nodes(24)
+        quad, _ = circle_quadrature(24)
+        spec = KernelSpec("localized", {"N": 8.0, "q": 1, "gamma": 1.0})
+        values = np.zeros(shape)
+        with pytest.raises(ValueError, match=re.escape(f"values has {count} for 24 nodes")):
+            fit_empirical(spec, nodes, values)
+        message = f"f values has {count} for 24 quadrature nodes"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_theoretical(spec, nodes[:20], values, quad)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sigma_n(spec, values, quad, nodes[0])
+
     def test_one_node_eta_is_inf(self):
         quad, f = circle_quadrature(24)
         spec = KernelSpec("localized", {"N": 8.0, "q": 1, "gamma": 1.0})
