@@ -8,8 +8,9 @@
 # features, and the r values cut theirs from one SVD per sample. `kernel-eval`
 # tabulates the default localized kernel and must exit 2 for a negative
 # gamma; at N = 40 out to x = 100 every one of its 401 values must be finite
-# (the Clenshaw pass's raised start and rescale checks), and `features` writes the synthetic set's SVD features and PCA
-# inputs and must exit 2 for an --r below 1, creating no output directory.
+# (the Clenshaw pass's raised start and rescale checks), and `features`
+# writes the synthetic set's SVD features and PCA inputs and must exit 2 for
+# an --r below 1, creating no output directory.
 # Then it checks that each refused
 # config exits 1 and creates no output directory: a NaN C, a localized q
 # below 1, and a negative euclidean_rbf gamma.
